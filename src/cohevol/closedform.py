@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -37,6 +38,7 @@ DEFAULT_GUARD = 1e-6
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
 
 _MAX_XN_ORDER = 20
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +242,16 @@ def _check_representable(n: int, alpha: complex, params: SystemParams, t: float)
 def _xn_closed_value(n: int, alpha: complex, params: SystemParams, t: float) -> complex:
     exponent, mag, k, series = _xn_closed_pieces(n, alpha, params, t)
     prefactor = 2.0 ** ((n + 1) / 2.0) * mag ** (n + 1) * _I_POW[(k * (n + 1)) % 4]
-    return cmath.exp(exponent) * prefactor * series
+    if exponent <= _LOG_FLOAT_MAX:
+        value = cmath.exp(exponent) * prefactor * series
+        if cmath.isfinite(value):
+            return value
+    # exp(exponent) * prefactor overflows although the product with the small
+    # series is representable: combine the factors in log scale instead.
+    scaled = prefactor * series
+    if scaled == 0:
+        return 0j
+    return cmath.exp(exponent + cmath.log(scaled))
 
 
 def gaussian_moment_ratios(

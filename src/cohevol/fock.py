@@ -2,16 +2,41 @@
 
 Ladder operators carry the scaled convention ``a|k> = sqrt(hbar k)|k-1>``,
 ``adag|k> = sqrt(hbar (k+1))|k+1>``, so ``[a, adag] = hbar`` and the coherent
-state is the eigenvector ``a|alpha> = alpha |alpha>``.  Propagation uses a
-full Hermitian eigendecomposition (exact in time, no integrator error); the
-decomposition is computed once per representation and cached.
+state is the eigenvector ``a|alpha> = alpha |alpha>``.
+
+Propagation is exact in time (spectral, no integrator error) and uses only
+the definition of each Hamiltonian on the truncated basis, never a closed
+form:
+
+- The elliptic ``H = w adag a + mu adag^2 a^2`` is diagonal in the Fock
+  basis, ``E_k = w hbar k + mu hbar^2 k (k - 1)``; propagation is an
+  elementwise phase.
+- The hyperbolic ``H = i w G + mu G^2`` with ``G = adag^2 - a^2`` is a
+  polynomial in one generator.  The diagonal gauge ``U = diag(e^{i pi k/4})``
+  gives ``U^* G U = -i S`` with the real ``S = adag^2 + a^2``, so the
+  truncated ``H = U (w S - mu S^2) U^*`` exactly (the square is of the
+  truncated ``S``, as in the literal build).  ``S`` only couples ``k`` to
+  ``k +- 2``: it splits into an even and an odd parity sector, each a real
+  symmetric tridiagonal matrix with zero diagonal and off-diagonal
+  ``hbar sqrt((k+1)(k+2))``.  Each sector is diagonalised once per
+  representation with ``scipy.linalg.eigh_tridiagonal`` (MRRR); the energies
+  are ``w s - mu s^2`` for the eigenvalues ``s`` of ``S``.  Inside a sector
+  the gauge reduces to ``i^j`` (a constant sector phase cancels), so it adds
+  no rounding either.
+
+Observables ``x^n`` and ``adag^m a^q`` are applied by banded shifts with the
+ladder elements ``sqrt(hbar k)``; no dense operator is formed.  The dense
+literal matrices (``FockRepresentation.ham``, ``.x_op``) remain available as
+references and are built only on request.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -28,6 +53,8 @@ DEFAULT_TAIL_TOL = 1e-14
 DEFAULT_START_DIM = 64
 DEFAULT_DIM_CAP = 8192
 _UNITARITY_TOL = 1e-10
+_I_POWERS = np.array([1, 1j, -1, -1j])
+_TAIL_BLOCK = 64
 
 
 def ladder_matrices(dim: int, hbar: float) -> tuple[np.ndarray, np.ndarray]:
@@ -37,77 +64,105 @@ def ladder_matrices(dim: int, hbar: float) -> tuple[np.ndarray, np.ndarray]:
     return a, a.T.copy()
 
 
+class Sector(NamedTuple):
+    """One invariant block of the basis, ``H[index, index] = g V diag(E) V^T g^*``.
+
+    ``vectors`` (real, orthonormal columns) and ``gauge`` (unit phases ``g``)
+    are ``None`` for a block on which ``H`` is already diagonal.
+    """
+
+    index: slice
+    energies: np.ndarray
+    vectors: "np.ndarray | None"
+    gauge: "np.ndarray | None"
+
+
 @dataclass
 class FockRepresentation:
-    """Truncated-basis matrices for one model at one basis size.
+    """One model at one basis size.
 
-    Immutable after construction (arrays are write-protected); the
-    eigendecomposition of ``ham`` is computed lazily exactly once.
+    The spectral data is computed lazily exactly once (:meth:`eigensystem`);
+    the dense matrices ``ham`` and ``x_op`` are literal references, rebuilt on
+    every access and never used by the oracle itself.
     """
 
     kind: str
     params: SystemParams
     dim: int
-    ham: np.ndarray
-    x_op: np.ndarray
-    _eig: "tuple[np.ndarray, np.ndarray] | None" = field(default=None, repr=False)
-    _obs_cache: dict = field(default_factory=dict, repr=False)
+    _eig: "tuple[Sector, ...] | None" = field(default=None, repr=False)
 
     @property
     def hbar(self) -> float:
         return self.params.hbar
 
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+    @property
+    def ham(self) -> np.ndarray:
+        """Dense ``H`` assembled literally from ladder matrices (reference only)."""
+        omega, mu = self.params.omega, self.params.mu
+        a, adag = ladder_matrices(self.dim, self.hbar)
+        if self.kind == "elliptic":
+            return (omega * (adag @ a) + mu * (adag @ adag @ a @ a)).astype(complex)
+        gen = adag @ adag - a @ a
+        return 1j * omega * gen + mu * (gen @ gen)
+
+    @property
+    def x_op(self) -> np.ndarray:
+        """Dense position operator ``(adag + a)/sqrt(2)`` (reference only)."""
+        a, adag = ladder_matrices(self.dim, self.hbar)
+        return ((adag + a) / math.sqrt(2.0)).astype(complex)
+
+    def eigensystem(self) -> tuple[Sector, ...]:
+        """Spectral data of ``H``, one :class:`Sector` per invariant block."""
         if self._eig is None:
-            evals, evecs = scipy.linalg.eigh(self.ham, check_finite=False)
-            evals.flags.writeable = False
-            evecs.flags.writeable = False
-            self._eig = (evals, evecs)
+            self._eig = (
+                _elliptic_sectors(self.params, self.dim)
+                if self.kind == "elliptic"
+                else _hyperbolic_sectors(self.params, self.dim)
+            )
         return self._eig
 
-    def x_power(self, n: int) -> np.ndarray:
-        key = ("x", n)
-        if key not in self._obs_cache:
-            self._obs_cache[key] = np.linalg.matrix_power(self.x_op, n)
-        return self._obs_cache[key]
 
-    def monomial_matrix(self, m: int, q: int) -> np.ndarray:
-        key = ("mono", m, q)
-        if key not in self._obs_cache:
-            a, adag = ladder_matrices(self.dim, self.hbar)
-            self._obs_cache[key] = np.linalg.matrix_power(
-                adag, m
-            ) @ np.linalg.matrix_power(a, q)
-        return self._obs_cache[key]
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _elliptic_sectors(params: SystemParams, dim: int) -> tuple[Sector, ...]:
+    k = np.arange(dim, dtype=float)
+    energies = params.omega * params.hbar * k + params.mu * params.hbar**2 * k * (k - 1.0)
+    return (Sector(slice(None), _frozen(energies), None, None),)
+
+
+def _hyperbolic_sectors(params: SystemParams, dim: int) -> tuple[Sector, ...]:
+    sectors = []
+    for parity in (0, 1):
+        k = np.arange(parity, dim - 2, 2, dtype=float)
+        offdiag = params.hbar * np.sqrt((k + 1.0) * (k + 2.0))
+        s, vectors = scipy.linalg.eigh_tridiagonal(
+            np.zeros(len(k) + 1), offdiag, check_finite=False
+        )
+        energies = params.omega * s - params.mu * s * s
+        gauge = _I_POWERS[np.arange(len(k) + 1) % 4]
+        sectors.append(
+            Sector(slice(parity, None, 2), _frozen(energies), _frozen(vectors), _frozen(gauge))
+        )
+    return tuple(sectors)
 
 
 @lru_cache(maxsize=8)
 def _cached_representation(
     kind: str, omega: float, mu: float, hbar: float, dim: int
 ) -> FockRepresentation:
-    params = SystemParams(omega, mu, hbar)
-    a, adag = ladder_matrices(dim, hbar)
-    if kind == "elliptic":
-        ham = omega * (adag @ a) + mu * (adag @ adag @ a @ a)
-        ham = ham.astype(complex)
-    elif kind == "hyperbolic":
-        gen = adag @ adag - a @ a
-        ham = 1j * omega * gen + mu * (gen @ gen)
-    else:
+    if kind not in ("elliptic", "hyperbolic"):
         raise DomainError(f"unknown Hamiltonian kind {kind!r}")
-    x_op = (adag + a) / math.sqrt(2.0)
-    x_op = x_op.astype(complex)
-    ham.flags.writeable = False
-    x_op.flags.writeable = False
-    return FockRepresentation(kind=kind, params=params, dim=dim, ham=ham, x_op=x_op)
+    return FockRepresentation(kind=kind, params=SystemParams(omega, mu, hbar), dim=dim)
 
 
 def build_hamiltonian(kind: str, params: SystemParams, dim: int) -> FockRepresentation:
-    """Matrix representation of the chosen model on a ``dim``-state basis.
+    """Representation of the chosen model on a ``dim``-state basis.
 
-    The hyperbolic quartic is assembled literally as ``i w G + mu G^2`` with
-    ``G = adag^2 - a^2`` built from ladder matrices, so the operator is
-    Hermitian by construction and no hand expansion is involved.
+    Cached per ``(kind, params, dim)``, so the spectral data of one basis size
+    is reused by every later time point.
 
     Raises
     ------
@@ -130,6 +185,23 @@ class CoherentVector:
     tail_mass: float
 
 
+def _poisson_tail(last: float, nbar: float, dim: int, stop_above: float) -> float:
+    """``sum_{k >= dim} |c_k|^2`` from ``|c_{dim-1}|^2`` by ``p_k = p_{k-1} nbar / k``.
+
+    Summed in blocks until the terms are negligible (past ``2 nbar`` the rest
+    of the series is bounded by its last term), or as soon as the partial sum
+    exceeds ``stop_above``.
+    """
+    tail, k, term = 0.0, dim, last
+    while True:
+        block = term * np.cumprod(nbar / np.arange(k, k + _TAIL_BLOCK))
+        tail += float(block.sum())
+        term = float(block[-1])
+        k += _TAIL_BLOCK
+        if tail > stop_above or (k > 2.0 * nbar and term <= 1e-17 * tail):
+            return tail
+
+
 def coherent_vector(
     alpha: complex,
     hbar: float,
@@ -139,18 +211,26 @@ def coherent_vector(
     """Coefficients ``exp(-|a|^2/2hbar) a^k / sqrt(hbar^k k!)`` for k < dim.
 
     Built by the stable forward recurrence ``c_{k+1} = c_k a / sqrt(hbar(k+1))``.
-    With ``tail_tol`` given, raises :class:`TailMassError` when the truncated
-    tail mass exceeds it (the caller's ``dim`` acts as the growth cap).
+    The tail mass is the sum of the omitted Poisson terms ``|c_k|^2, k >= dim``
+    (continuing the recurrence), so it has no rounding floor.  With
+    ``tail_tol`` given, raises :class:`TailMassError` when the tail exceeds it
+    (the caller's ``dim`` acts as the growth cap).
     """
     if dim < 1:
         raise DimensionError("coherent vector needs dim >= 1")
     a = complex(alpha)
-    coeffs = np.empty(dim, dtype=complex)
-    coeffs[0] = math.exp(-abs(a) ** 2 / (2.0 * hbar))
-    for k in range(dim - 1):
-        coeffs[k + 1] = coeffs[k] * a / math.sqrt(hbar * (k + 1))
-    tail = 1.0 - float(np.vdot(coeffs, coeffs).real)
-    tail = max(tail, 0.0)
+    # a NaN or infinite nbar would never end the tail sum
+    if not (cmath.isfinite(a) and math.isfinite(hbar) and hbar > 0.0):
+        raise DomainError(f"coherent state needs finite alpha and hbar > 0, got {a!r}, {hbar!r}")
+    steps = np.empty(dim, dtype=complex)
+    steps[0] = math.exp(-abs(a) ** 2 / (2.0 * hbar))
+    steps[1:] = a / np.sqrt(hbar * np.arange(1, dim))
+    coeffs = np.cumprod(steps)
+    if coeffs[0] == 0.0:
+        tail = 1.0  # the Gaussian weight underflows: nothing is representable
+    else:
+        stop_above = math.inf if tail_tol is None else tail_tol
+        tail = _poisson_tail(abs(coeffs[-1]) ** 2, abs(a) ** 2 / hbar, dim, stop_above)
     if tail_tol is not None and tail > tail_tol:
         raise TailMassError(
             f"tail mass {tail:.3e} above tolerance {tail_tol:.3e} at dim {dim}"
@@ -159,13 +239,37 @@ def coherent_vector(
     return CoherentVector(dim=dim, hbar=hbar, alpha=a, coeffs=coeffs, tail_mass=tail)
 
 
+def _real_matmul(matrix: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    # real matrix times complex vector without a complex copy of the matrix
+    out = matrix @ np.stack((vec.real, vec.imag), axis=1)
+    return out[:, 0] + 1j * out[:, 1]
+
+
 def _propagate(rep: FockRepresentation, vec: np.ndarray, t: float) -> np.ndarray:
-    evals, evecs = rep.eigensystem()
-    phases = np.exp(-1j * evals * (t / rep.hbar))
-    out = evecs @ (phases * (evecs.conj().T @ vec))
+    out = np.empty(rep.dim, dtype=complex)
+    for sector in rep.eigensystem():
+        phases = np.exp(-1j * sector.energies * (t / rep.hbar))
+        part = vec[sector.index]
+        if sector.vectors is None:
+            out[sector.index] = phases * part
+        else:
+            coeffs = _real_matmul(sector.vectors.T, sector.gauge.conj() * part)
+            out[sector.index] = sector.gauge * _real_matmul(sector.vectors, phases * coeffs)
     drift = abs(np.linalg.norm(out) - np.linalg.norm(vec))
     if drift > _UNITARITY_TOL:
-        raise RuntimeError(f"propagator lost unitarity: norm drift {drift:.3e}")
+        raise ConvergenceError(f"propagator lost unitarity: norm drift {drift:.3e}")
+    return out
+
+
+def _ladder(rep: FockRepresentation) -> np.ndarray:
+    return np.sqrt(rep.hbar * np.arange(1, rep.dim))
+
+
+def _apply_x(state: np.ndarray, half_ladder: np.ndarray) -> np.ndarray:
+    # (a + adag)/sqrt(2) on the truncated basis, with half_ladder = sqrt(hbar k / 2)
+    out = np.zeros_like(state)
+    out[:-1] = half_ladder * state[1:]
+    out[1:] += half_ladder * state[:-1]
     return out
 
 
@@ -174,26 +278,42 @@ def propagate_expectation(
 ) -> complex:
     """``<v| exp(iHt/hbar) X^n exp(-iHt/hbar) |v>`` at a single basis size.
 
-    Norm preservation of the spectral propagator is checked on every call.
-    Truncation convergence is the caller's concern; see :func:`oracle_average`
-    for the dimension-doubling protocol.
+    Evaluated as ``<y|y>`` or ``<y|X y>`` with ``y = X^(n//2) psi`` (``X`` is
+    Hermitian).  Norm preservation of the spectral propagator is checked on
+    every call.  Truncation convergence is the caller's concern; see
+    :func:`oracle_average` for the dimension-doubling protocol.
     """
     if rep.dim != v.dim or rep.hbar != v.hbar:
         raise DomainError("representation and state must share dim and hbar")
     if obs_power < 1:
         raise DomainError("obs_power must be >= 1")
     state = _propagate(rep, v.coeffs, t)
-    return complex(np.vdot(state, rep.x_power(obs_power) @ state))
+    half_ladder = _ladder(rep) * math.sqrt(0.5)
+    for _ in range(obs_power // 2):
+        state = _apply_x(state, half_ladder)
+    other = _apply_x(state, half_ladder) if obs_power % 2 else state
+    return complex(np.vdot(state, other))
 
 
 def monomial_expectation(
     rep: FockRepresentation, v: CoherentVector, m: int, q: int, t: float
 ) -> complex:
-    """Evolved average of the normal-ordered observable ``adag^m a^q``."""
+    """Evolved average of the normal-ordered observable ``adag^m a^q``.
+
+    Evaluated as ``<a^m psi | a^q psi>``; each lowering drops the top basis
+    entry, which the truncated ``a`` maps to zero.
+    """
     if rep.dim != v.dim or rep.hbar != v.hbar:
         raise DomainError("representation and state must share dim and hbar")
-    state = _propagate(rep, v.coeffs, t)
-    return complex(np.vdot(state, rep.monomial_matrix(m, q) @ state))
+    lowered = [_propagate(rep, v.coeffs, t)]
+    size = rep.dim - max(m, q)
+    if size <= 0:
+        return 0j  # a^j vanishes on the truncated basis for j >= dim
+    ladder = _ladder(rep)
+    for _ in range(max(m, q)):
+        state = lowered[-1]
+        lowered.append(ladder[: len(state) - 1] * state[1:])
+    return complex(np.vdot(lowered[m][:size], lowered[q][:size]))
 
 
 def _expectation(

@@ -1,18 +1,25 @@
 """Truncated-basis oracle: structure, invariants, and convergence protocol."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohevol import (
     ConvergenceError,
     DimensionError,
+    DomainError,
+    FockRepresentation,
     SystemParams,
     TailMassError,
     adaptive_dimension,
     build_hamiltonian,
     coherent_vector,
+    elliptic_quantum_average,
     hyperbolic_xn_average,
     ladder_matrices,
     make_hyperbolic_params,
@@ -20,6 +27,8 @@ from cohevol import (
     oracle_average,
     propagate_expectation,
 )
+from cohevol.cli import main
+from cohevol.fock import _propagate
 
 HYP = make_hyperbolic_params(1.0, 0.1, 0.05)
 ELL = SystemParams(1.0, 0.05, 0.1)
@@ -113,17 +122,49 @@ class TestCoherentVector:
         value = np.vdot(v.coeffs, adag @ a @ v.coeffs)
         assert value.real == pytest.approx(abs(alpha) ** 2, rel=1e-12)
 
+    def test_coeffs_match_the_recurrence_loop(self):
+        alpha, hbar, dim = 1.1 - 0.7j, 0.05, 128
+        ref = [math.exp(-abs(alpha) ** 2 / (2.0 * hbar)) + 0j]
+        for k in range(dim - 1):
+            ref.append(ref[-1] * alpha / math.sqrt(hbar * (k + 1)))
+        coeffs = coherent_vector(alpha, hbar, dim).coeffs
+        assert np.max(np.abs(coeffs - np.array(ref))) <= 1e-14 * np.max(np.abs(ref))
+
     def test_tail_mass_error(self):
         with pytest.raises(TailMassError):
             coherent_vector(3.0, 0.05, 32, tail_tol=1e-14)
+
+    def test_rejects_non_finite_input(self):
+        for alpha, hbar in ((math.nan, 0.1), (complex(0.5, math.inf), 0.1), (0.5, 0.0)):
+            with pytest.raises(DomainError):
+                coherent_vector(alpha, hbar, 16)
+
+    def test_tail_mass_is_the_omitted_poisson_mass(self):
+        hbar = 0.1
+        for nbar, dim in ((20.0, 40), (20.0, 64), (50.0, 128), (3.0, 64)):
+            v = coherent_vector(math.sqrt(nbar * hbar), hbar, dim)
+            exact = math.fsum(
+                math.exp(-nbar + k * math.log(nbar) - math.lgamma(k + 1))
+                for k in range(dim, dim + 1000)
+            )
+            assert v.tail_mass == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("nbar", (20.0, 50.0))
+    def test_large_nbar_elliptic_oracle_converges(self, nbar):
+        # 1 - sum |c_k|^2 has a rounding floor near the 1e-14 tail test at
+        # these occupations; the omitted-mass sum has none
+        for j in range(0, 400, 7):
+            alpha = cmath.rect(math.sqrt(nbar * ELL.hbar), 2.0 * math.pi * j / 400)
+            for m, q in ((1, 0), (2, 1), (1, 1)):
+                orc = oracle_average("elliptic", ELL, alpha, (m, q), 0.7, tol=2e-7, dim_cap=2048)
+                closed = elliptic_quantum_average(m, q, alpha, ELL, 0.7)
+                assert abs(closed - orc) <= 1e-6 * abs(orc)
 
 
 class TestPropagation:
     def test_unitarity(self):
         rep = build_hamiltonian("hyperbolic", HYP, 256)
         v = coherent_vector(0.5 + 0.3j, HYP.hbar, 256)
-        from cohevol.fock import _propagate
-
         for t in (0.1, 0.8, 2.0):
             out = _propagate(rep, v.coeffs, t)
             assert abs(np.linalg.norm(out) - np.linalg.norm(v.coeffs)) <= 1e-12
@@ -162,8 +203,6 @@ class TestPropagation:
         p_op = 1j * (adag - a) / math.sqrt(2.0)
         sym = (x @ p_op + p_op @ x) / 2.0
         v = coherent_vector(0.5 + 0.3j, HYP.hbar, dim)
-        from cohevol.fock import _propagate
-
         values = []
         for t in (0.0, 0.3, 0.6):
             state = _propagate(rep, v.coeffs, t)
@@ -184,6 +223,108 @@ class TestPropagation:
         values = [monomial_expectation(rep, v, 1, 1, t) for t in (0.0, 1.0, 2.0)]
         for value in values[1:]:
             assert abs(value - values[0]) <= 1e-12 * abs(values[0]) + 1e-15
+
+
+def _dense_state(rep, vec, t):
+    evals, evecs = scipy.linalg.eigh(rep.ham)
+    return evecs @ (np.exp(-1j * evals * (t / rep.hbar)) * (evecs.conj().T @ vec))
+
+
+def _dense_x_power(rep, state, n):
+    return complex(np.vdot(state, np.linalg.matrix_power(rep.x_op, n) @ state))
+
+
+def _dense_monomial(rep, state, m, q):
+    a, adag = ladder_matrices(rep.dim, rep.hbar)
+    mono = np.linalg.matrix_power(adag, m) @ np.linalg.matrix_power(a, q)
+    return complex(np.vdot(state, mono @ state))
+
+
+class TestDenseReference:
+    """The structured oracle against ``eigh`` of the literal dense ``H``."""
+
+    @pytest.mark.parametrize("dim", (64, 256, 512))
+    @pytest.mark.parametrize("kind,params", (("hyperbolic", HYP), ("elliptic", ELL)))
+    def test_structured_equals_dense(self, kind, params, dim):
+        rep = build_hamiltonian(kind, params, dim)
+        v = coherent_vector(0.5 + 0.3j, params.hbar, dim)
+        for t in (0.0, 0.3, 0.7):
+            dense = _dense_state(rep, v.coeffs, t)
+            assert np.max(np.abs(_propagate(rep, v.coeffs, t) - dense)) <= 1e-12
+            for n in (1, 2, 3, 4):
+                ref = _dense_x_power(rep, dense, n)
+                value = propagate_expectation(rep, v, n, t)
+                assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref))
+            for m, q in ((1, 0), (2, 1), (1, 1)):
+                ref = _dense_monomial(rep, dense, m, q)
+                value = monomial_expectation(rep, v, m, q, t)
+                assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    def test_monomial_beyond_the_basis_vanishes(self):
+        rep = build_hamiltonian("elliptic", ELL, 16)
+        v = coherent_vector(0.5 + 0.3j, ELL.hbar, 16)
+        dense = _dense_state(rep, v.coeffs, 0.7)
+        for m, q in ((16, 0), (3, 20)):
+            assert _dense_monomial(rep, dense, m, q) == 0
+            assert monomial_expectation(rep, v, m, q, 0.7) == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        omega=st.floats(min_value=0.5, max_value=2.0),
+        mu=st.floats(min_value=-0.2, max_value=0.2),
+        hbar=st.floats(min_value=0.02, max_value=0.3),
+        re=st.floats(min_value=-1.0, max_value=1.0),
+        im=st.floats(min_value=-1.0, max_value=1.0),
+        t=st.floats(min_value=0.0, max_value=1.0),
+        dim=st.sampled_from((16, 32, 64, 128)),
+    )
+    def test_structured_equals_dense_property(self, omega, mu, hbar, re, im, t, dim):
+        params = make_hyperbolic_params(omega, mu, hbar)
+        v = coherent_vector(complex(re, im), hbar, dim)
+        norm = np.linalg.norm(v.coeffs)
+        for kind in ("hyperbolic", "elliptic"):
+            rep = build_hamiltonian(kind, params, dim)
+            dense = _dense_state(rep, v.coeffs, t)
+            assert np.linalg.norm(_propagate(rep, v.coeffs, t) - dense) <= 1e-10 * norm
+            x_norm = np.linalg.norm(rep.x_op, 2)
+            for n in (1, 2, 3, 4):
+                ref = _dense_x_power(rep, dense, n)
+                value = propagate_expectation(rep, v, n, t)
+                assert abs(value - ref) <= 1e-10 * norm**2 * x_norm**n
+            a_norm = math.sqrt(hbar * (dim - 1))
+            ref = _dense_monomial(rep, dense, 2, 1)
+            value = monomial_expectation(rep, v, 2, 1, t)
+            assert abs(value - ref) <= 1e-10 * norm**2 * a_norm**3
+
+
+class TestUnitarityDrift:
+    @pytest.fixture
+    def leaky(self, monkeypatch):
+        # complex energies make the spectral propagator lose norm
+        exact = FockRepresentation.eigensystem
+
+        def leaky_eigensystem(rep):
+            return tuple(s._replace(energies=s.energies - 1e-6j) for s in exact(rep))
+
+        monkeypatch.setattr(FockRepresentation, "eigensystem", leaky_eigensystem)
+
+    @pytest.mark.parametrize("kind,params", (("hyperbolic", HYP), ("elliptic", ELL)))
+    def test_drift_raises_convergence_error(self, leaky, kind, params):
+        rep = build_hamiltonian(kind, params, 64)
+        v = coherent_vector(0.5 + 0.3j, params.hbar, 64)
+        with pytest.raises(ConvergenceError, match="unitarity"):
+            propagate_expectation(rep, v, 1, 0.5)
+        with pytest.raises(ConvergenceError, match="unitarity"):
+            monomial_expectation(rep, v, 1, 1, 0.5)
+
+    def test_cli_maps_drift_to_convergence_exit_code(self, leaky, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "kind = hyperbolic\nmu = 0.1\nhbar = 0.1\nalpha = 0.5+0.3j\n"
+            "observable = x^1\nt_min = 0.2\nt_max = 0.4\npoints = 2\n"
+        )
+        assert main(["compare", "--config", str(cfg)]) == 3
+        assert "unitarity" in capsys.readouterr().err
 
 
 class TestAdaptiveDimension:

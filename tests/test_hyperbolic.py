@@ -122,6 +122,17 @@ class TestDualRoutes:
                 closed, integral = hyperbolic_xn_paths(n, alpha, P, 0.95 * t_mid)
                 assert abs(closed - integral) <= 1e-12 * max(abs(integral), 1e-300)
 
+    def test_paths_agree_just_under_the_overflow_cut(self):
+        # exp(exponent) * prefactor alone overflows at this point, although
+        # the full product (~ -4.5e306) is representable
+        p = make_hyperbolic_params(1.0, 0.05342075379976316, 0.05185107873190417)
+        alpha = -0.1352827319730956 - 0.21674895602849853j
+        t = 87.8402071162784
+        closed, integral = hyperbolic_xn_paths(4, alpha, p, t)
+        assert cmath.isfinite(closed)
+        assert abs(closed - integral) <= 1e-12 * abs(integral)
+        assert hyperbolic_xn_average(4, alpha, p, t) == closed
+
     def test_value_is_imaginary_on_odd_interval(self):
         # between the first and second n=1 collapse times the tracked branch
         # contributes a net quarter-turn odd power: the continuation is
