@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -185,20 +186,26 @@ class CoherentVector:
     tail_mass: float
 
 
-def _poisson_tail(last: float, nbar: float, dim: int, stop_above: float) -> float:
-    """``sum_{k >= dim} |c_k|^2`` from ``|c_{dim-1}|^2`` by ``p_k = p_{k-1} nbar / k``.
+def _poisson_tail(nbar: float, dim: int, stop_above: float) -> float:
+    """``sum_{k >= dim} p_k`` for the Poisson weights ``p_k = e^-nbar nbar^k / k!``.
 
-    Summed in blocks until the terms are negligible (past ``2 nbar`` the rest
-    of the series is bounded by its last term), or as soon as the partial sum
-    exceeds ``stop_above``.
+    Carried in log scale from ``log p_{dim-1}`` by ``p_k = p_{k-1} nbar / k``,
+    so terms below the float range on the way up to the peak at ``k ~ nbar``
+    do not zero the sum.  Summed in blocks until the terms are negligible
+    (past ``2 nbar`` the rest of the series is bounded by its last term), or
+    as soon as the partial sum exceeds ``stop_above``.
     """
-    tail, k, term = 0.0, dim, last
+    if nbar == 0.0:
+        return 0.0
+    log_nbar = math.log(nbar)
+    log_term = -nbar + (dim - 1) * log_nbar - math.lgamma(dim)
+    tail, k = 0.0, dim
     while True:
-        block = term * np.cumprod(nbar / np.arange(k, k + _TAIL_BLOCK))
-        tail += float(block.sum())
-        term = float(block[-1])
+        logs = log_term + np.cumsum(log_nbar - np.log(np.arange(k, k + _TAIL_BLOCK)))
+        tail += float(np.exp(logs).sum())
+        log_term = float(logs[-1])
         k += _TAIL_BLOCK
-        if tail > stop_above or (k > 2.0 * nbar and term <= 1e-17 * tail):
+        if tail > stop_above or (k > 2.0 * nbar and math.exp(log_term) <= 1e-17 * tail):
             return tail
 
 
@@ -212,9 +219,11 @@ def coherent_vector(
 
     Built by the stable forward recurrence ``c_{k+1} = c_k a / sqrt(hbar(k+1))``.
     The tail mass is the sum of the omitted Poisson terms ``|c_k|^2, k >= dim``
-    (continuing the recurrence), so it has no rounding floor.  With
-    ``tail_tol`` given, raises :class:`TailMassError` when the tail exceeds it
-    (the caller's ``dim`` acts as the growth cap).
+    (see :func:`_poisson_tail`), so it has no rounding floor.  A Gaussian
+    weight ``c_0`` below the normal float range cannot seed the recurrence
+    accurately and counts as a tail of 1.  With ``tail_tol`` given, raises
+    :class:`TailMassError` when the tail exceeds it (the caller's ``dim`` acts
+    as the growth cap).
     """
     if dim < 1:
         raise DimensionError("coherent vector needs dim >= 1")
@@ -222,15 +231,17 @@ def coherent_vector(
     # a NaN or infinite nbar would never end the tail sum
     if not (cmath.isfinite(a) and math.isfinite(hbar) and hbar > 0.0):
         raise DomainError(f"coherent state needs finite alpha and hbar > 0, got {a!r}, {hbar!r}")
+    nbar = abs(a) ** 2 / hbar
     steps = np.empty(dim, dtype=complex)
-    steps[0] = math.exp(-abs(a) ** 2 / (2.0 * hbar))
+    c0 = math.exp(-nbar / 2.0)
+    steps[0] = c0
     steps[1:] = a / np.sqrt(hbar * np.arange(1, dim))
     coeffs = np.cumprod(steps)
-    if coeffs[0] == 0.0:
-        tail = 1.0  # the Gaussian weight underflows: nothing is representable
+    if c0 < sys.float_info.min:
+        tail = 1.0  # zero or subnormal: nothing is representable to full precision
     else:
         stop_above = math.inf if tail_tol is None else tail_tol
-        tail = _poisson_tail(abs(coeffs[-1]) ** 2, abs(a) ** 2 / hbar, dim, stop_above)
+        tail = _poisson_tail(nbar, dim, stop_above)
     if tail_tol is not None and tail > tail_tol:
         raise TailMassError(
             f"tail mass {tail:.3e} above tolerance {tail_tol:.3e} at dim {dim}"

@@ -149,6 +149,28 @@ class TestCoherentVector:
             )
             assert v.tail_mass == pytest.approx(exact, rel=1e-12)
 
+    def test_tail_below_the_float_range_on_the_way_up_still_counts(self):
+        # at nbar = 1400 the omitted weights near dim are far below the float
+        # range while the mass beyond them is ~1; the sum must not read 0
+        alpha, hbar = math.sqrt(1400 * 0.005), 0.005
+        for dim in (64, 128):
+            assert coherent_vector(alpha, hbar, dim).tail_mass == pytest.approx(1.0, rel=1e-12)
+            with pytest.raises(TailMassError):
+                coherent_vector(alpha, hbar, dim, tail_tol=1e-14)
+
+    def test_subnormal_gaussian_weight_is_unrepresentable(self):
+        hbar = 0.005
+        v = coherent_vector(math.sqrt(1450 * hbar), hbar, 4096)
+        assert v.tail_mass == 1.0
+
+    def test_elliptic_oracle_at_nbar_1400(self):
+        p = SystemParams(0.8, 0.05, 0.005)
+        alpha = math.sqrt(1400 * p.hbar)
+        orc = oracle_average("elliptic", p, alpha, (1, 0), 0.7, tol=1e-9)
+        closed = elliptic_quantum_average(1, 0, alpha, p, 0.7)
+        assert abs(closed) > 1.0
+        assert abs(closed - orc) <= 1e-6 * abs(closed)
+
     @pytest.mark.parametrize("nbar", (20.0, 50.0))
     def test_large_nbar_elliptic_oracle_converges(self, nbar):
         # 1 - sum |c_k|^2 has a rounding floor near the 1e-14 tail test at
