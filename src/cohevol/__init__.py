@@ -8,19 +8,15 @@ command line front end.
 """
 
 from .core import (
-    BreakdownNotFound,
     CollapseProximity,
-    ComplexAmplitude,
     ConfigError,
     ConvergenceError,
     DegreeError,
     DimensionError,
     DomainError,
-    EvolutionSeries,
     Monomial,
     ObservableSpec,
     RegimeMismatch,
-    Source,
     StencilError,
     SystemParams,
     TailMassError,
@@ -31,7 +27,6 @@ from .core import (
     hyperbolic_symbol,
     lyapunov_exponents,
     make_hyperbolic_params,
-    phase_space_of,
 )
 from .closedform import (
     BranchedValue,
@@ -55,7 +50,6 @@ from .closedform import (
 from .fock import (
     CoherentVector,
     FockRepresentation,
-    adaptive_dimension,
     build_hamiltonian,
     coherent_vector,
     ladder_matrices,

@@ -7,7 +7,6 @@ import sys
 from dataclasses import replace
 
 from .core import (
-    BreakdownNotFound,
     CollapseProximity,
     ConfigError,
     ConvergenceError,
@@ -34,7 +33,7 @@ EXIT_CONVERGENCE = 3
 EXIT_GUARD = 4
 
 _CONFIG_ERRORS = (ConfigError, DomainError, DegreeError, DimensionError, OSError)
-_CONVERGENCE_ERRORS = (ConvergenceError, TailMassError, BreakdownNotFound)
+_CONVERGENCE_ERRORS = (ConvergenceError, TailMassError)
 _GUARD_ERRORS = (CollapseProximity, StencilError)
 
 
@@ -57,7 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--format", default=None, choices=("csv", "json"))
         cmd.add_argument("--oracle", default=None, choices=("on", "off"))
         cmd.add_argument("--guard", default=None, type=float)
-        cmd.add_argument("--seed", default=None, type=int)
     return parser
 
 
@@ -68,8 +66,6 @@ def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
         config = replace(config, out=args.out)
     if args.guard is not None:
         config = replace(config, guard=args.guard)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
     if args.oracle == "on" and "oracle" not in config.sources:
         config = replace(config, sources=config.sources + ("oracle",))
     if args.oracle == "off":

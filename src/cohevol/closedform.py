@@ -9,16 +9,23 @@ value is representable.  For collapse scans the log-magnitude evaluator never
 forms the value at all.
 
 Every fractional power of ``cos(8 n mu hbar t)`` is realized through integer
-powers of the tracked branch value (``branch_factor``), never via a principal
-power of a negative real.  The independent cross-check path evaluates the
-pre-integral Gaussian representation with principal square roots (its
-argument has positive real part away from collapse, so no tracking is
-needed there) and a scaled three-term moment recursion.
+powers of the tracked branch value, never via a principal power of a
+negative real; the closed form and ``branch_factor`` share that one branch
+computation (``_tracked_branch``).  Each closed-form call builds its pieces
+(exponent, branch, series) once and feeds them to both the float-range check
+and the value.  The independent cross-check path evaluates the pre-integral
+Gaussian representation with principal square roots (its argument has
+positive real part away from collapse, so no tracking is needed there) and a
+scaled three-term moment recursion.
+
+The classical and elliptic evaluators raise :class:`DomainError` for a value
+that overflows float64, never returning ``inf``/``nan``.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -39,6 +46,22 @@ _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
 
 _MAX_XN_ORDER = 20
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def _within_float_range(evaluate):
+    """Map a result that overflows float64 (OverflowError, inf or nan) to DomainError."""
+
+    @functools.wraps(evaluate)
+    def checked(*args, **kwargs) -> complex:
+        try:
+            value = evaluate(*args, **kwargs)
+        except OverflowError as exc:
+            raise DomainError(f"{evaluate.__name__} overflows float64 ({exc})") from None
+        if not cmath.isfinite(value):
+            raise DomainError(f"{evaluate.__name__} is not finite (got {value!r})")
+        return value
+
+    return checked
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +138,19 @@ class BranchedValue:
     value: complex
 
 
+def _tracked_branch(phi: float) -> tuple[int, float, float]:
+    """``(k, bsq, mag)`` of the tracked root ``b = mag * i^k`` of ``1/(2 cos phi)``.
+
+    ``k = floor(1/2 + phi/pi)`` counts the collapse times crossed.  ``bsq`` is
+    ``b^2``: ``i^(2k)`` supplies exactly the sign of cos, so the signed
+    ``1/(2 cos phi)`` is both branch-correct and exact at ``phi = 0`` (keeps
+    the t = 0 exponent cancellation of the closed form bit-perfect).
+    """
+    k = math.floor(0.5 + phi / math.pi)
+    bsq = 0.5 / math.cos(phi)
+    return k, bsq, math.sqrt(abs(bsq))
+
+
 def branch_factor(
     n: int, params: SystemParams, t: float, guard: float = DEFAULT_GUARD
 ) -> BranchedValue:
@@ -125,9 +161,7 @@ def branch_factor(
     a quarter turn.
     """
     check_collapse_guard(n, params, t, guard)
-    phi = 8.0 * n * params.mu * params.hbar * t
-    k = math.floor(0.5 + phi / math.pi)
-    magnitude = 1.0 / math.sqrt(2.0 * abs(math.cos(phi)))
+    k, _, magnitude = _tracked_branch(8.0 * n * params.mu * params.hbar * t)
     return BranchedValue(
         magnitude=magnitude, phase_index=k, value=magnitude * _I_POW[k % 4]
     )
@@ -142,6 +176,7 @@ def _validate_monomial(m: int, q: int) -> None:
         raise DomainError(f"monomial orders must be nonnegative integers, got {(m, q)}")
 
 
+@_within_float_range
 def elliptic_quantum_average(
     m: int, q: int, alpha: complex, params: SystemParams, t: float
 ) -> complex:
@@ -158,6 +193,7 @@ def elliptic_quantum_average(
     return a.conjugate() ** m * a**q * cmath.exp(exponent)
 
 
+@_within_float_range
 def elliptic_classical_average(
     m: int, q: int, alpha: complex, params: SystemParams, t: float
 ) -> complex:
@@ -191,12 +227,7 @@ def _xn_closed_pieces(
     """
     a = complex(alpha)
     phi = 8.0 * n * params.mu * params.hbar * t
-    k = math.floor(0.5 + phi / math.pi)
-    # bsq is the tracked square root squared: i^(2k) supplies exactly the
-    # sign of cos, so the signed 1/(2 cos) is both branch-correct and exact
-    # at phi = 0 (keeps the t = 0 exponent cancellation bit-perfect).
-    bsq = 0.5 / math.cos(phi)
-    mag = math.sqrt(abs(bsq))
+    k, bsq, mag = _tracked_branch(phi)
     xi = 2.0 * (a * cmath.exp(0.5j * phi)).real  # real for every alpha
     s_line = 2.0 * a.real  # alpha + conj(alpha)
     exponent = (
@@ -225,12 +256,12 @@ def _log10_magnitude(n: int, exponent: float, mag: float, series: complex) -> fl
     )
 
 
-def _check_representable(n: int, alpha: complex, params: SystemParams, t: float) -> None:
+def _check_representable(n: int, pieces: tuple, t: float) -> None:
     # The magnitude blows up double-exponentially on the approach to a
     # collapse time and leaves float64 range long before the guard band;
     # treat that overflow zone as collapse proximity (log-scale evaluation
     # stays available arbitrarily close).
-    exponent, mag, _, series = _xn_closed_pieces(n, alpha, params, t)
+    exponent, mag, _, series = pieces
     log10_mag = _log10_magnitude(n, exponent, mag, series)
     if log10_mag > 307.0:
         raise CollapseProximity(
@@ -239,8 +270,8 @@ def _check_representable(n: int, alpha: complex, params: SystemParams, t: float)
         )
 
 
-def _xn_closed_value(n: int, alpha: complex, params: SystemParams, t: float) -> complex:
-    exponent, mag, k, series = _xn_closed_pieces(n, alpha, params, t)
+def _xn_closed_value(n: int, pieces: tuple) -> complex:
+    exponent, mag, k, series = pieces
     prefactor = 2.0 ** ((n + 1) / 2.0) * mag ** (n + 1) * _I_POW[(k * (n + 1)) % 4]
     if exponent <= _LOG_FLOAT_MAX:
         value = cmath.exp(exponent) * prefactor * series
@@ -291,6 +322,18 @@ def _xn_integral_value(n: int, alpha: complex, params: SystemParams, t: float) -
     return cmath.sqrt(2.0 / w) * cmath.exp(exponent) * ratios[n]
 
 
+def _representable_pieces(
+    n: int, alpha: complex, params: SystemParams, t: float, guard: float
+) -> tuple[float, float, int, complex]:
+    """Validated closed-form pieces, built once for every check and route."""
+    _check_xn_order(n)
+    params.require_hyperbolic()
+    check_collapse_guard(n, params, t, guard)
+    pieces = _xn_closed_pieces(n, alpha, params, t)
+    _check_representable(n, pieces, t)
+    return pieces
+
+
 def hyperbolic_xn_average(
     n: int,
     alpha: complex,
@@ -312,12 +355,9 @@ def hyperbolic_xn_average(
     DomainError
         If the parameters are not hyperbolic-capable or ``n`` is out of range.
     """
-    _check_xn_order(n)
-    params.require_hyperbolic()
-    check_collapse_guard(n, params, t, guard)
-    _check_representable(n, alpha, params, t)
+    pieces = _representable_pieces(n, alpha, params, t, guard)
     if math.cos(8.0 * n * params.mu * params.hbar * t) > 0.0:
-        return _xn_closed_value(n, alpha, params, t)
+        return _xn_closed_value(n, pieces)
     return _xn_integral_value(n, alpha, params, t)
 
 
@@ -329,14 +369,8 @@ def hyperbolic_xn_paths(
     guard: float = DEFAULT_GUARD,
 ) -> tuple[complex, complex]:
     """Both evaluation routes ``(branch-tracked, pre-integral)`` for cross-checks."""
-    _check_xn_order(n)
-    params.require_hyperbolic()
-    check_collapse_guard(n, params, t, guard)
-    _check_representable(n, alpha, params, t)
-    return (
-        _xn_closed_value(n, alpha, params, t),
-        _xn_integral_value(n, alpha, params, t),
-    )
+    pieces = _representable_pieces(n, alpha, params, t, guard)
+    return _xn_closed_value(n, pieces), _xn_integral_value(n, alpha, params, t)
 
 
 def hyperbolic_xn_log10_magnitude(
@@ -359,6 +393,7 @@ def hyperbolic_xn_log10_magnitude(
     return _log10_magnitude(n, exponent, mag, series)
 
 
+@_within_float_range
 def hyperbolic_classical_xn(
     n: int, alpha: complex, params: SystemParams, t: float
 ) -> complex:

@@ -1,4 +1,4 @@
-"""Shared domain types, parameter validation, and phase-space conversions.
+"""Shared domain types, parameter validation, and the error taxonomy.
 
 Everything here is dimensionless and immutable after construction, so values
 can be shared freely across threads and cached without copying.
@@ -8,10 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Mapping, Union
-
-SQRT2 = math.sqrt(2.0)
 
 DEFAULT_MAX_DEGREE = 8
 
@@ -50,10 +47,6 @@ class ConvergenceError(RuntimeError):
 
 class StencilError(RuntimeError):
     """A finite-difference stencil point violates an evaluation guard."""
-
-
-class BreakdownNotFound(RuntimeError):
-    """No classical/quantum breakdown time inside the scanned window."""
 
 
 class ConfigError(ValueError):
@@ -118,47 +111,6 @@ def lyapunov_exponents(params: SystemParams) -> tuple[float, float]:
     params.require_hyperbolic()
     rate = 2.0 * math.sqrt(params.omega**2 - (params.mu * params.hbar) ** 2)
     return (rate, -rate)
-
-
-# ---------------------------------------------------------------------------
-# Coherent-state label and phase-space point
-# ---------------------------------------------------------------------------
-
-def phase_space_of(alpha: complex) -> tuple[float, float]:
-    """Map a coherent-state label to its phase-space point.
-
-    ``x0 = sqrt(2) Re(alpha)``, ``p0 = sqrt(2) Im(alpha)``; the inverse is
-    ``alpha = (x0 + i p0)/sqrt(2)``.
-    """
-    a = complex(alpha)
-    if not (math.isfinite(a.real) and math.isfinite(a.imag)):
-        raise DomainError(f"alpha must be finite, got {alpha!r}")
-    return (SQRT2 * a.real, SQRT2 * a.imag)
-
-
-@dataclass(frozen=True)
-class ComplexAmplitude:
-    """Coherent-state label with derived phase-space coordinates."""
-
-    alpha: complex
-
-    def __post_init__(self) -> None:
-        a = complex(self.alpha)
-        if not (math.isfinite(a.real) and math.isfinite(a.imag)):
-            raise DomainError(f"alpha must be finite, got {self.alpha!r}")
-        object.__setattr__(self, "alpha", a)
-
-    @property
-    def x0(self) -> float:
-        return SQRT2 * self.alpha.real
-
-    @property
-    def p0(self) -> float:
-        return SQRT2 * self.alpha.imag
-
-    @classmethod
-    def from_phase_space(cls, x0: float, p0: float) -> "ComplexAmplitude":
-        return cls(complex(x0, p0) / SQRT2)
 
 
 # ---------------------------------------------------------------------------
@@ -283,54 +235,3 @@ def hyperbolic_classical_symbol(params: SystemParams) -> WickPolynomial:
             (0, 4): mu,
         }
     )
-
-
-# ---------------------------------------------------------------------------
-# Evolution series container
-# ---------------------------------------------------------------------------
-
-class Source(Enum):
-    """Provenance of a value series."""
-
-    CLOSED_FORM = "closed"
-    FOCK_ORACLE = "oracle"
-    CLASSICAL = "classical"
-
-
-def _is_finite_complex(z: complex) -> bool:
-    return math.isfinite(z.real) and math.isfinite(z.imag)
-
-
-@dataclass(frozen=True)
-class EvolutionSeries:
-    """Per-time average values on a strictly increasing time grid.
-
-    ``values[i] is None`` marks a row skipped by the collapse guard; for a
-    closed-form series every unflagged row must hold a finite value.
-    """
-
-    times: tuple[float, ...]
-    values: tuple["complex | None", ...]
-    source: Source
-    collapse_flags: tuple[bool, ...]
-
-    def __post_init__(self) -> None:
-        times = tuple(float(t) for t in self.times)
-        values = tuple(None if v is None else complex(v) for v in self.values)
-        flags = tuple(bool(f) for f in self.collapse_flags)
-        if not (len(times) == len(values) == len(flags)):
-            raise DomainError("times, values and collapse_flags must align")
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise DomainError("times must be strictly increasing")
-        if self.source is Source.CLOSED_FORM:
-            for t, v, flagged in zip(times, values, flags):
-                if not flagged and (v is None or not _is_finite_complex(v)):
-                    raise DomainError(
-                        f"closed-form value at t={t} must be finite when unflagged"
-                    )
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "collapse_flags", flags)
-
-    def __len__(self) -> int:
-        return len(self.times)

@@ -393,58 +393,3 @@ def oracle_average(
         f"no stabilization by dim {dim_cap} for t={t} (last delta at cap; "
         "the state may have outgrown every allowed truncation)"
     )
-
-
-def adaptive_dimension(
-    alpha: complex,
-    params: SystemParams,
-    t_max: float,
-    tol: float,
-    kind: str = "hyperbolic",
-    obs_power: int = 1,
-    start_dim: int = DEFAULT_START_DIM,
-    dim_cap: int = DEFAULT_DIM_CAP,
-    probe_points: int = 5,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-) -> int:
-    """Smallest dimension in the doubling schedule stable on a probe grid.
-
-    Probes ``propagate_expectation`` on ``probe_points`` times spanning
-    ``(0, t_max]`` and returns the first dimension whose values all move by
-    less than ``tol`` (relative) under one further doubling.
-
-    Raises
-    ------
-    ConvergenceError
-        At the cap, reporting the best achieved delta.
-    """
-    if tol <= 0:
-        raise DomainError("tol must be > 0")
-    ts = [t_max * (k + 1) / probe_points for k in range(probe_points)]
-    floor = _observable_scale(params, obs_power)
-
-    def probe(dim: int) -> "np.ndarray | None":
-        try:
-            return np.array(
-                [_expectation(kind, params, alpha, obs_power, t, dim, tail_tol) for t in ts]
-            )
-        except TailMassError:
-            return None
-
-    dim = start_dim
-    values = probe(dim)
-    best_delta = math.inf
-    while dim * 2 <= dim_cap:
-        doubled = probe(dim * 2)
-        if values is not None and doubled is not None:
-            delta = float(
-                np.max(np.abs(doubled - values) / (np.abs(doubled) + floor))
-            )
-            if delta < tol:
-                return dim
-            best_delta = min(best_delta, delta)
-        values = doubled
-        dim *= 2
-    raise ConvergenceError(
-        f"probe grid not stable at cap {dim_cap}; best relative delta {best_delta:.3e}"
-    )

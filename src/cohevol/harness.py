@@ -9,6 +9,7 @@ lowercase exponent.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -28,10 +29,8 @@ from .core import (
     CollapseProximity,
     ConfigError,
     DomainError,
-    EvolutionSeries,
     Monomial,
     ObservableSpec,
-    Source,
     SystemParams,
     XPower,
     make_hyperbolic_params,
@@ -60,7 +59,6 @@ class RunConfig:
     guard: float = DEFAULT_GUARD
     out_format: str = "csv"
     out: Optional[str] = None
-    seed: int = 0  # reserved for sampled property sweeps; recorded in metadata
     oracle_tol: float = 1e-6
     oracle_start_dim: int = 64
     oracle_dim_cap: int = 8192
@@ -108,6 +106,13 @@ def _parse_observable(text: str) -> ObservableSpec:
     raise ConfigError(f"cannot parse observable {text!r} (use 'x^N' or 'mono:M,Q')")
 
 
+def _parse_alpha(text: str) -> complex:
+    value = complex(text)
+    if not cmath.isfinite(value):
+        raise ValueError(f"alpha must be finite, got {value!r}")
+    return value
+
+
 def _parse_sources(text: str) -> tuple[str, ...]:
     names = tuple(s.strip() for s in text.split(",") if s.strip())
     allowed = {"closed", "classical", "oracle"}
@@ -124,7 +129,7 @@ _KEY_PARSERS = {
     "omega": ("omega", float),
     "mu": ("mu", float),
     "hbar": ("hbar", float),
-    "alpha": ("alpha", complex),
+    "alpha": ("alpha", _parse_alpha),
     "observable": ("observable", _parse_observable),
     "t_min": ("t_min", float),
     "t_max": ("t_max", float),
@@ -133,7 +138,6 @@ _KEY_PARSERS = {
     "guard": ("guard", float),
     "format": ("out_format", str),
     "out": ("out", str),
-    "seed": ("seed", int),
     "oracle_tol": ("oracle_tol", float),
     "oracle_start_dim": ("oracle_start_dim", int),
     "oracle_dim_cap": ("oracle_dim_cap", int),
@@ -232,27 +236,17 @@ def _oracle_value(config: RunConfig, t: float) -> complex:
     )
 
 
-def _flagged(config: RunConfig, t: float) -> bool:
-    """True when the closed form declines to produce a finite value at t."""
-    if not isinstance(config.observable, XPower):
-        return False
+def _guarded_closed_value(config: RunConfig, t: float) -> "complex | None":
+    """Closed-form value at t, or None where the collapse guard declines it."""
     try:
-        _closed_value(config, t)
+        return _closed_value(config, t)
     except CollapseProximity:
-        return True
-    return False
+        return None
 
 
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
-
-_SOURCE_BY_NAME = {
-    "closed": Source.CLOSED_FORM,
-    "classical": Source.CLASSICAL,
-    "oracle": Source.FOCK_ORACLE,
-}
-
 
 @dataclass(frozen=True)
 class TableResult:
@@ -260,46 +254,39 @@ class TableResult:
 
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]
-    series: dict = field(default_factory=dict)
     extra_meta: tuple[tuple[str, str], ...] = ()
 
 
 def cmd_evolve(config: RunConfig) -> TableResult:
-    """One aligned series per requested source over the configured grid."""
+    """One aligned series per requested source over the configured grid.
+
+    The closed form is evaluated once per point; that one value fills the
+    ``closed`` column and its collapse verdict flags the row in every column.
+    Only ``x^N`` rows can be flagged, so an elliptic run evaluates the closed
+    form only when ``closed`` is a source.
+    """
     grid = config.time_grid()
-    flags = [_flagged(config, t) for t in grid]
-    series: dict[Source, EvolutionSeries] = {}
+    hyperbolic = isinstance(config.observable, XPower)
+    if hyperbolic or "closed" in config.sources:
+        closed = [_guarded_closed_value(config, t) for t in grid]
+    else:
+        closed = [None] * len(grid)
+    flags = [hyperbolic and value is None for value in closed]
+    evaluate = {"classical": _classical_value, "oracle": _oracle_value}
     rows = []
     for name in ("closed", "classical", "oracle"):
         if name not in config.sources:
             continue
-        source = _SOURCE_BY_NAME[name]
-        values: list = []
-        for t, flagged in zip(grid, flags):
+        for t, value, flagged in zip(grid, closed, flags):
             if flagged:
-                values.append(None)
+                rows.append((t, None, None, name, 1))
                 continue
-            if name == "closed":
-                values.append(_closed_value(config, t))
-            elif name == "classical":
-                values.append(_classical_value(config, t))
-            else:
-                values.append(_oracle_value(config, t))
-        series[source] = EvolutionSeries(
-            times=tuple(grid),
-            values=tuple(values),
-            source=source,
-            collapse_flags=tuple(flags),
-        )
-        for t, value, flagged in zip(grid, values, flags):
-            rows.append((t, value, name, flagged))
+            if name != "closed":
+                value = evaluate[name](config, t)
+            rows.append((t, value.real, value.imag, name, 0))
     return TableResult(
         columns=("t", "re(f)", "im(f)", "source", "collapse_flag"),
-        rows=tuple(
-            (t, None if v is None else v.real, None if v is None else v.imag, name, int(flagged))
-            for (t, v, name, flagged) in rows
-        ),
-        series=series,
+        rows=tuple(rows),
     )
 
 
@@ -309,10 +296,10 @@ def cmd_compare(config: RunConfig) -> TableResult:
     rows = []
     worst = 0.0
     for t in grid:
-        if _flagged(config, t):
+        closed = _guarded_closed_value(config, t)
+        if closed is None:
             rows.append((t, None, None, None, None, None, 1))
             continue
-        closed = _closed_value(config, t)
         orc = _oracle_value(config, t)
         rel = abs(closed - orc) / (abs(orc) + 1e-30)
         worst = max(worst, rel)
@@ -451,15 +438,14 @@ def cmd_ehrenfest(config: RunConfig, hbar_list: "tuple[float, ...] | None" = Non
         def classical(t: float) -> complex:
             return hyperbolic_classical_xn(1, config.alpha, params, t)
 
+        def relative_gap(t: float) -> float:
+            q, c = quantum(t), classical(t)
+            return abs(q - c) / (abs(c) + 1e-300)
+
         t_abs = _first_crossing(
             lambda t: abs(quantum(t) - classical(t)), grid, threshold, config.bisect_rel
         )
-        t_rel = _first_crossing(
-            lambda t: abs(quantum(t) - classical(t)) / (abs(classical(t)) + 1e-300),
-            grid,
-            threshold,
-            config.bisect_rel,
-        )
+        t_rel = _first_crossing(relative_gap, grid, threshold, config.bisect_rel)
         abs_times.append(t_abs)
         rel_times.append(t_rel)
         status = "ok" if t_abs is not None else "breakdown-not-found"

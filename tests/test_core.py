@@ -1,4 +1,4 @@
-"""Domain types, parameter validation, and phase-space conversions."""
+"""Domain types and parameter validation."""
 
 import math
 
@@ -7,23 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohevol import (
-    ComplexAmplitude,
     DegreeError,
     DomainError,
-    EvolutionSeries,
     Monomial,
-    Source,
     SystemParams,
     WickPolynomial,
     XPower,
     hyperbolic_symbol,
     lyapunov_exponents,
     make_hyperbolic_params,
-    phase_space_of,
-)
-
-finite_floats = st.floats(
-    min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
 )
 
 
@@ -79,44 +71,6 @@ class TestLyapunov:
             lyapunov_exponents(SystemParams(0.5, 2.0, 1.0))
 
 
-class TestPhaseSpace:
-    def test_origin(self):
-        assert phase_space_of(0.0) == (0.0, 0.0)
-
-    def test_imaginary_unit(self):
-        x0, p0 = phase_space_of(1j)
-        assert x0 == 0.0
-        assert p0 == pytest.approx(math.sqrt(2.0), rel=1e-15)
-
-    def test_diagonal(self):
-        x0, p0 = phase_space_of((1 + 1j) / math.sqrt(2.0))
-        assert x0 == pytest.approx(1.0, rel=1e-15)
-        assert p0 == pytest.approx(1.0, rel=1e-15)
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(DomainError):
-            phase_space_of(complex(math.inf, 0.0))
-
-    @settings(max_examples=100, deadline=None)
-    @given(re=finite_floats, im=finite_floats)
-    def test_roundtrip_and_modulus(self, re, im):
-        alpha = complex(re, im)
-        x0, p0 = phase_space_of(alpha)
-        back = complex(x0, p0) / math.sqrt(2.0)
-        assert abs(back - alpha) <= 1e-12 * max(1.0, abs(alpha))
-        assert abs(alpha) ** 2 == pytest.approx(
-            (x0**2 + p0**2) / 2.0, rel=1e-12, abs=1e-15
-        )
-
-    def test_amplitude_fields(self):
-        amp = ComplexAmplitude(0.5 + 0.3j)
-        assert amp.x0 == pytest.approx(math.sqrt(2.0) * 0.5)
-        assert amp.p0 == pytest.approx(math.sqrt(2.0) * 0.3)
-        assert ComplexAmplitude.from_phase_space(amp.x0, amp.p0).alpha == pytest.approx(
-            amp.alpha
-        )
-
-
 class TestObservables:
     def test_xpower_requires_positive(self):
         assert XPower(1).n == 1
@@ -169,20 +123,3 @@ class TestWickPolynomial:
         base[(2, 0)] = base[(2, 0)] + perturbation
         with pytest.raises(DomainError):
             WickPolynomial(base)
-
-
-class TestEvolutionSeries:
-    def test_strictly_increasing_required(self):
-        with pytest.raises(DomainError):
-            EvolutionSeries((0.0, 0.0), (1.0, 1.0), Source.CLASSICAL, (False, False))
-
-    def test_closed_form_requires_finite_unflagged(self):
-        with pytest.raises(DomainError):
-            EvolutionSeries((0.0, 1.0), (1.0, None), Source.CLOSED_FORM, (False, False))
-
-    def test_flagged_rows_may_be_null(self):
-        series = EvolutionSeries(
-            (0.0, 1.0), (1.0, None), Source.CLOSED_FORM, (False, True)
-        )
-        assert series.values[1] is None
-        assert len(series) == 2

@@ -1,0 +1,41 @@
+"""The README documents exactly the config keys and CLI flags the code accepts."""
+
+import argparse
+import re
+from pathlib import Path
+
+from cohevol.cli import _build_parser
+from cohevol.harness import _KEY_PARSERS
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def _readme_config_keys() -> set:
+    table = README[README.index("### Config keys"):README.index("### Output")]
+    rows = [line for line in table.splitlines() if line.startswith("| `")]
+    return {key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])}
+
+
+def _readme_common_flags() -> set:
+    start = README.index("Common flags:")
+    paragraph = README[start:README.index("\n\n", start)]
+    return set(re.findall(r"`(--[a-z-]+)", paragraph))
+
+
+def _parser_flags() -> set:
+    parser = _build_parser()
+    (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        option
+        for command in subparsers.choices.values()
+        for option in command._option_string_actions
+        if option.startswith("--") and option != "--help"
+    }
+
+
+def test_config_key_table_matches_the_parser():
+    assert _readme_config_keys() == set(_KEY_PARSERS)
+
+
+def test_common_flags_match_the_cli():
+    assert _readme_common_flags() == _parser_flags()

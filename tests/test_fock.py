@@ -16,7 +16,6 @@ from cohevol import (
     FockRepresentation,
     SystemParams,
     TailMassError,
-    adaptive_dimension,
     build_hamiltonian,
     coherent_vector,
     elliptic_quantum_average,
@@ -347,18 +346,3 @@ class TestUnitarityDrift:
         )
         assert main(["compare", "--config", str(cfg)]) == 3
         assert "unitarity" in capsys.readouterr().err
-
-
-class TestAdaptiveDimension:
-    def test_vacuum_accepts_first_dimension(self):
-        assert adaptive_dimension(0.0, SystemParams(1.0, 0.0, 0.5), 0.5, 1e-8) == 64
-
-    def test_regression_anchor(self):
-        # frozen on first run; later runs must reproduce it exactly
-        assert adaptive_dimension(1.0, HYP, t_max=0.5, tol=1e-8, dim_cap=4096) == 1024
-
-    def test_convergence_error_near_collapse(self):
-        p = make_hyperbolic_params(1.0, 0.1, 0.1)
-        t_collapse = math.pi / (32.0 * p.mu * p.hbar)
-        with pytest.raises(ConvergenceError):
-            adaptive_dimension(1j, p, t_max=0.98 * t_collapse, tol=1e-8, dim_cap=512)

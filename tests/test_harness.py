@@ -4,18 +4,27 @@ import math
 
 import pytest
 
+import cohevol.closedform as closedform
+import cohevol.harness as harness
 from cohevol import (
     ConfigError,
     DomainError,
-    Source,
+    SystemParams,
     cmd_collapse_scan,
+    cmd_compare,
     cmd_dispersion_regimes,
     cmd_ehrenfest,
     cmd_evolve,
+    elliptic_classical_average,
+    elliptic_quantum_average,
+    hyperbolic_classical_xn,
+    make_hyperbolic_params,
     parse_config,
 )
 from cohevol.cli import main
 from cohevol.harness import render
+
+COMMANDS = ("evolve", "compare", "collapse-scan", "ehrenfest", "dispersion-regimes")
 
 BASE_CFG = """
 kind = hyperbolic
@@ -29,6 +38,13 @@ t_max = 1.0
 points = 5
 sources = closed,classical
 """
+
+
+def _column(result, source):
+    """Values (None where flagged) and collapse flags of one source's evolve rows."""
+    rows = [row for row in result.rows if row[3] == source]
+    values = [None if row[1] is None else complex(row[1], row[2]) for row in rows]
+    return values, [bool(row[4]) for row in rows]
 
 
 class TestConfigParsing:
@@ -65,6 +81,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config("kind = elliptic\nobservable = x^2\n")
 
+    @pytest.mark.parametrize("alpha", ("nan+0j", "inf+0j", "1+nanj"))
+    def test_nonfinite_alpha_rejected_with_line(self, alpha):
+        with pytest.raises(ConfigError, match="line 6: bad value for 'alpha'"):
+            parse_config(BASE_CFG.replace("alpha = 0.5+0.3j", f"alpha = {alpha}"))
+
     def test_monomial_and_power_syntax(self):
         assert parse_config("kind = elliptic\nobservable = mono:2,1\nmu=0.05\n").observable.m == 2
         assert parse_config("observable = x\n" + "mu = 0.0\n").observable.n == 1
@@ -74,9 +95,10 @@ class TestEvolve:
     def test_quadratic_limit_columns_identical(self):
         config = parse_config(BASE_CFG.replace("mu = 0.1", "mu = 0.0"))
         result = cmd_evolve(config)
-        closed = result.series[Source.CLOSED_FORM]
-        classical = result.series[Source.CLASSICAL]
-        for a, b in zip(closed.values, classical.values):
+        closed, _ = _column(result, "closed")
+        classical, _ = _column(result, "classical")
+        assert len(closed) == len(classical) == 5
+        for a, b in zip(closed, classical):
             assert abs(a - b) <= 1e-12 * abs(b)
 
     def test_grid_crossing_collapse_flags_rows(self):
@@ -94,10 +116,10 @@ guard = 1e-3
 """
         config = parse_config(cfg)
         result = cmd_evolve(config)
-        series = result.series[Source.CLOSED_FORM]
-        assert any(series.collapse_flags)
-        assert not all(series.collapse_flags)
-        for value, flagged in zip(series.values, series.collapse_flags):
+        values, flags = _column(result, "closed")
+        assert any(flags)
+        assert not all(flags)
+        for value, flagged in zip(values, flags):
             if flagged:
                 assert value is None
             else:
@@ -111,9 +133,10 @@ guard = 1e-3
             "sources = closed,classical", "sources = closed,oracle"
         ))
         result = cmd_evolve(config)
-        closed = result.series[Source.CLOSED_FORM]
-        oracle = result.series[Source.FOCK_ORACLE]
-        for a, b in zip(closed.values, oracle.values):
+        closed, _ = _column(result, "closed")
+        oracle, _ = _column(result, "oracle")
+        assert len(closed) == len(oracle) == 3
+        for a, b in zip(closed, oracle):
             assert abs(a - b) / (abs(b) + 1e-30) <= 1e-6
 
 
@@ -315,6 +338,16 @@ class TestWritersAndCli:
         ]) == 0
         assert ",oracle," in out.read_text()
 
+    @pytest.mark.parametrize("alpha", ("nan+0j", "inf+0j"))
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_cli_nonfinite_alpha_exit_code(self, tmp_path, capsys, command, alpha):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            BASE_CFG.replace("alpha = 0.5+0.3j", f"alpha = {alpha}") + "hbar_list = 0.1\n"
+        )
+        assert main([command, "--config", str(cfg)]) == 2
+        assert "line 6" in capsys.readouterr().err
+
     def test_cli_compare_subcommand(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -326,3 +359,151 @@ class TestWritersAndCli:
         text = out.read_text()
         assert "rel_deviation" in text
         assert "max_rel_deviation" in text
+
+
+# The classical x^3 flow leaves float64 at t = 57 while the quantum average is
+# 1.1e173 there (a closed-sweep benchmark point).
+OVERFLOW_502 = (
+    make_hyperbolic_params(1.0, 0.07191055727820078, 0.07017478951319374),
+    1.331438709218367 - 1.480717736140777j,
+)
+ELL = SystemParams(1.0, 0.05, 0.1)
+ELL_CFG = (
+    "kind = elliptic\nmu = 0.05\nhbar = 0.1\nobservable = mono:{m},{q}\n"
+    "alpha = {alpha}\nt_min = 0.0\nt_max = 0.5\npoints = 2\nsources = {sources}\n"
+)
+BEYOND_FLOAT_RANGE = {
+    "classical-xn": (
+        lambda: hyperbolic_classical_xn(3, OVERFLOW_502[1], OVERFLOW_502[0], 57.0),
+        "kind = hyperbolic\nmu = 0.07191055727820078\nhbar = 0.07017478951319374\n"
+        "alpha = 1.331438709218367-1.480717736140777j\nobservable = x^3\n"
+        "t_min = 56.0\nt_max = 57.0\npoints = 2\nsources = closed,classical\n",
+    ),
+    "elliptic-overflow": (
+        lambda: elliptic_quantum_average(1, 0, 1e200, ELL, 0.5),
+        ELL_CFG.format(m=1, q=0, alpha="1e200", sources="closed"),
+    ),
+    "elliptic-inf-nan": (
+        lambda: elliptic_quantum_average(2, 2, 1e100, ELL, 0.5),
+        ELL_CFG.format(m=2, q=2, alpha="1e100", sources="closed"),
+    ),
+    "elliptic-classical-inf-nan": (
+        lambda: elliptic_classical_average(2, 2, 1e100, ELL, 0.5),
+        ELL_CFG.format(m=2, q=2, alpha="1e100", sources="classical"),
+    ),
+}
+
+
+class TestFloatRange:
+    """Averages beyond float64 raise DomainError (exit 2), never a traceback or a nan cell."""
+
+    @pytest.mark.parametrize("case", sorted(BEYOND_FLOAT_RANGE))
+    def test_library_raises_domain_error(self, case):
+        evaluate, _ = BEYOND_FLOAT_RANGE[case]
+        with pytest.raises(DomainError, match="float64|not finite"):
+            evaluate()
+
+    @pytest.mark.parametrize("case", sorted(BEYOND_FLOAT_RANGE))
+    def test_cli_exit_code(self, case, tmp_path, capsys):
+        _, text = BEYOND_FLOAT_RANGE[case]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert main(["evolve", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("cohevol: config error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+    def test_quantum_average_still_finite_at_classical_overflow(self):
+        params, alpha = OVERFLOW_502
+        value = closedform.hyperbolic_xn_average(3, alpha, params, 57.0)
+        assert abs(value) == pytest.approx(1.1181356620802342e173, rel=1e-12)
+
+    def test_closed_form_requires_finite_unflagged(self):
+        # an unflagged closed row never holds inf or nan: the evaluator raises
+        config = parse_config(ELL_CFG.format(m=2, q=2, alpha="1e100", sources="closed"))
+        with pytest.raises(DomainError):
+            cmd_evolve(config)
+
+
+class TestEvaluateOnce:
+    """One closed-form evaluation per grid point and one pieces build per evaluation."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"average": 0, "pieces": 0}
+        average = harness.hyperbolic_xn_average
+        pieces = closedform._xn_closed_pieces
+
+        def counted_average(*args, **kwargs):
+            counts["average"] += 1
+            return average(*args, **kwargs)
+
+        def counted_pieces(*args, **kwargs):
+            counts["pieces"] += 1
+            return pieces(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "hyperbolic_xn_average", counted_average)
+        monkeypatch.setattr(closedform, "_xn_closed_pieces", counted_pieces)
+        return counts
+
+    def test_evolve(self, counts):
+        cmd_evolve(parse_config(BASE_CFG.replace("points = 5", "points = 7")))
+        assert counts == {"average": 7, "pieces": 7}
+
+    def test_evolve_with_flagged_rows(self, counts):
+        t0 = math.pi / (32.0 * 0.1 * 0.1)  # first n=2 collapse
+        config = parse_config(
+            "kind = hyperbolic\nmu = 0.1\nhbar = 0.1\nalpha = 1j\nobservable = x^2\n"
+            f"t_min = {0.99 * t0}\nt_max = {1.01 * t0}\npoints = 41\nguard = 1e-3\n"
+        )
+        rows = cmd_evolve(config).rows
+        assert any(row[4] for row in rows)
+        assert counts["average"] == 41
+        assert counts["pieces"] <= 41
+
+    def test_compare(self, counts):
+        config = parse_config(
+            BASE_CFG.replace("points = 5", "points = 2").replace("t_max = 1.0", "t_max = 0.4")
+            + "oracle_dim_cap = 2048\n"
+        )
+        cmd_compare(config)
+        assert counts == {"average": 2, "pieces": 2}
+
+    @pytest.mark.parametrize("sources,expected", (("classical", 0), ("closed,classical", 5)))
+    def test_elliptic_closed_form_only_as_a_source(self, monkeypatch, sources, expected):
+        calls = []
+        average = harness.elliptic_quantum_average
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return average(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "elliptic_quantum_average", counted)
+        cmd_evolve(parse_config(
+            f"kind = elliptic\nmu = 0.05\nobservable = mono:2,1\npoints = 5\nsources = {sources}\n"
+        ))
+        assert len(calls) == expected
+
+    def test_ehrenfest_one_classical_per_quantum(self, monkeypatch):
+        calls = {"quantum": 0, "classical": 0}
+        quantum, classical = harness.hyperbolic_xn_average, harness.hyperbolic_classical_xn
+
+        def counted_quantum(*args, **kwargs):
+            calls["quantum"] += 1
+            return quantum(*args, **kwargs)
+
+        def counted_classical(*args, **kwargs):
+            calls["classical"] += 1
+            return classical(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "hyperbolic_xn_average", counted_quantum)
+        monkeypatch.setattr(harness, "hyperbolic_classical_xn", counted_classical)
+        config = parse_config(
+            "kind = hyperbolic\nmu = 0.05\nhbar = 0.01\nalpha = 1.0\nobservable = x^1\n"
+            "t_min = 0.0\nt_max = 10.0\npoints = 50\n"
+        )
+        cmd_ehrenfest(config, (1e-2, 1e-3))
+        assert calls["quantum"] > 0
+        assert calls["classical"] == calls["quantum"]
