@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 from typing import Optional
 
 from .closedform import (
@@ -72,7 +73,7 @@ class RunConfig:
     regime_slack: float = 10.0
     raw_items: tuple[tuple[str, str], ...] = field(default=(), repr=False)
 
-    @property
+    @cached_property
     def params(self) -> SystemParams:
         if self.kind == "hyperbolic":
             return make_hyperbolic_params(self.omega, self.mu, self.hbar)
@@ -193,7 +194,7 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError("hyperbolic runs accept the x^N observable only")
     if config.kind == "elliptic" and not isinstance(config.observable, Monomial):
         raise ConfigError("elliptic runs accept the mono:M,Q observable only")
-    config.params  # raises DomainError for invalid physics parameters
+    config.params  # built once and cached; raises DomainError for invalid physics
     config.time_grid()
 
 
@@ -206,40 +207,32 @@ def load_config(path: str) -> RunConfig:
 # Evaluation helpers
 # ---------------------------------------------------------------------------
 
-def _closed_value(config: RunConfig, t: float) -> complex:
-    obs = config.observable
+def _evaluators(config: RunConfig) -> dict:
+    """``t -> value`` for each source name, bound to the config's observable.
+
+    Built per command call, so the evaluation functions are looked up in this
+    module's namespace when the command runs.
+    """
+    obs, params, alpha = config.observable, config.params, config.alpha
     if isinstance(obs, XPower):
-        return hyperbolic_xn_average(obs.n, config.alpha, config.params, t, config.guard)
-    return elliptic_quantum_average(obs.m, obs.q, config.alpha, config.params, t)
-
-
-def _classical_value(config: RunConfig, t: float) -> complex:
-    obs = config.observable
-    if isinstance(obs, XPower):
-        return hyperbolic_classical_xn(obs.n, config.alpha, config.params, t)
-    return elliptic_classical_average(obs.m, obs.q, config.alpha, config.params, t)
-
-
-def _oracle_value(config: RunConfig, t: float) -> complex:
-    obs = config.observable
-    key = obs.n if isinstance(obs, XPower) else (obs.m, obs.q)
-    return oracle_average(
-        config.kind,
-        config.params,
-        config.alpha,
-        key,
-        t,
-        tol=config.oracle_tol,
-        start_dim=config.oracle_start_dim,
-        dim_cap=config.oracle_dim_cap,
-        tail_tol=config.tail_tol,
+        key = obs.n
+        closed = partial(hyperbolic_xn_average, obs.n, alpha, params, guard=config.guard)
+        classical = partial(hyperbolic_classical_xn, obs.n, alpha, params)
+    else:
+        key = (obs.m, obs.q)
+        closed = partial(elliptic_quantum_average, obs.m, obs.q, alpha, params)
+        classical = partial(elliptic_classical_average, obs.m, obs.q, alpha, params)
+    oracle = partial(
+        oracle_average, config.kind, params, alpha, key, tol=config.oracle_tol,
+        start_dim=config.oracle_start_dim, dim_cap=config.oracle_dim_cap, tail_tol=config.tail_tol,
     )
+    return {"closed": closed, "classical": classical, "oracle": oracle}
 
 
-def _guarded_closed_value(config: RunConfig, t: float) -> "complex | None":
+def _guarded(closed, t: float) -> "complex | None":
     """Closed-form value at t, or None where the collapse guard declines it."""
     try:
-        return _closed_value(config, t)
+        return closed(t)
     except CollapseProximity:
         return None
 
@@ -266,13 +259,13 @@ def cmd_evolve(config: RunConfig) -> TableResult:
     form only when ``closed`` is a source.
     """
     grid = config.time_grid()
+    evaluate = _evaluators(config)
     hyperbolic = isinstance(config.observable, XPower)
     if hyperbolic or "closed" in config.sources:
-        closed = [_guarded_closed_value(config, t) for t in grid]
+        closed = [_guarded(evaluate["closed"], t) for t in grid]
     else:
         closed = [None] * len(grid)
     flags = [hyperbolic and value is None for value in closed]
-    evaluate = {"classical": _classical_value, "oracle": _oracle_value}
     rows = []
     for name in ("closed", "classical", "oracle"):
         if name not in config.sources:
@@ -282,7 +275,7 @@ def cmd_evolve(config: RunConfig) -> TableResult:
                 rows.append((t, None, None, name, 1))
                 continue
             if name != "closed":
-                value = evaluate[name](config, t)
+                value = evaluate[name](t)
             rows.append((t, value.real, value.imag, name, 0))
     return TableResult(
         columns=("t", "re(f)", "im(f)", "source", "collapse_flag"),
@@ -293,14 +286,15 @@ def cmd_evolve(config: RunConfig) -> TableResult:
 def cmd_compare(config: RunConfig) -> TableResult:
     """Closed form against the truncated-basis oracle, with deviations."""
     grid = config.time_grid()
+    evaluate = _evaluators(config)
     rows = []
     worst = 0.0
     for t in grid:
-        closed = _guarded_closed_value(config, t)
+        closed = _guarded(evaluate["closed"], t)
         if closed is None:
             rows.append((t, None, None, None, None, None, 1))
             continue
-        orc = _oracle_value(config, t)
+        orc = evaluate["oracle"](t)
         rel = abs(closed - orc) / (abs(orc) + 1e-30)
         worst = max(worst, rel)
         rows.append((t, closed.real, closed.imag, orc.real, orc.imag, rel, 0))
@@ -392,32 +386,52 @@ def _linear_fit(xs: list[float], ys: list[float]) -> tuple[float, float, float]:
     return intercept, slope, goodness
 
 
-def _first_crossing(deviation, grid: list[float], threshold: float, bisect_rel: float) -> Optional[float]:
-    previous_t = None
-    for t in grid:
-        if deviation(t) >= threshold:
-            if previous_t is None:
-                return t
-            lo, hi = previous_t, t
-            width0 = hi - lo
-            while (hi - lo) > bisect_rel * width0:
-                mid = 0.5 * (lo + hi)
-                if deviation(mid) >= threshold:
-                    hi = mid
-                else:
-                    lo = mid
+def _first_crossings(
+    gaps, grid: list[float], threshold: float, bisect_rel: float
+) -> tuple[Optional[float], Optional[float]]:
+    """First times where the absolute and the relative gap reach ``threshold``.
+
+    One grid scan, stopped once both gaps have crossed; ``gaps(t)`` returns
+    both from one (quantum, classical) pair.  Each crossing is bisected to
+    ``bisect_rel`` of its grid interval (a crossing at the first point is that
+    point): the absolute one when found, the relative one after the scan, so
+    the first evaluation to fail is the one an absolute-gap scan followed by a
+    relative-gap scan would meet.
+    """
+
+    def bisect(which: int, lo: Optional[float], hi: float) -> float:
+        if lo is None:
             return hi
+        width0 = hi - lo
+        while (hi - lo) > bisect_rel * width0:
+            mid = 0.5 * (lo + hi)
+            if gaps(mid)[which] >= threshold:
+                hi = mid
+            else:
+                lo = mid
+        return hi
+
+    t_abs = rel_bracket = previous_t = None
+    for t in grid:
+        abs_gap, rel_gap = gaps(t)
+        if t_abs is None and abs_gap >= threshold:
+            t_abs = bisect(0, previous_t, t)
+        if rel_bracket is None and rel_gap >= threshold:
+            rel_bracket = (previous_t, t)
+        if t_abs is not None and rel_bracket is not None:
+            break
         previous_t = t
-    return None
+    return t_abs, None if rel_bracket is None else bisect(1, *rel_bracket)
 
 
 def cmd_ehrenfest(config: RunConfig, hbar_list: "tuple[float, ...] | None" = None) -> tuple[EhrenfestFit, TableResult]:
     """Breakdown time of the classical description per hbar, with fits.
 
-    For each hbar the first time where the quantum/classical gap of the mean
-    position reaches ``breakdown_threshold`` is located by grid scan plus
-    bisection (to ``bisect_rel`` of the bracketing interval).  Both the
-    absolute-gap and relative-gap crossings are reported; fits of the
+    For each hbar one scan of the grid evaluates the quantum and the
+    classical mean position once per point and takes both the absolute and
+    the relative gap from that pair.  The first time each gap reaches
+    ``breakdown_threshold`` is refined by bisection (to ``bisect_rel`` of the
+    bracketing interval), and both crossings are reported; fits of the
     absolute-gap times against ``ln(1/hbar)`` and in log-log space are
     emitted side by side.
     """
@@ -430,22 +444,17 @@ def cmd_ehrenfest(config: RunConfig, hbar_list: "tuple[float, ...] | None" = Non
     rel_times: list[Optional[float]] = []
     rows = []
     for hbar in hbars:
-        params = make_hyperbolic_params(config.omega, config.mu, hbar)
-
-        def quantum(t: float) -> complex:
-            return hyperbolic_xn_average(1, config.alpha, params, t, config.guard)
-
-        def classical(t: float) -> complex:
-            return hyperbolic_classical_xn(1, config.alpha, params, t)
-
-        def relative_gap(t: float) -> float:
-            q, c = quantum(t), classical(t)
-            return abs(q - c) / (abs(c) + 1e-300)
-
-        t_abs = _first_crossing(
-            lambda t: abs(quantum(t) - classical(t)), grid, threshold, config.bisect_rel
+        evaluate = _evaluators(
+            replace(config, kind="hyperbolic", hbar=hbar, observable=XPower(1))
         )
-        t_rel = _first_crossing(relative_gap, grid, threshold, config.bisect_rel)
+        quantum, classical = evaluate["closed"], evaluate["classical"]
+
+        def gaps(t: float) -> tuple[float, float]:
+            q, c = quantum(t), classical(t)
+            gap = abs(q - c)
+            return gap, gap / (abs(c) + 1e-300)
+
+        t_abs, t_rel = _first_crossings(gaps, grid, threshold, config.bisect_rel)
         abs_times.append(t_abs)
         rel_times.append(t_rel)
         status = "ok" if t_abs is not None else "breakdown-not-found"
@@ -538,35 +547,26 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".16e")
 
 
-def _fmt_cell(value) -> str:
+def _fmt_cell(value, null: str, quote) -> str:
+    """One table cell: ``null`` for None, integers and floats bare, else ``quote``."""
     if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
+        return null
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
         return _fmt_float(value)
-    return str(value)
+    return quote(value)
 
 
 def render_csv(result: TableResult, meta: list[tuple[str, str]]) -> str:
     lines = [f"# {key}={value}" for key, value in (*meta, *result.extra_meta)]
     lines.append(",".join(result.columns))
     for row in result.rows:
-        lines.append(",".join(_fmt_cell(cell) for cell in row))
+        lines.append(",".join(_fmt_cell(cell, "", str) for cell in row))
     return "\n".join(lines) + "\n"
 
 
-def _json_scalar(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return _fmt_float(value)
+def _json_string(value) -> str:
     escaped = str(value).replace("\\", "\\\\").replace('"', '\\"')
     return f'"{escaped}"'
 
@@ -574,11 +574,12 @@ def _json_scalar(value) -> str:
 def render_json(result: TableResult, meta: list[tuple[str, str]]) -> str:
     """Hand-rolled serializer so float formatting matches the CSV exactly."""
     meta_items = ",".join(
-        f'{_json_scalar(k)}:{_json_scalar(v)}' for k, v in (*meta, *result.extra_meta)
+        f"{_json_string(k)}:{_json_string(v)}" for k, v in (*meta, *result.extra_meta)
     )
-    columns = ",".join(_json_scalar(c) for c in result.columns)
+    columns = ",".join(_json_string(c) for c in result.columns)
     rows = ",".join(
-        "[" + ",".join(_json_scalar(cell) for cell in row) + "]" for row in result.rows
+        "[" + ",".join(_fmt_cell(cell, "null", _json_string) for cell in row) + "]"
+        for row in result.rows
     )
     return (
         '{"meta":{' + meta_items + '},"columns":[' + columns + '],"rows":[' + rows + "]}\n"

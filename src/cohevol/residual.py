@@ -128,23 +128,13 @@ def generate_operator(symbol: WickPolynomial, hbar: float) -> EvolutionOperator:
 
 
 def liouville_operator(symbol: WickPolynomial) -> EvolutionOperator:
-    """Classical transport operator: the first-order part, no hbar factors."""
-    degree = symbol.degree
-    if degree > _OPERATOR_DEGREE_CAP:
-        raise DegreeError(f"symbol degree {degree} exceeds cap {_OPERATOR_DEGREE_CAP}")
-    symbol.validate_hermitian()
-    terms = []
-    plus = _shifted_table(symbol.coeffs, 1, "alpha")
-    if plus:
-        terms.append(
-            OperatorTerm(1, "alpha_star", 0, {k: 1j * c for k, c in plus.items()})
-        )
-    minus = _shifted_table(symbol.coeffs, 1, "alpha_star")
-    if minus:
-        terms.append(
-            OperatorTerm(1, "alpha", 0, {k: -1j * c for k, c in minus.items()})
-        )
-    return EvolutionOperator(degree=degree, terms=tuple(terms))
+    """Classical transport operator: the first-order part, no hbar factors.
+
+    The ``r = 1`` terms of :func:`generate_operator` carry ``hbar**0``, so
+    any ``hbar`` gives them exactly.
+    """
+    full = generate_operator(symbol, 1.0)
+    return EvolutionOperator(full.degree, tuple(term for term in full.terms if term.order == 1))
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +153,7 @@ def central_weights(order: int, accuracy: int = DEFAULT_ACCURACY) -> tuple[tuple
         raise ValueError("derivative order >= 0 and even accuracy >= 2 required")
     if order == 0:
         return (0,), (Fraction(1),)
-    half = (order + 1) // 2 + accuracy // 2 - 1
+    half = _stencil_radius(order, accuracy)
     offsets = tuple(range(-half, half + 1))
     npts = len(offsets)
     # Solve the moment conditions exactly.

@@ -5,6 +5,7 @@ import math
 import pytest
 
 import cohevol.closedform as closedform
+import cohevol.core as core
 import cohevol.harness as harness
 from cohevol import (
     ConfigError,
@@ -22,7 +23,7 @@ from cohevol import (
     parse_config,
 )
 from cohevol.cli import main
-from cohevol.harness import render
+from cohevol.harness import TableResult, render, render_csv, render_json
 
 COMMANDS = ("evolve", "compare", "collapse-scan", "ehrenfest", "dispersion-regimes")
 
@@ -348,6 +349,42 @@ class TestWritersAndCli:
         assert main([command, "--config", str(cfg)]) == 2
         assert "line 6" in capsys.readouterr().err
 
+    # Every cell kind in every column; the string holds both characters JSON escapes.
+    GOLDEN = TableResult(
+        columns=("t", "re(f)", "source", "flag"),
+        rows=(
+            (None, 7, 0.1, 'a "b" \\c'),
+            (7, 0.1, 'a "b" \\c', None),
+            (0.1, 'a "b" \\c', None, 7),
+            ('a "b" \\c', None, 7, 0.1),
+        ),
+        extra_meta=(("max_rel_deviation", "2.5000000000000000e-01"),),
+    )
+    GOLDEN_META = [("command", "evolve"), ("out", 'x"y\\z')]
+
+    def test_csv_golden(self):
+        assert render_csv(self.GOLDEN, self.GOLDEN_META) == (
+            "# command=evolve\n"
+            '# out=x"y\\z\n'
+            "# max_rel_deviation=2.5000000000000000e-01\n"
+            "t,re(f),source,flag\n"
+            ',7,1.0000000000000001e-01,a "b" \\c\n'
+            '7,1.0000000000000001e-01,a "b" \\c,\n'
+            '1.0000000000000001e-01,a "b" \\c,,7\n'
+            'a "b" \\c,,7,1.0000000000000001e-01\n'
+        )
+
+    def test_json_golden(self):
+        assert render_json(self.GOLDEN, self.GOLDEN_META) == (
+            '{"meta":{"command":"evolve","out":"x\\"y\\\\z",'
+            '"max_rel_deviation":"2.5000000000000000e-01"},'
+            '"columns":["t","re(f)","source","flag"],"rows":['
+            '[null,7,1.0000000000000001e-01,"a \\"b\\" \\\\c"],'
+            '[7,1.0000000000000001e-01,"a \\"b\\" \\\\c",null],'
+            '[1.0000000000000001e-01,"a \\"b\\" \\\\c",null,7],'
+            '["a \\"b\\" \\\\c",null,7,1.0000000000000001e-01]]}\n'
+        )
+
     def test_cli_compare_subcommand(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -507,3 +544,34 @@ class TestEvaluateOnce:
         cmd_ehrenfest(config, (1e-2, 1e-3))
         assert calls["quantum"] > 0
         assert calls["classical"] == calls["quantum"]
+
+    def test_evolve_builds_no_params(self, monkeypatch):
+        # the config built its SystemParams once, at parse time
+        config = parse_config(BASE_CFG.replace("points = 5", "points = 100"))
+        builds = []
+        post_init = core.SystemParams.__post_init__
+
+        def counted(self):
+            builds.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(core.SystemParams, "__post_init__", counted)
+        cmd_evolve(config)
+        assert len(builds) == 0
+
+    def test_ehrenfest_one_scan_per_hbar(self, monkeypatch):
+        calls = []
+        quantum = harness.hyperbolic_xn_average
+
+        def counted(*args, **kwargs):
+            calls.append(args[2].hbar)
+            return quantum(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "hyperbolic_xn_average", counted)
+        config = parse_config(
+            "kind = hyperbolic\nmu = 0.05\nhbar = 0.01\nalpha = 1.0\nobservable = x^1\n"
+            "t_min = 0.0\nt_max = 6.0\npoints = 200\nbreakdown_threshold = 1e300\n"
+        )
+        fit, _ = cmd_ehrenfest(config, (1e-2, 1e-3))
+        assert fit.breakdown_times == fit.relative_times == (None, None)
+        assert [calls.count(h) for h in (1e-2, 1e-3)] == [200, 200]
