@@ -52,7 +52,6 @@ from .fock import (
     FockRepresentation,
     build_hamiltonian,
     coherent_vector,
-    ladder_matrices,
     monomial_expectation,
     oracle_average,
     propagate_expectation,

@@ -61,9 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
     if args.format is not None:
-        config = replace(config, out_format=args.format)
-    if args.out is not None:
-        config = replace(config, out=args.out)
+        config = replace(config, format=args.format)
     if args.guard is not None:
         config = replace(config, guard=args.guard)
     if args.oracle == "on" and "oracle" not in config.sources:
@@ -103,10 +101,10 @@ def main(argv: "list[str] | None" = None) -> int:
     except _GUARD_ERRORS as exc:
         print(f"cohevol: guard violation: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    if config.out is None:
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(config.out, "w", encoding="utf-8", newline="\n") as handle:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
     return EXIT_OK
 

@@ -419,6 +419,10 @@ def dispersion_exact(
     return second - first * first
 
 
+# 64 mu^2 hbar t^2 |alpha|^2 inside this band reads as the crossover "~ 1"
+_CROSSOVER_BAND = (0.5, 2.0)
+
+
 class DispersionRegime(Enum):
     """Asymptotic dispersion regimes of the hyperbolic model."""
 
@@ -441,13 +445,12 @@ def classify_dispersion_regime(
     params: SystemParams,
     t: float,
     ratio: float = 10.0,
-    crossover_band: tuple[float, float] = (0.5, 2.0),
 ) -> Optional[DispersionRegime]:
     """Total classification of a point against the three inequality sets.
 
     ``a << b`` is read as ``a * ratio <= b``; the crossover condition
     ``64 mu^2 hbar t^2 |alpha|^2 ~ 1`` is read as membership in
-    ``crossover_band``.  At large amplitude the displayed small-correction
+    ``[0.5, 2]``.  At large amplitude the displayed small-correction
     set overlaps the exponential one, so precedence runs crossover, then
     exponential, then small correction, and the small-correction label
     additionally requires the growth parameter to sit below the crossover
@@ -457,11 +460,12 @@ def classify_dispersion_regime(
     u, mod2, lin, quad = _regime_measures(alpha, params, t)
     if u * ratio > 1.0 or mod2 < ratio * params.hbar:
         return None
-    if crossover_band[0] <= 64.0 * quad <= crossover_band[1]:
+    low, high = _CROSSOVER_BAND
+    if low <= 64.0 * quad <= high:
         return DispersionRegime.CROSSOVER
     if quad >= ratio:
         return DispersionRegime.EXPONENTIAL_DOMINATED
-    if lin * ratio <= 1.0 and 64.0 * quad < crossover_band[0]:
+    if lin * ratio <= 1.0 and 64.0 * quad < low:
         return DispersionRegime.SMALL_CORRECTION
     return None
 
@@ -488,15 +492,15 @@ def dispersion_approx(
     a = complex(alpha)
     u, mod2, lin, quad = _regime_measures(a, params, t)
     eff = ratio / slack
-    band = (0.5 / slack, 2.0 * slack)
+    low, high = _CROSSOVER_BAND[0] / slack, _CROSSOVER_BAND[1] * slack
     ok_common = u * eff <= 1.0 and mod2 >= eff * params.hbar
     checks = {
         DispersionRegime.SMALL_CORRECTION: ok_common
         and lin * eff <= 1.0
-        and 64.0 * quad < 0.5 * slack,
+        and 64.0 * quad < _CROSSOVER_BAND[0] * slack,
         DispersionRegime.EXPONENTIAL_DOMINATED: ok_common and quad >= eff,
         DispersionRegime.CROSSOVER: ok_common
-        and band[0] <= 64.0 * quad <= band[1],
+        and low <= 64.0 * quad <= high,
     }
     if not checks[regime]:
         raise RegimeMismatch(

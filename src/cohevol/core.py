@@ -155,11 +155,11 @@ class WickPolynomial:
 
     Keys are ``(ell, s)`` exponent pairs for ``conj(alpha)^ell * alpha^s``.
     The table must satisfy ``coeffs[ell, s] == conj(coeffs[s, ell])`` so the
-    normal-ordered quantization is a symmetric operator.
+    normal-ordered quantization is a symmetric operator, and the degree must
+    not exceed ``DEFAULT_MAX_DEGREE``.
     """
 
     coeffs: Mapping[tuple[int, int], complex]
-    max_degree: int = DEFAULT_MAX_DEGREE
 
     def __post_init__(self) -> None:
         table: dict[tuple[int, int], complex] = {}
@@ -171,9 +171,9 @@ class WickPolynomial:
             if c != 0:
                 table[(ell, s)] = c
         object.__setattr__(self, "coeffs", table)
-        if self.degree > self.max_degree:
+        if self.degree > DEFAULT_MAX_DEGREE:
             raise DegreeError(
-                f"symbol degree {self.degree} exceeds cap {self.max_degree}"
+                f"symbol degree {self.degree} exceeds cap {DEFAULT_MAX_DEGREE}"
             )
         self.validate_hermitian()
 
@@ -195,7 +195,7 @@ class WickPolynomial:
         merged = dict(self.coeffs)
         for key, c in other.coeffs.items():
             merged[key] = merged.get(key, 0.0) + c
-        return WickPolynomial(merged, max(self.max_degree, other.max_degree))
+        return WickPolynomial(merged)
 
 
 def elliptic_symbol(params: SystemParams) -> WickPolynomial:

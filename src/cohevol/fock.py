@@ -26,8 +26,10 @@ form:
 
 Observables ``x^n`` and ``adag^m a^q`` are applied by banded shifts with the
 ladder elements ``sqrt(hbar k)``; no dense operator is formed.  The dense
-literal matrices (``FockRepresentation.ham``, ``.x_op``) remain available as
-references and are built only on request.
+literal matrices, assembled from ladder matrices, live in the tests as the
+reference this module is checked against.  Basis sizes above
+``DEFAULT_DIM_CAP`` are refused: the two hyperbolic sectors' eigenvectors
+take ``4 dim^2`` bytes (256 MiB at the cap).
 """
 
 from __future__ import annotations
@@ -58,13 +60,6 @@ _I_POWERS = np.array([1, 1j, -1, -1j])
 _TAIL_BLOCK = 64
 
 
-def ladder_matrices(dim: int, hbar: float) -> tuple[np.ndarray, np.ndarray]:
-    """Dense annihilation/creation matrices on ``|0>..|dim-1>``."""
-    offdiag = np.sqrt(hbar * np.arange(1, dim))
-    a = np.diag(offdiag, 1)
-    return a, a.T.copy()
-
-
 class Sector(NamedTuple):
     """One invariant block of the basis, ``H[index, index] = g V diag(E) V^T g^*``.
 
@@ -82,9 +77,7 @@ class Sector(NamedTuple):
 class FockRepresentation:
     """One model at one basis size.
 
-    The spectral data is computed lazily exactly once (:meth:`eigensystem`);
-    the dense matrices ``ham`` and ``x_op`` are literal references, rebuilt on
-    every access and never used by the oracle itself.
+    The spectral data is computed lazily exactly once (:meth:`eigensystem`).
     """
 
     kind: str
@@ -95,22 +88,6 @@ class FockRepresentation:
     @property
     def hbar(self) -> float:
         return self.params.hbar
-
-    @property
-    def ham(self) -> np.ndarray:
-        """Dense ``H`` assembled literally from ladder matrices (reference only)."""
-        omega, mu = self.params.omega, self.params.mu
-        a, adag = ladder_matrices(self.dim, self.hbar)
-        if self.kind == "elliptic":
-            return (omega * (adag @ a) + mu * (adag @ adag @ a @ a)).astype(complex)
-        gen = adag @ adag - a @ a
-        return 1j * omega * gen + mu * (gen @ gen)
-
-    @property
-    def x_op(self) -> np.ndarray:
-        """Dense position operator ``(adag + a)/sqrt(2)`` (reference only)."""
-        a, adag = ladder_matrices(self.dim, self.hbar)
-        return ((adag + a) / math.sqrt(2.0)).astype(complex)
 
     def eigensystem(self) -> tuple[Sector, ...]:
         """Spectral data of ``H``, one :class:`Sector` per invariant block."""
@@ -168,10 +145,13 @@ def build_hamiltonian(kind: str, params: SystemParams, dim: int) -> FockRepresen
     Raises
     ------
     DimensionError
-        If ``dim < 5`` (degree-4 couplings do not fit).
+        If ``dim < 5`` (degree-4 couplings do not fit) or
+        ``dim > DEFAULT_DIM_CAP`` (the spectral data would not fit in memory).
     """
     if dim < 5:
         raise DimensionError(f"degree-4 couplings need dim >= 5, got {dim}")
+    if dim > DEFAULT_DIM_CAP:
+        raise DimensionError(f"basis size {dim} exceeds the cap {DEFAULT_DIM_CAP}")
     return _cached_representation(kind, params.omega, params.mu, params.hbar, int(dim))
 
 
@@ -334,10 +314,9 @@ def _expectation(
     obs: "int | tuple[int, int]",
     t: float,
     dim: int,
-    tail_tol: float,
 ) -> complex:
     rep = build_hamiltonian(kind, params, dim)
-    vec = coherent_vector(alpha, params.hbar, dim, tail_tol=tail_tol)
+    vec = coherent_vector(alpha, params.hbar, dim, tail_tol=DEFAULT_TAIL_TOL)
     if isinstance(obs, tuple):
         return monomial_expectation(rep, vec, obs[0], obs[1], t)
     return propagate_expectation(rep, vec, obs, t)
@@ -358,15 +337,15 @@ def oracle_average(
     obs: "int | tuple[int, int]",
     t: float,
     tol: float = 1e-6,
-    start_dim: int = DEFAULT_START_DIM,
     dim_cap: int = DEFAULT_DIM_CAP,
-    tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> complex:
     """Truncation-converged average: double the basis until the value is stable.
 
     ``obs`` is either an integer (power of the position operator) or an
-    ``(m, q)`` pair for the normal-ordered monomial.  Returns the value at the
-    first doubled dimension whose relative change is below ``tol``.
+    ``(m, q)`` pair for the normal-ordered monomial.  Starting at
+    ``DEFAULT_START_DIM``, a basis size whose coherent vector leaves more than
+    ``DEFAULT_TAIL_TOL`` of its mass outside is skipped.  Returns the value at
+    the first doubled dimension whose relative change is below ``tol``.
 
     Raises
     ------
@@ -374,12 +353,12 @@ def oracle_average(
         If the doubling schedule reaches ``dim_cap`` without stabilizing
         (expected near collapse times, where no truncation suffices).
     """
-    dim = start_dim
+    dim = DEFAULT_START_DIM
     previous = None
     floor = _observable_scale(params, obs)
     while dim <= dim_cap:
         try:
-            value = _expectation(kind, params, alpha, obs, t, dim, tail_tol)
+            value = _expectation(kind, params, alpha, obs, t, dim)
         except TailMassError:
             dim *= 2
             continue

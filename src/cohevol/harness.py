@@ -36,9 +36,10 @@ from .core import (
     XPower,
     make_hyperbolic_params,
 )
-from .fock import oracle_average
+from .fock import DEFAULT_DIM_CAP, oracle_average
 
 APPROACH_EXPONENTS = (2, 3, 4, 5, 6)  # distances t_ell * 10^-k for collapse scans
+_BISECT_REL = 1e-4  # breakdown crossings are bisected to this share of their grid interval
 
 
 # ---------------------------------------------------------------------------
@@ -58,19 +59,13 @@ class RunConfig:
     points: int = 21
     sources: tuple[str, ...] = ("closed", "classical")
     guard: float = DEFAULT_GUARD
-    out_format: str = "csv"
-    out: Optional[str] = None
+    format: str = "csv"
     oracle_tol: float = 1e-6
-    oracle_start_dim: int = 64
-    oracle_dim_cap: int = 8192
-    tail_tol: float = 1e-14
+    oracle_dim_cap: int = DEFAULT_DIM_CAP
     ell_min: int = 0
     ell_max: int = 2
     hbar_list: tuple[float, ...] = ()
     breakdown_threshold: float = 1.0
-    bisect_rel: float = 1e-4
-    regime_ratio: float = 10.0
-    regime_slack: float = 10.0
     raw_items: tuple[tuple[str, str], ...] = field(default=(), repr=False)
 
     @cached_property
@@ -126,30 +121,24 @@ def _parse_sources(text: str) -> tuple[str, ...]:
 
 
 _KEY_PARSERS = {
-    "kind": ("kind", str),
-    "omega": ("omega", float),
-    "mu": ("mu", float),
-    "hbar": ("hbar", float),
-    "alpha": ("alpha", _parse_alpha),
-    "observable": ("observable", _parse_observable),
-    "t_min": ("t_min", float),
-    "t_max": ("t_max", float),
-    "points": ("points", int),
-    "sources": ("sources", _parse_sources),
-    "guard": ("guard", float),
-    "format": ("out_format", str),
-    "out": ("out", str),
-    "oracle_tol": ("oracle_tol", float),
-    "oracle_start_dim": ("oracle_start_dim", int),
-    "oracle_dim_cap": ("oracle_dim_cap", int),
-    "tail_tol": ("tail_tol", float),
-    "ell_min": ("ell_min", int),
-    "ell_max": ("ell_max", int),
-    "hbar_list": ("hbar_list", lambda s: tuple(float(x) for x in s.split(","))),
-    "breakdown_threshold": ("breakdown_threshold", float),
-    "bisect_rel": ("bisect_rel", float),
-    "regime_ratio": ("regime_ratio", float),
-    "regime_slack": ("regime_slack", float),
+    "kind": str,
+    "omega": float,
+    "mu": float,
+    "hbar": float,
+    "alpha": _parse_alpha,
+    "observable": _parse_observable,
+    "t_min": float,
+    "t_max": float,
+    "points": int,
+    "sources": _parse_sources,
+    "guard": float,
+    "format": str,
+    "oracle_tol": float,
+    "oracle_dim_cap": int,
+    "ell_min": int,
+    "ell_max": int,
+    "hbar_list": lambda s: tuple(float(x) for x in s.split(",")),
+    "breakdown_threshold": float,
 }
 
 
@@ -172,11 +161,10 @@ def parse_config(text: str) -> RunConfig:
         key, value = (part.strip() for part in stripped.split("=", 1))
         if key not in _KEY_PARSERS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        attr, parser = _KEY_PARSERS[key]
-        if attr in fields:
+        if key in fields:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            fields[attr] = parser(value)
+            fields[key] = _KEY_PARSERS[key](value)
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
         raw.append((key, value))
@@ -188,8 +176,8 @@ def parse_config(text: str) -> RunConfig:
 def _validate(config: RunConfig) -> None:
     if config.kind not in ("hyperbolic", "elliptic"):
         raise ConfigError(f"kind must be hyperbolic or elliptic, got {config.kind!r}")
-    if config.out_format not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {config.out_format!r}")
+    if config.format not in ("csv", "json"):
+        raise ConfigError(f"format must be csv or json, got {config.format!r}")
     if config.kind == "hyperbolic" and not isinstance(config.observable, XPower):
         raise ConfigError("hyperbolic runs accept the x^N observable only")
     if config.kind == "elliptic" and not isinstance(config.observable, Monomial):
@@ -223,8 +211,8 @@ def _evaluators(config: RunConfig) -> dict:
         closed = partial(elliptic_quantum_average, obs.m, obs.q, alpha, params)
         classical = partial(elliptic_classical_average, obs.m, obs.q, alpha, params)
     oracle = partial(
-        oracle_average, config.kind, params, alpha, key, tol=config.oracle_tol,
-        start_dim=config.oracle_start_dim, dim_cap=config.oracle_dim_cap, tail_tol=config.tail_tol,
+        oracle_average, config.kind, params, alpha, key,
+        tol=config.oracle_tol, dim_cap=config.oracle_dim_cap,
     )
     return {"closed": closed, "classical": classical, "oracle": oracle}
 
@@ -313,7 +301,7 @@ def cmd_compare(config: RunConfig) -> TableResult:
     )
 
 
-def cmd_collapse_scan(config: RunConfig, ell_range: "tuple[int, int] | None" = None) -> TableResult:
+def cmd_collapse_scan(config: RunConfig) -> TableResult:
     """Log-magnitude approach sequences for each collapse time in the range.
 
     Magnitudes this close to collapse overflow float64, so the table reports
@@ -326,7 +314,7 @@ def cmd_collapse_scan(config: RunConfig, ell_range: "tuple[int, int] | None" = N
     params = config.params
     if params.mu == 0.0:
         raise DomainError("collapse-scan needs mu != 0 (no collapse in the quadratic limit)")
-    lo, hi = ell_range if ell_range is not None else (config.ell_min, config.ell_max)
+    lo, hi = config.ell_min, config.ell_max
     if hi < lo:
         raise ConfigError("ell range must satisfy ell_min <= ell_max")
     base = math.pi / (16.0 * params.mu * obs.n * params.hbar)
@@ -387,13 +375,13 @@ def _linear_fit(xs: list[float], ys: list[float]) -> tuple[float, float, float]:
 
 
 def _first_crossings(
-    gaps, grid: list[float], threshold: float, bisect_rel: float
+    gaps, grid: list[float], threshold: float
 ) -> tuple[Optional[float], Optional[float]]:
     """First times where the absolute and the relative gap reach ``threshold``.
 
     One grid scan, stopped once both gaps have crossed; ``gaps(t)`` returns
     both from one (quantum, classical) pair.  Each crossing is bisected to
-    ``bisect_rel`` of its grid interval (a crossing at the first point is that
+    ``_BISECT_REL`` of its grid interval (a crossing at the first point is that
     point): the absolute one when found, the relative one after the scan, so
     the first evaluation to fail is the one an absolute-gap scan followed by a
     relative-gap scan would meet.
@@ -403,7 +391,7 @@ def _first_crossings(
         if lo is None:
             return hi
         width0 = hi - lo
-        while (hi - lo) > bisect_rel * width0:
+        while (hi - lo) > _BISECT_REL * width0:
             mid = 0.5 * (lo + hi)
             if gaps(mid)[which] >= threshold:
                 hi = mid
@@ -430,23 +418,24 @@ def cmd_ehrenfest(config: RunConfig, hbar_list: "tuple[float, ...] | None" = Non
     For each hbar one scan of the grid evaluates the quantum and the
     classical mean position once per point and takes both the absolute and
     the relative gap from that pair.  The first time each gap reaches
-    ``breakdown_threshold`` is refined by bisection (to ``bisect_rel`` of the
+    ``breakdown_threshold`` is refined by bisection (to 1e-4 of the
     bracketing interval), and both crossings are reported; fits of the
     absolute-gap times against ``ln(1/hbar)`` and in log-log space are
-    emitted side by side.
+    emitted side by side.  Only the hyperbolic mean position ``x^1`` is
+    measured; any other model or observable is a :class:`ConfigError`.
     """
     hbars = tuple(hbar_list if hbar_list is not None else config.hbar_list)
     if not hbars:
         raise ConfigError("ehrenfest needs a nonempty hbar_list")
+    if config.kind != "hyperbolic" or config.observable != XPower(1):
+        raise ConfigError("ehrenfest needs kind = hyperbolic and observable = x^1")
     grid = config.time_grid()
     threshold = config.breakdown_threshold
     abs_times: list[Optional[float]] = []
     rel_times: list[Optional[float]] = []
     rows = []
     for hbar in hbars:
-        evaluate = _evaluators(
-            replace(config, kind="hyperbolic", hbar=hbar, observable=XPower(1))
-        )
+        evaluate = _evaluators(replace(config, hbar=hbar))
         quantum, classical = evaluate["closed"], evaluate["classical"]
 
         def gaps(t: float) -> tuple[float, float]:
@@ -454,7 +443,7 @@ def cmd_ehrenfest(config: RunConfig, hbar_list: "tuple[float, ...] | None" = Non
             gap = abs(q - c)
             return gap, gap / (abs(c) + 1e-300)
 
-        t_abs, t_rel = _first_crossings(gaps, grid, threshold, config.bisect_rel)
+        t_abs, t_rel = _first_crossings(gaps, grid, threshold)
         abs_times.append(t_abs)
         rel_times.append(t_rel)
         status = "ok" if t_abs is not None else "breakdown-not-found"
@@ -501,9 +490,7 @@ def cmd_dispersion_regimes(config: RunConfig) -> TableResult:
     params.require_hyperbolic()
     rows = []
     for t in config.time_grid():
-        regime = classify_dispersion_regime(
-            config.alpha, params, t, ratio=config.regime_ratio
-        )
+        regime = classify_dispersion_regime(config.alpha, params, t)
         label = regime.value if regime is not None else "none"
         try:
             exact = dispersion_exact(config.alpha, params, t, config.guard)
@@ -514,10 +501,7 @@ def cmd_dispersion_regimes(config: RunConfig) -> TableResult:
             rows.append((t, label, exact.real, exact.imag, None, None, None, 0))
             continue
         try:
-            approx = dispersion_approx(
-                config.alpha, params, t, regime,
-                slack=config.regime_slack, ratio=config.regime_ratio,
-            )
+            approx = dispersion_approx(config.alpha, params, t, regime)
         except OverflowError:
             # deep exponential regime: the displayed form leaves float range
             rows.append((t, label, exact.real, exact.imag, None, None, None, 0))
@@ -588,6 +572,6 @@ def render_json(result: TableResult, meta: list[tuple[str, str]]) -> str:
 
 def render(result: TableResult, config: RunConfig, command: str) -> str:
     meta = config.metadata(command)
-    if config.out_format == "json":
+    if config.format == "json":
         return render_json(result, meta)
     return render_csv(result, meta)

@@ -26,15 +26,12 @@ from functools import lru_cache
 
 from .core import (
     CollapseProximity,
-    DegreeError,
     StencilError,
     WickPolynomial,
 )
 
 DEFAULT_STEP = 1e-3
 DEFAULT_ACCURACY = 4
-
-_OPERATOR_DEGREE_CAP = 8
 
 
 # ---------------------------------------------------------------------------
@@ -92,14 +89,9 @@ def _shifted_table(coeffs: dict, r: int, var: str) -> dict:
 def generate_operator(symbol: WickPolynomial, hbar: float) -> EvolutionOperator:
     """Full evolution operator of a Hermitian-symmetric polynomial symbol.
 
-    Raises
-    ------
-    DegreeError
-        If the symbol degree exceeds the supported cap.
+    The symbol's degree is capped when it is built (:class:`DegreeError`).
     """
     degree = symbol.degree
-    if degree > _OPERATOR_DEGREE_CAP:
-        raise DegreeError(f"symbol degree {degree} exceeds cap {_OPERATOR_DEGREE_CAP}")
     symbol.validate_hermitian()
     terms: list[OperatorTerm] = []
     for r in range(1, degree + 1):

@@ -1,11 +1,12 @@
 """The README documents exactly the config keys and CLI flags the code accepts."""
 
 import argparse
+import dataclasses
 import re
 from pathlib import Path
 
 from cohevol.cli import _build_parser
-from cohevol.harness import _KEY_PARSERS
+from cohevol.harness import _KEY_PARSERS, RunConfig
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -35,6 +36,11 @@ def _parser_flags() -> set:
 
 def test_config_key_table_matches_the_parser():
     assert _readme_config_keys() == set(_KEY_PARSERS)
+
+
+def test_every_config_field_is_its_key():
+    fields = {f.name for f in dataclasses.fields(RunConfig)} - {"raw_items"}
+    assert fields == set(_KEY_PARSERS)
 
 
 def test_common_flags_match_the_cli():

@@ -20,17 +20,38 @@ from cohevol import (
     coherent_vector,
     elliptic_quantum_average,
     hyperbolic_xn_average,
-    ladder_matrices,
     make_hyperbolic_params,
     monomial_expectation,
     oracle_average,
     propagate_expectation,
 )
 from cohevol.cli import main
-from cohevol.fock import _propagate
+from cohevol.fock import DEFAULT_DIM_CAP, _propagate
 
 HYP = make_hyperbolic_params(1.0, 0.1, 0.05)
 ELL = SystemParams(1.0, 0.05, 0.1)
+
+
+# Dense references, assembled literally from each Hamiltonian's definition.
+
+def ladder_matrices(dim, hbar):
+    """Dense annihilation/creation matrices on ``|0>..|dim-1>``."""
+    a = np.diag(np.sqrt(hbar * np.arange(1, dim)), 1)
+    return a, a.T.copy()
+
+
+def dense_ham(rep):
+    omega, mu = rep.params.omega, rep.params.mu
+    a, adag = ladder_matrices(rep.dim, rep.hbar)
+    if rep.kind == "elliptic":
+        return (omega * (adag @ a) + mu * (adag @ adag @ a @ a)).astype(complex)
+    gen = adag @ adag - a @ a
+    return 1j * omega * gen + mu * (gen @ gen)
+
+
+def dense_x_op(rep):
+    a, adag = ladder_matrices(rep.dim, rep.hbar)
+    return ((adag + a) / math.sqrt(2.0)).astype(complex)
 
 
 class TestLadderAndStructure:
@@ -47,28 +68,38 @@ class TestLadderAndStructure:
         p = SystemParams(1.3, 0.0, 0.2)
         rep = build_hamiltonian("elliptic", p, 32)
         expected = np.diag(p.omega * p.hbar * np.arange(32))
-        assert np.max(np.abs(rep.ham - expected)) <= 1e-13
+        assert np.max(np.abs(dense_ham(rep) - expected)) <= 1e-13
 
     def test_hyperbolic_band_structure(self):
-        rep = build_hamiltonian("hyperbolic", HYP, 24)
+        ham = dense_ham(build_hamiltonian("hyperbolic", HYP, 24))
         for i in range(24):
             for j in range(24):
                 if abs(i - j) not in (0, 2, 4):
-                    assert rep.ham[i, j] == 0
+                    assert ham[i, j] == 0
 
     def test_hermiticity(self):
         for kind, p in (("elliptic", ELL), ("hyperbolic", HYP)):
             rep = build_hamiltonian(kind, p, 96)
-            assert np.max(np.abs(rep.ham - rep.ham.conj().T)) <= 1e-13
-            assert np.max(np.abs(rep.x_op - rep.x_op.conj().T)) <= 1e-13
+            for op in (dense_ham(rep), dense_x_op(rep)):
+                assert np.max(np.abs(op - op.conj().T)) <= 1e-13
 
     def test_vacuum_energy_of_hyperbolic_quartic(self):
         rep = build_hamiltonian("hyperbolic", HYP, 16)
-        assert rep.ham[0, 0] == pytest.approx(-2.0 * HYP.mu * HYP.hbar**2, rel=1e-13)
+        assert dense_ham(rep)[0, 0] == pytest.approx(-2.0 * HYP.mu * HYP.hbar**2, rel=1e-13)
 
     def test_minimum_dimension(self):
         with pytest.raises(DimensionError):
             build_hamiltonian("hyperbolic", HYP, 4)
+
+    def test_maximum_dimension(self):
+        with pytest.raises(DimensionError, match="exceeds the cap"):
+            build_hamiltonian("hyperbolic", HYP, 2 * DEFAULT_DIM_CAP)
+
+    def test_cap_above_the_limit_unused_once_converged(self):
+        # the point converges by dim 256, so the doubling never asks for more
+        args = ("hyperbolic", HYP, 0.5 + 0.3j, 1, 0.3)
+        value = oracle_average(*args, dim_cap=2 * DEFAULT_DIM_CAP)
+        assert value == oracle_average(*args, dim_cap=256)
 
     def test_mixed_position_momentum_form(self):
         # the quartic generator satisfies 2i xp + hbar = -(adag^2 - a^2), so
@@ -87,7 +118,7 @@ class TestLadderAndStructure:
             + HYP.mu * np.linalg.matrix_power(2j * xp + HYP.hbar * eye, 2)
         )
         interior = slice(0, dim - 4)
-        assert np.max(np.abs((rep.ham - alt)[interior, interior])) <= 1e-12
+        assert np.max(np.abs((dense_ham(rep) - alt)[interior, interior])) <= 1e-12
 
 
 class TestCoherentVector:
@@ -247,12 +278,12 @@ class TestPropagation:
 
 
 def _dense_state(rep, vec, t):
-    evals, evecs = scipy.linalg.eigh(rep.ham)
+    evals, evecs = scipy.linalg.eigh(dense_ham(rep))
     return evecs @ (np.exp(-1j * evals * (t / rep.hbar)) * (evecs.conj().T @ vec))
 
 
 def _dense_x_power(rep, state, n):
-    return complex(np.vdot(state, np.linalg.matrix_power(rep.x_op, n) @ state))
+    return complex(np.vdot(state, np.linalg.matrix_power(dense_x_op(rep), n) @ state))
 
 
 def _dense_monomial(rep, state, m, q):
@@ -307,7 +338,7 @@ class TestDenseReference:
             rep = build_hamiltonian(kind, params, dim)
             dense = _dense_state(rep, v.coeffs, t)
             assert np.linalg.norm(_propagate(rep, v.coeffs, t) - dense) <= 1e-10 * norm
-            x_norm = np.linalg.norm(rep.x_op, 2)
+            x_norm = np.linalg.norm(dense_x_op(rep), 2)
             for n in (1, 2, 3, 4):
                 ref = _dense_x_power(rep, dense, n)
                 value = propagate_expectation(rep, v, n, t)

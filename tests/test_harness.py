@@ -1,6 +1,7 @@
 """Config parsing, sweep commands, writers, and CLI exit codes."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -60,9 +61,19 @@ class TestConfigParsing:
         config = parse_config("# a comment\n\nkind = elliptic\nobservable = mono:1,0\nmu = 0.05\n")
         assert config.kind == "elliptic"
 
-    def test_unknown_key_is_hard_error(self):
-        with pytest.raises(ConfigError):
-            parse_config(BASE_CFG + "bogus = 1\n")
+    @pytest.mark.parametrize(
+        "key",
+        # a typo, then settings that are code constants or the --out flag
+        ("bogus", "oracle_start_dim", "tail_tol", "bisect_rel", "regime_ratio",
+         "regime_slack", "out"),
+    )
+    def test_unknown_key_is_hard_error(self, key, tmp_path, capsys):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config(BASE_CFG + f"{key} = 1\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_CFG + f"{key} = 1\n")
+        assert main(["evolve", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -146,7 +157,7 @@ class TestCollapseScan:
         config = parse_config(
             "kind = hyperbolic\nmu = 0.1\nhbar = 0.1\nalpha = 1j\nobservable = x^2\n"
         )
-        result = cmd_collapse_scan(config, (0, 1))
+        result = cmd_collapse_scan(replace(config, ell_max=1))
         by_ell: dict = {}
         for ell, t_ell, k, t, log_mag in result.rows:
             by_ell.setdefault(ell, []).append(log_mag)
@@ -164,19 +175,19 @@ class TestCollapseScan:
         config = parse_config(
             "kind = hyperbolic\nmu = 0.1\nhbar = 0.1\nalpha = 1j\nobservable = x^2\n"
         )
-        rows = cmd_collapse_scan(config, (0, 0)).rows
+        rows = cmd_collapse_scan(replace(config, ell_max=0)).rows
         assert rows[0][1] == pytest.approx(math.pi / (32.0 * 0.1 * 0.1), rel=1e-13)
         config1 = parse_config(
             "kind = hyperbolic\nmu = 0.1\nhbar = 0.1\nalpha = 1j\nobservable = x^1\n"
         )
-        rows1 = cmd_collapse_scan(config1, (0, 0)).rows
+        rows1 = cmd_collapse_scan(replace(config1, ell_max=0)).rows
         assert rows1[0][1] == pytest.approx(math.pi / (16.0 * 0.1 * 0.1), rel=1e-13)
 
     def test_negative_ell_enumerated(self):
         config = parse_config(
             "kind = hyperbolic\nmu = 0.1\nhbar = 0.1\nalpha = 1j\nobservable = x^2\n"
         )
-        rows = cmd_collapse_scan(config, (-1, -1)).rows
+        rows = cmd_collapse_scan(replace(config, ell_min=-1, ell_max=-1)).rows
         assert all(row[1] < 0 for row in rows)
 
     def test_quadratic_limit_rejected(self):
@@ -184,10 +195,20 @@ class TestCollapseScan:
             "kind = hyperbolic\nmu = 0.0\nhbar = 0.1\nalpha = 1j\nobservable = x^2\n"
         )
         with pytest.raises(DomainError):
-            cmd_collapse_scan(config, (0, 1))
+            cmd_collapse_scan(config)
 
 
 class TestEhrenfest:
+    @pytest.mark.parametrize(
+        "model", ("kind = elliptic\nobservable = mono:1,0\n", "observable = x^2\n")
+    )
+    def test_only_hyperbolic_mean_position(self, model, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"mu = 0.05\nalpha = 1.0\n{model}t_max = 6.0\nhbar_list = 1e-2,1e-3\n")
+        assert main(["ehrenfest", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == "cohevol: config error: ehrenfest needs kind = hyperbolic and observable = x^1\n"
+
     def test_quadratic_limit_never_breaks(self):
         config = parse_config(
             "kind = hyperbolic\nmu = 0.0\nhbar = 0.1\nalpha = 1.0\nobservable = x^1\n"

@@ -125,9 +125,7 @@ class TestOperatorGeneration:
 
     def test_degree_cap(self):
         with pytest.raises(DegreeError):
-            generate_operator(
-                WickPolynomial({(5, 4): 1.0, (4, 5): 1.0}, max_degree=12), 0.1
-            )
+            generate_operator(WickPolynomial({(5, 4): 1.0, (4, 5): 1.0}), 0.1)
 
     def test_hbar_powers_recorded(self):
         op = generate_operator(hyperbolic_symbol(HYP), HYP.hbar)
