@@ -92,6 +92,9 @@ def main(argv: "list[str] | None" = None) -> int:
     try:
         config = _apply_overrides(load_config(args.config), args)
         text = _run(args.command, config)
+        if args.out is not None:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
     except _CONFIG_ERRORS as exc:
         print(f"cohevol: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -103,9 +106,6 @@ def main(argv: "list[str] | None" = None) -> int:
         return EXIT_GUARD
     if args.out is None:
         sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
     return EXIT_OK
 
 

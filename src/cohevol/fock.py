@@ -25,9 +25,18 @@ form:
   no rounding either.
 
 Observables ``x^n`` and ``adag^m a^q`` are applied by banded shifts with the
-ladder elements ``sqrt(hbar k)``; no dense operator is formed.  The dense
-literal matrices, assembled from ladder matrices, live in the tests as the
-reference this module is checked against.  Basis sizes above
+ladder elements ``sqrt(hbar k)``; no dense operator is formed.
+
+What does not depend on ``t`` is built once per (state, basis size) and
+kept on the cached representation: its eigensystem and ladder, and, for each
+recent ``alpha``, the coherent vector with its tail-test verdict, its norm
+``|psi_0|`` and its coefficients ``V^T g^* psi_0`` in each sector's
+eigenbasis.  Each time point then computes only the phases, the
+back-transform ``g V (phases * coefficients)``, the unitarity check against
+``|psi_0|`` and the observable.
+
+The dense literal matrices, assembled from ladder matrices, live in the
+tests as the reference this module is checked against.  Basis sizes above
 ``DEFAULT_DIM_CAP`` are refused: the two hyperbolic sectors' eigenvectors
 take ``4 dim^2`` bytes (256 MiB at the cap).
 """
@@ -38,7 +47,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -58,6 +67,7 @@ DEFAULT_DIM_CAP = 8192
 _UNITARITY_TOL = 1e-10
 _I_POWERS = np.array([1, 1j, -1, -1j])
 _TAIL_BLOCK = 64
+_STATES_PER_REPRESENTATION = 4
 
 
 class Sector(NamedTuple):
@@ -77,17 +87,25 @@ class Sector(NamedTuple):
 class FockRepresentation:
     """One model at one basis size.
 
-    The spectral data is computed lazily exactly once (:meth:`eigensystem`).
+    The spectral data (:meth:`eigensystem`) and the ladder are computed lazily
+    exactly once.  ``_states`` holds the time-invariant data of the last few
+    initial states evolved on this basis (see :func:`_initial_state`).
     """
 
     kind: str
     params: SystemParams
     dim: int
     _eig: "tuple[Sector, ...] | None" = field(default=None, repr=False)
+    _states: "dict[bytes, _Initial | None]" = field(default_factory=dict, init=False, repr=False)
 
     @property
     def hbar(self) -> float:
         return self.params.hbar
+
+    @cached_property
+    def _ladder(self) -> np.ndarray:
+        """Ladder elements ``sqrt(hbar k)`` for ``k = 1 .. dim-1``."""
+        return _frozen(np.sqrt(self.hbar * np.arange(1, self.dim)))
 
     def eigensystem(self) -> tuple[Sector, ...]:
         """Spectral data of ``H``, one :class:`Sector` per invariant block."""
@@ -236,24 +254,67 @@ def _real_matmul(matrix: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return out[:, 0] + 1j * out[:, 1]
 
 
-def _propagate(rep: FockRepresentation, vec: np.ndarray, t: float) -> np.ndarray:
-    out = np.empty(rep.dim, dtype=complex)
+class _Initial(NamedTuple):
+    """Time-invariant data of one initial state on one representation."""
+
+    vector: CoherentVector
+    norm: float
+    coeffs: tuple[np.ndarray, ...]  # per sector, the state in its eigenbasis
+
+
+def _prepare(rep: FockRepresentation, vector: CoherentVector) -> _Initial:
+    coeffs = []
     for sector in rep.eigensystem():
-        phases = np.exp(-1j * sector.energies * (t / rep.hbar))
-        part = vec[sector.index]
-        if sector.vectors is None:
-            out[sector.index] = phases * part
+        part = vector.coeffs[sector.index]
+        if sector.vectors is not None:
+            part = _frozen(_real_matmul(sector.vectors.T, sector.gauge.conj() * part))
+        coeffs.append(part)
+    return _Initial(vector, np.linalg.norm(vector.coeffs), tuple(coeffs))
+
+
+def _state_key(alpha: complex) -> bytes:
+    # the exact bits, so that 0.0 and -0.0 stay apart
+    return np.complex128(alpha).tobytes()
+
+
+def _initial_state(rep: FockRepresentation, alpha: complex) -> "_Initial | None":
+    """The coherent state's :class:`_Initial` on ``rep``, ``None`` if its tail fails.
+
+    The tail test is :data:`DEFAULT_TAIL_TOL`.  Built once per ``alpha`` and
+    remembered on ``rep`` for the last ``_STATES_PER_REPRESENTATION`` values.
+    """
+    key = _state_key(alpha)
+    if key not in rep._states:
+        try:
+            vector = coherent_vector(alpha, rep.hbar, rep.dim, tail_tol=DEFAULT_TAIL_TOL)
+        except TailMassError:
+            initial = None
         else:
-            coeffs = _real_matmul(sector.vectors.T, sector.gauge.conj() * part)
+            initial = _prepare(rep, vector)
+        if len(rep._states) >= _STATES_PER_REPRESENTATION:
+            del rep._states[next(iter(rep._states))]
+        rep._states[key] = initial
+    return rep._states[key]
+
+
+def _initial_of(rep: FockRepresentation, v: CoherentVector) -> _Initial:
+    # the remembered data if v is the vector _initial_state built, else fresh
+    known = rep._states.get(_state_key(v.alpha))
+    return known if known is not None and known.vector is v else _prepare(rep, v)
+
+
+def _propagate(rep: FockRepresentation, initial: _Initial, t: float) -> np.ndarray:
+    out = np.empty(rep.dim, dtype=complex)
+    for sector, coeffs in zip(rep.eigensystem(), initial.coeffs):
+        phases = np.exp(-1j * sector.energies * (t / rep.hbar))
+        if sector.vectors is None:
+            out[sector.index] = phases * coeffs
+        else:
             out[sector.index] = sector.gauge * _real_matmul(sector.vectors, phases * coeffs)
-    drift = abs(np.linalg.norm(out) - np.linalg.norm(vec))
+    drift = abs(np.linalg.norm(out) - initial.norm)
     if drift > _UNITARITY_TOL:
         raise ConvergenceError(f"propagator lost unitarity: norm drift {drift:.3e}")
     return out
-
-
-def _ladder(rep: FockRepresentation) -> np.ndarray:
-    return np.sqrt(rep.hbar * np.arange(1, rep.dim))
 
 
 def _apply_x(state: np.ndarray, half_ladder: np.ndarray) -> np.ndarray:
@@ -278,8 +339,8 @@ def propagate_expectation(
         raise DomainError("representation and state must share dim and hbar")
     if obs_power < 1:
         raise DomainError("obs_power must be >= 1")
-    state = _propagate(rep, v.coeffs, t)
-    half_ladder = _ladder(rep) * math.sqrt(0.5)
+    state = _propagate(rep, _initial_of(rep, v), t)
+    half_ladder = rep._ladder * math.sqrt(0.5)
     for _ in range(obs_power // 2):
         state = _apply_x(state, half_ladder)
     other = _apply_x(state, half_ladder) if obs_power % 2 else state
@@ -296,11 +357,11 @@ def monomial_expectation(
     """
     if rep.dim != v.dim or rep.hbar != v.hbar:
         raise DomainError("representation and state must share dim and hbar")
-    lowered = [_propagate(rep, v.coeffs, t)]
+    lowered = [_propagate(rep, _initial_of(rep, v), t)]
     size = rep.dim - max(m, q)
     if size <= 0:
         return 0j  # a^j vanishes on the truncated basis for j >= dim
-    ladder = _ladder(rep)
+    ladder = rep._ladder
     for _ in range(max(m, q)):
         state = lowered[-1]
         lowered.append(ladder[: len(state) - 1] * state[1:])
@@ -314,12 +375,15 @@ def _expectation(
     obs: "int | tuple[int, int]",
     t: float,
     dim: int,
-) -> complex:
+) -> "complex | None":
+    # None when the coherent state fails the tail test at this basis size
     rep = build_hamiltonian(kind, params, dim)
-    vec = coherent_vector(alpha, params.hbar, dim, tail_tol=DEFAULT_TAIL_TOL)
+    initial = _initial_state(rep, alpha)
+    if initial is None:
+        return None
     if isinstance(obs, tuple):
-        return monomial_expectation(rep, vec, obs[0], obs[1], t)
-    return propagate_expectation(rep, vec, obs, t)
+        return monomial_expectation(rep, initial.vector, obs[0], obs[1], t)
+    return propagate_expectation(rep, initial.vector, obs, t)
 
 
 def _observable_scale(params: SystemParams, obs: "int | tuple[int, int]") -> float:
@@ -351,24 +415,33 @@ def oracle_average(
     ------
     ConvergenceError
         If the doubling schedule reaches ``dim_cap`` without stabilizing
-        (expected near collapse times, where no truncation suffices).
+        (expected near collapse times, where no truncation suffices).  The
+        message names the largest basis size evaluated and its last
+        relative change.
     """
     dim = DEFAULT_START_DIM
-    previous = None
+    previous = delta = tried = None
     floor = _observable_scale(params, obs)
     while dim <= dim_cap:
-        try:
-            value = _expectation(kind, params, alpha, obs, t, dim)
-        except TailMassError:
-            dim *= 2
-            continue
-        if previous is not None:
-            delta = abs(value - previous) / (abs(value) + floor)
-            if delta < tol:
-                return value
-        previous = value
+        value = _expectation(kind, params, alpha, obs, t, dim)
+        if value is not None:
+            if previous is not None:
+                delta = abs(value - previous) / (abs(value) + floor)
+                if delta < tol:
+                    return value
+            previous, tried = value, dim
         dim *= 2
-    raise ConvergenceError(
-        f"no stabilization by dim {dim_cap} for t={t} (last delta at cap; "
-        "the state may have outgrown every allowed truncation)"
-    )
+    if tried is None:
+        reason = f"no basis size up to dim_cap {dim_cap} passed the tail test"
+    elif delta is None:
+        reason = (
+            f"only dim {tried} passed the tail test up to dim_cap {dim_cap}, "
+            "so there is no change to measure"
+        )
+    else:
+        reason = (
+            f"dim {tried}, the largest basis tried (dim_cap {dim_cap}), still changed the "
+            f"value by a relative {delta:.3e} against tol {tol:g}; the state may have "
+            "outgrown every allowed truncation"
+        )
+    raise ConvergenceError(f"no stabilization for t={t}: {reason}")

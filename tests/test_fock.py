@@ -26,7 +26,8 @@ from cohevol import (
     propagate_expectation,
 )
 from cohevol.cli import main
-from cohevol.fock import DEFAULT_DIM_CAP, _propagate
+import cohevol.fock as fock
+from cohevol.fock import DEFAULT_DIM_CAP, DEFAULT_TAIL_TOL, _prepare, _propagate
 
 HYP = make_hyperbolic_params(1.0, 0.1, 0.05)
 ELL = SystemParams(1.0, 0.05, 0.1)
@@ -218,7 +219,7 @@ class TestPropagation:
         rep = build_hamiltonian("hyperbolic", HYP, 256)
         v = coherent_vector(0.5 + 0.3j, HYP.hbar, 256)
         for t in (0.1, 0.8, 2.0):
-            out = _propagate(rep, v.coeffs, t)
+            out = _propagate(rep, _prepare(rep, v), t)
             assert abs(np.linalg.norm(out) - np.linalg.norm(v.coeffs)) <= 1e-12
 
     def test_initial_mean_position(self):
@@ -257,7 +258,7 @@ class TestPropagation:
         v = coherent_vector(0.5 + 0.3j, HYP.hbar, dim)
         values = []
         for t in (0.0, 0.3, 0.6):
-            state = _propagate(rep, v.coeffs, t)
+            state = _propagate(rep, _prepare(rep, v), t)
             values.append(complex(np.vdot(state, sym @ state)))
         for value in values[1:]:
             assert abs(value - values[0]) <= 1e-9
@@ -302,7 +303,7 @@ class TestDenseReference:
         v = coherent_vector(0.5 + 0.3j, params.hbar, dim)
         for t in (0.0, 0.3, 0.7):
             dense = _dense_state(rep, v.coeffs, t)
-            assert np.max(np.abs(_propagate(rep, v.coeffs, t) - dense)) <= 1e-12
+            assert np.max(np.abs(_propagate(rep, _prepare(rep, v), t) - dense)) <= 1e-12
             for n in (1, 2, 3, 4):
                 ref = _dense_x_power(rep, dense, n)
                 value = propagate_expectation(rep, v, n, t)
@@ -337,7 +338,7 @@ class TestDenseReference:
         for kind in ("hyperbolic", "elliptic"):
             rep = build_hamiltonian(kind, params, dim)
             dense = _dense_state(rep, v.coeffs, t)
-            assert np.linalg.norm(_propagate(rep, v.coeffs, t) - dense) <= 1e-10 * norm
+            assert np.linalg.norm(_propagate(rep, _prepare(rep, v), t) - dense) <= 1e-10 * norm
             x_norm = np.linalg.norm(dense_x_op(rep), 2)
             for n in (1, 2, 3, 4):
                 ref = _dense_x_power(rep, dense, n)
@@ -377,3 +378,96 @@ class TestUnitarityDrift:
         )
         assert main(["compare", "--config", str(cfg)]) == 3
         assert "unitarity" in capsys.readouterr().err
+
+
+def _oracle_from_scratch(kind, params, alpha, obs, t, tol=1e-6):
+    """The doubling protocol on a fresh coherent vector at every basis size."""
+    degree = sum(obs) if isinstance(obs, tuple) else obs
+    floor = params.hbar ** (degree / 2.0)
+    previous, dim = None, 64
+    while dim <= DEFAULT_DIM_CAP:
+        try:
+            vec = coherent_vector(alpha, params.hbar, dim, tail_tol=DEFAULT_TAIL_TOL)
+        except TailMassError:
+            dim *= 2
+            continue
+        rep = build_hamiltonian(kind, params, dim)
+        if isinstance(obs, tuple):
+            value = monomial_expectation(rep, vec, obs[0], obs[1], t)
+        else:
+            value = propagate_expectation(rep, vec, obs, t)
+        if previous is not None and abs(value - previous) / (abs(value) + floor) < tol:
+            return value
+        previous, dim = value, 2 * dim
+    raise AssertionError("the reference did not converge")
+
+
+class TestStateReuse:
+    """The data an oracle job remembers per state changes no bit of its values."""
+
+    @pytest.fixture
+    def coherent_builds(self, monkeypatch):
+        # fresh representations; counts only the oracle's builds (the
+        # reference calls the unpatched function imported above)
+        fock._cached_representation.cache_clear()
+        builds = []
+        coherent = fock.coherent_vector
+
+        def counted(alpha, hbar, dim, *args, **kwargs):
+            builds.append((complex(alpha), hbar, dim))
+            return coherent(alpha, hbar, dim, *args, **kwargs)
+
+        monkeypatch.setattr(fock, "coherent_vector", counted)
+        return builds
+
+    @pytest.mark.parametrize("kind,obs", (
+        ("hyperbolic", 1), ("hyperbolic", 2), ("elliptic", (1, 0)), ("elliptic", (2, 1)),
+    ), ids=("hyperbolic-x1", "hyperbolic-x2", "elliptic-mono10", "elliptic-mono21"))
+    def test_equals_a_fresh_evaluation(self, coherent_builds, kind, obs):
+        make = make_hyperbolic_params if kind == "hyperbolic" else SystemParams
+        params = {hbar: make(1.0, 0.05, hbar) for hbar in (0.1, 0.2)}
+        # alpha 2.0 fails the tail test at dim 64 for hbar 0.1 (nbar 40); the
+        # times keep every basis size used within the 8 cached representations
+        alphas = (0.5 + 0.3j, 2.0)
+        for t in (0.05, 0.1, 0.05):
+            for hbar, alpha in ((0.1, 0), (0.1, 1), (0.2, 0), (0.1, 0), (0.2, 1), (0.1, 1)):
+                p, a = params[hbar], alphas[alpha]
+                value = oracle_average(kind, p, a, obs, t)
+                assert value == _oracle_from_scratch(kind, p, a, obs, t)
+        assert len(coherent_builds) == len(set(coherent_builds))
+        with pytest.raises(TailMassError):
+            coherent_vector(2.0, 0.1, 64, tail_tol=DEFAULT_TAIL_TOL)
+        assert coherent_builds.count((2.0, 0.1, 64)) == 1
+
+    def test_memo_is_bounded(self, coherent_builds):
+        args = ("elliptic", ELL)
+        alphas = [0.2 * k + 0.1j for k in range(1, 2 * fock._STATES_PER_REPRESENTATION + 1)]
+        for alpha in alphas + alphas[:1]:
+            value = oracle_average(*args, alpha, (1, 0), 0.4)
+            assert value == _oracle_from_scratch(*args, alpha, (1, 0), 0.4)
+        for dim in (64, 128):
+            rep = build_hamiltonian(*args, dim)
+            assert len(rep._states) == fock._STATES_PER_REPRESENTATION
+        # the first alpha was evicted and built again
+        assert coherent_builds.count((alphas[0], ELL.hbar, 64)) == 2
+
+
+class TestConvergenceMessage:
+    PARAMS = make_hyperbolic_params(1.0, 0.1, 0.1)
+    T = 25.0 * math.pi / 8.0 * (1.0 - 1e-2)  # criterion 05's point nearest collapse
+
+    def test_names_the_largest_basis_and_its_delta(self):
+        with pytest.raises(ConvergenceError) as info:
+            oracle_average("hyperbolic", self.PARAMS, 1j, 2, self.T, tol=1e-6, dim_cap=1000)
+        message = str(info.value)
+        assert "dim 512, the largest basis tried (dim_cap 1000)" in message
+        delta = float(message.split("by a relative ")[1].split()[0])
+        assert 1e-6 < delta < math.inf
+
+    def test_single_basis_has_no_delta(self):
+        with pytest.raises(ConvergenceError, match="only dim 64 passed the tail test"):
+            oracle_average("hyperbolic", self.PARAMS, 1j, 2, self.T, dim_cap=64)
+
+    def test_no_basis_passes_the_tail_test(self):
+        with pytest.raises(ConvergenceError, match="no basis size up to dim_cap 128 passed"):
+            oracle_average("elliptic", ELL, 4.0, (1, 0), 0.5, dim_cap=128)

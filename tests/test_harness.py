@@ -2,11 +2,13 @@
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 import cohevol.closedform as closedform
 import cohevol.core as core
+import cohevol.fock as fock
 import cohevol.harness as harness
 from cohevol import (
     ConfigError,
@@ -26,6 +28,7 @@ from cohevol import (
 from cohevol.cli import main
 from cohevol.harness import TableResult, render, render_csv, render_json
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 COMMANDS = ("evolve", "compare", "collapse-scan", "ehrenfest", "dispersion-regimes")
 
 BASE_CFG = """
@@ -317,6 +320,15 @@ class TestWritersAndCli:
         assert main(["evolve", "--config", str(cfg), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_cli_unwritable_out_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_CFG)
+        out = tmp_path / "no_such_dir" / "x.csv"
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cohevol: config error:") and err.count("\n") == 1
+        assert not out.parent.exists()
+
     def test_cli_unknown_key_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("kind = hyperbolic\nwhoops = 1\n")
@@ -596,3 +608,55 @@ class TestEvaluateOnce:
         fit, _ = cmd_ehrenfest(config, (1e-2, 1e-3))
         assert fit.breakdown_times == fit.relative_times == (None, None)
         assert [calls.count(h) for h in (1e-2, 1e-3)] == [200, 200]
+
+    @pytest.fixture
+    def oracle_calls(self, monkeypatch):
+        # fresh representations, so that states built by earlier tests do not hide builds
+        fock._cached_representation.cache_clear()
+        calls = {"coherent": [], "expectation": []}
+        coherent = fock.coherent_vector
+        propagate, monomial = fock.propagate_expectation, fock.monomial_expectation
+
+        def counted_coherent(alpha, hbar, dim, *args, **kwargs):
+            calls["coherent"].append((complex(alpha), hbar, dim))
+            return coherent(alpha, hbar, dim, *args, **kwargs)
+
+        def counted_propagate(rep, v, obs_power, t):
+            calls["expectation"].append((rep.dim, t))
+            return propagate(rep, v, obs_power, t)
+
+        def counted_monomial(rep, v, m, q, t):
+            calls["expectation"].append((rep.dim, t))
+            return monomial(rep, v, m, q, t)
+
+        monkeypatch.setattr(fock, "coherent_vector", counted_coherent)
+        monkeypatch.setattr(fock, "propagate_expectation", counted_propagate)
+        monkeypatch.setattr(fock, "monomial_expectation", counted_monomial)
+        return calls
+
+    @pytest.mark.parametrize("command,text,points,skipped", (
+        # nbar = 40: the dim-64 basis fails the tail test at every point
+        (
+            "evolve",
+            "kind = elliptic\nmu = 0.05\nhbar = 0.1\nalpha = 2.0\nobservable = mono:1,0\n"
+            "t_min = 0.0\nt_max = 2.0\npoints = 60\n",
+            60,
+            {64},
+        ),
+        ("compare", (CONFIGS / "compare.cfg").read_text(), 7, set()),
+    ), ids=("elliptic-evolve", "hyperbolic-compare"))
+    def test_oracle_builds_each_state_once(
+        self, oracle_calls, tmp_path, command, text, points, skipped
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out.csv")]
+        assert main(argv + (["--oracle", "on"] if command == "evolve" else [])) == 0
+        builds, expectations = oracle_calls["coherent"], oracle_calls["expectation"]
+        # one coherent vector per (alpha, hbar, basis size), a failed tail test included
+        assert len(builds) == len(set(builds))
+        assert {dim for _, _, dim in builds} >= skipped | {64, 128}
+        # one expectation per basis size per point, none at a skipped size
+        assert len(expectations) == len(set(expectations))
+        assert len({t for _, t in expectations}) == points
+        assert {dim for dim, _ in expectations} == {dim for _, _, dim in builds} - skipped
