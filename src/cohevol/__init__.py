@@ -5,7 +5,14 @@ a quartic squeezing model with a hyperbolic fixed point, an independent
 truncated-basis simulator that validates every formula, a finite-difference
 residual checker for the phase-space evolution equations, and a sweep/export
 command line front end.
+
+The truncated-basis simulator (``cohevol.fock``) is the only part that needs
+numpy and scipy.  Its seven names here (``_FOCK_NAMES``) are imported on first
+use, so importing the package and running the closed-form commands loads
+neither.
 """
+
+import importlib
 
 from .core import (
     CollapseProximity,
@@ -47,15 +54,6 @@ from .closedform import (
     hyperbolic_xn_paths,
     scaling_transform_check,
 )
-from .fock import (
-    CoherentVector,
-    FockRepresentation,
-    build_hamiltonian,
-    coherent_vector,
-    monomial_expectation,
-    oracle_average,
-    propagate_expectation,
-)
 from .residual import (
     EvolutionOperator,
     OperatorTerm,
@@ -80,3 +78,23 @@ from .harness import (
 )
 
 __version__ = "0.1.0"
+
+_FOCK_NAMES = (
+    "CoherentVector",
+    "FockRepresentation",
+    "build_hamiltonian",
+    "coherent_vector",
+    "monomial_expectation",
+    "oracle_average",
+    "propagate_expectation",
+)
+
+
+def __getattr__(name: str):
+    if name in _FOCK_NAMES:
+        return getattr(importlib.import_module(".fock", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_FOCK_NAMES})

@@ -18,8 +18,9 @@ Gaussian representation with principal square roots (its argument has
 positive real part away from collapse, so no tracking is needed there) and a
 scaled three-term moment recursion.
 
-The classical and elliptic evaluators raise :class:`DomainError` for a value
-that overflows float64, never returning ``inf``/``nan``.
+The classical and elliptic evaluators raise :class:`FloatRangeError` (a
+:class:`DomainError`) for a value that overflows float64, never returning
+``inf``/``nan``.
 """
 
 from __future__ import annotations
@@ -48,17 +49,21 @@ _MAX_XN_ORDER = 20
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
+class FloatRangeError(DomainError):
+    """A classical or elliptic average that overflows float64."""
+
+
 def _within_float_range(evaluate):
-    """Map a result that overflows float64 (OverflowError, inf or nan) to DomainError."""
+    """Map a result that overflows float64 (OverflowError, inf or nan) to FloatRangeError."""
 
     @functools.wraps(evaluate)
     def checked(*args, **kwargs) -> complex:
         try:
             value = evaluate(*args, **kwargs)
         except OverflowError as exc:
-            raise DomainError(f"{evaluate.__name__} overflows float64 ({exc})") from None
+            raise FloatRangeError(f"{evaluate.__name__} overflows float64 ({exc})") from None
         if not cmath.isfinite(value):
-            raise DomainError(f"{evaluate.__name__} is not finite (got {value!r})")
+            raise FloatRangeError(f"{evaluate.__name__} is not finite (got {value!r})")
         return value
 
     return checked

@@ -11,6 +11,9 @@ from dataclasses import dataclass
 from typing import Mapping, Union
 
 DEFAULT_MAX_DEGREE = 8
+# Largest basis the truncated-basis oracle builds (see ``cohevol.fock``).  It
+# lives here so that a run config can default to it without importing numpy.
+DEFAULT_DIM_CAP = 8192
 
 
 # ---------------------------------------------------------------------------

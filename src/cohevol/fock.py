@@ -22,7 +22,8 @@ form:
   representation with ``scipy.linalg.eigh_tridiagonal`` (MRRR); the energies
   are ``w s - mu s^2`` for the eigenvalues ``s`` of ``S``.  Inside a sector
   the gauge reduces to ``i^j`` (a constant sector phase cancels), so it adds
-  no rounding either.
+  no rounding either.  scipy is imported at the first hyperbolic eigensolve,
+  so an elliptic run never loads it.
 
 Observables ``x^n`` and ``adag^m a^q`` are applied by banded shifts with the
 ladder elements ``sqrt(hbar k)``; no dense operator is formed.
@@ -34,6 +35,11 @@ recent ``alpha``, the coherent vector with its tail-test verdict, its norm
 eigenbasis.  Each time point then computes only the phases, the
 back-transform ``g V (phases * coefficients)``, the unitarity check against
 ``|psi_0|`` and the observable.
+
+numpy loads with this module, and no other module of the package imports
+numpy or scipy.  The package imports this module when one of its oracle
+names is first used, and the harness at its first oracle call, so the
+closed-form commands start without either.
 
 The dense literal matrices, assembled from ladder matrices, live in the
 tests as the reference this module is checked against.  Basis sizes above
@@ -51,9 +57,9 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
+    DEFAULT_DIM_CAP,
     ConvergenceError,
     DimensionError,
     DomainError,
@@ -63,7 +69,6 @@ from .core import (
 
 DEFAULT_TAIL_TOL = 1e-14
 DEFAULT_START_DIM = 64
-DEFAULT_DIM_CAP = 8192
 _UNITARITY_TOL = 1e-10
 _I_POWERS = np.array([1, 1j, -1, -1j])
 _TAIL_BLOCK = 64
@@ -130,6 +135,8 @@ def _elliptic_sectors(params: SystemParams, dim: int) -> tuple[Sector, ...]:
 
 
 def _hyperbolic_sectors(params: SystemParams, dim: int) -> tuple[Sector, ...]:
+    import scipy.linalg  # here, not at module level: elliptic runs never need it
+
     sectors = []
     for parity in (0, 1):
         k = np.arange(parity, dim - 2, 2, dtype=float)

@@ -17,6 +17,7 @@ from typing import Optional
 
 from .closedform import (
     DEFAULT_GUARD,
+    FloatRangeError,
     classify_dispersion_regime,
     dispersion_approx,
     dispersion_exact,
@@ -27,6 +28,7 @@ from .closedform import (
     hyperbolic_xn_log10_magnitude,
 )
 from .core import (
+    DEFAULT_DIM_CAP,
     CollapseProximity,
     ConfigError,
     DomainError,
@@ -36,7 +38,6 @@ from .core import (
     XPower,
     make_hyperbolic_params,
 )
-from .fock import DEFAULT_DIM_CAP, oracle_average
 
 APPROACH_EXPONENTS = (2, 3, 4, 5, 6)  # distances t_ell * 10^-k for collapse scans
 _BISECT_REL = 1e-4  # breakdown crossings are bisected to this share of their grid interval
@@ -217,11 +218,30 @@ def _evaluators(config: RunConfig) -> dict:
     return {"closed": closed, "classical": classical, "oracle": oracle}
 
 
+def oracle_average(*args, **kwargs) -> complex:
+    """:func:`cohevol.fock.oracle_average`; numpy loads at the first call.
+
+    Looked up in this module's namespace by :func:`_evaluators`, so a caller
+    may replace it; ``fock.oracle_average`` itself is looked up at each call.
+    """
+    from . import fock
+
+    return fock.oracle_average(*args, **kwargs)
+
+
 def _guarded(closed, t: float) -> "complex | None":
     """Closed-form value at t, or None where the collapse guard declines it."""
     try:
         return closed(t)
     except CollapseProximity:
+        return None
+
+
+def _finite(classical, t: float) -> "complex | None":
+    """Classical value at t, or None where it leaves the float64 range."""
+    try:
+        return classical(t)
+    except FloatRangeError:
         return None
 
 
@@ -244,7 +264,8 @@ def cmd_evolve(config: RunConfig) -> TableResult:
     The closed form is evaluated once per point; that one value fills the
     ``closed`` column and its collapse verdict flags the row in every column.
     Only ``x^N`` rows can be flagged, so an elliptic run evaluates the closed
-    form only when ``closed`` is a source.
+    form only when ``closed`` is a source.  A classical value beyond the
+    float64 range leaves its two cells empty and its row unflagged.
     """
     grid = config.time_grid()
     evaluate = _evaluators(config)
@@ -262,9 +283,12 @@ def cmd_evolve(config: RunConfig) -> TableResult:
             if flagged:
                 rows.append((t, None, None, name, 1))
                 continue
-            if name != "closed":
+            if name == "classical":
+                value = _finite(evaluate[name], t)
+            elif name == "oracle":
                 value = evaluate[name](t)
-            rows.append((t, value.real, value.imag, name, 0))
+            cells = (None, None) if value is None else (value.real, value.imag)
+            rows.append((t, *cells, name, 0))
     return TableResult(
         columns=("t", "re(f)", "im(f)", "source", "collapse_flag"),
         rows=tuple(rows),

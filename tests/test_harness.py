@@ -447,7 +447,7 @@ BEYOND_FLOAT_RANGE = {
         lambda: hyperbolic_classical_xn(3, OVERFLOW_502[1], OVERFLOW_502[0], 57.0),
         "kind = hyperbolic\nmu = 0.07191055727820078\nhbar = 0.07017478951319374\n"
         "alpha = 1.331438709218367-1.480717736140777j\nobservable = x^3\n"
-        "t_min = 56.0\nt_max = 57.0\npoints = 2\nsources = closed,classical\n",
+        "t_min = 55.0\nt_max = 57.0\npoints = 2\nsources = closed,classical\n",
     ),
     "elliptic-overflow": (
         lambda: elliptic_quantum_average(1, 0, 1e200, ELL, 0.5),
@@ -464,8 +464,15 @@ BEYOND_FLOAT_RANGE = {
 }
 
 
+CLASSICAL_CASES = ("classical-xn", "elliptic-classical-inf-nan")
+
+
 class TestFloatRange:
-    """Averages beyond float64 raise DomainError (exit 2), never a traceback or a nan cell."""
+    """Averages beyond float64 raise DomainError, never a traceback or a nan cell.
+
+    A quantum average beyond float64 fails the run (exit 2); a classical one
+    leaves its ``evolve`` cells empty and the run goes on.
+    """
 
     @pytest.mark.parametrize("case", sorted(BEYOND_FLOAT_RANGE))
     def test_library_raises_domain_error(self, case):
@@ -473,7 +480,7 @@ class TestFloatRange:
         with pytest.raises(DomainError, match="float64|not finite"):
             evaluate()
 
-    @pytest.mark.parametrize("case", sorted(BEYOND_FLOAT_RANGE))
+    @pytest.mark.parametrize("case", sorted(set(BEYOND_FLOAT_RANGE) - set(CLASSICAL_CASES)))
     def test_cli_exit_code(self, case, tmp_path, capsys):
         _, text = BEYOND_FLOAT_RANGE[case]
         cfg = tmp_path / "run.cfg"
@@ -484,6 +491,34 @@ class TestFloatRange:
         assert captured.err.startswith("cohevol: config error: ")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("case", CLASSICAL_CASES)
+    @pytest.mark.parametrize("fmt", ("csv", "json"))
+    def test_cli_classical_overflow_leaves_cells_empty(self, case, fmt, tmp_path, capsys):
+        _, text = BEYOND_FLOAT_RANGE[case]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert main(["evolve", "--config", str(cfg), "--format", fmt]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        config = replace(parse_config(text), format=fmt)
+        result = cmd_evolve(config)
+        assert captured.out == render(result, config, "evolve")
+        classical, flags = _column(result, "classical")
+        assert not any(flags)
+        if case == "classical-xn":
+            # finite at t = 55, beyond float64 at t = 57, where the closed form is 1.1e173
+            params, alpha = OVERFLOW_502
+            closed, closed_flags = _column(result, "closed")
+            assert not any(closed_flags)
+            assert closed == [
+                closedform.hyperbolic_xn_average(3, alpha, params, t) for t in (55.0, 57.0)
+            ]
+            assert classical == [hyperbolic_classical_xn(3, alpha, params, 55.0), None]
+        else:
+            assert classical == [None, None]
+        null_row = ",,,classical,0\n" if fmt == "csv" else ',null,null,"classical",0]'
+        assert null_row in captured.out
 
     def test_quantum_average_still_finite_at_classical_overflow(self):
         params, alpha = OVERFLOW_502
