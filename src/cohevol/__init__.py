@@ -36,9 +36,7 @@ from .core import (
     make_hyperbolic_params,
 )
 from .closedform import (
-    BranchedValue,
     DispersionRegime,
-    branch_factor,
     check_collapse_guard,
     classify_dispersion_regime,
     collapse_spacing,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -63,6 +64,8 @@ def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
     if args.format is not None:
         config = replace(config, format=args.format)
     if args.guard is not None:
+        if not math.isfinite(args.guard):
+            raise ConfigError(f"--guard must be finite, got {args.guard!r}")
         config = replace(config, guard=args.guard)
     if args.oracle == "on" and "oracle" not in config.sources:
         config = replace(config, sources=config.sources + ("oracle",))

@@ -9,14 +9,14 @@ value is representable.  For collapse scans the log-magnitude evaluator never
 forms the value at all.
 
 Every fractional power of ``cos(8 n mu hbar t)`` is realized through integer
-powers of the tracked branch value, never via a principal power of a
-negative real; the closed form and ``branch_factor`` share that one branch
-computation (``_tracked_branch``).  Each closed-form call builds its pieces
-(exponent, branch, series) once and feeds them to both the float-range check
-and the value.  The independent cross-check path evaluates the pre-integral
-Gaussian representation with principal square roots (its argument has
-positive real part away from collapse, so no tracking is needed there) and a
-scaled three-term moment recursion.
+powers of the tracked branch value (``_tracked_branch``), never via a
+principal power of a negative real.  Each closed-form call runs its checks
+and builds its pieces (exponent, branch, series, route) once, and feeds them
+to the float-range check, the route choice and the value.  The independent
+cross-check path evaluates the pre-integral Gaussian representation with
+principal square roots (its argument has positive real part away from
+collapse, so no tracking is needed there) and a scaled three-term moment
+recursion.
 
 The classical and elliptic evaluators raise :class:`FloatRangeError` (a
 :class:`DomainError`) for a value that overflows float64, never returning
@@ -29,7 +29,6 @@ import cmath
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -128,21 +127,6 @@ def check_collapse_guard(
 # Branch tracking
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BranchedValue:
-    """Magnitude and accumulated quarter-turn count of the tracked square root.
-
-    ``value = magnitude * i^phase_index`` equals
-    ``exp(4 i mu hbar t n) / sqrt(1 + exp(16 i mu hbar t n))`` on the branch
-    with positive real part of the square root, continuous on each open
-    interval between collapse times.
-    """
-
-    magnitude: float
-    phase_index: int
-    value: complex
-
-
 def _tracked_branch(phi: float) -> tuple[int, float, float]:
     """``(k, bsq, mag)`` of the tracked root ``b = mag * i^k`` of ``1/(2 cos phi)``.
 
@@ -154,22 +138,6 @@ def _tracked_branch(phi: float) -> tuple[int, float, float]:
     k = math.floor(0.5 + phi / math.pi)
     bsq = 0.5 / math.cos(phi)
     return k, bsq, math.sqrt(abs(bsq))
-
-
-def branch_factor(
-    n: int, params: SystemParams, t: float, guard: float = DEFAULT_GUARD
-) -> BranchedValue:
-    """Tracked value of ``1/sqrt(2 cos(8 mu n hbar t))``.
-
-    Computed as ``(2|cos|)^(-1/2) * i^k`` with ``k = floor(1/2 + 8 mu n hbar
-    t / pi)``: each collapse time crossed left to right advances the phase by
-    a quarter turn.
-    """
-    check_collapse_guard(n, params, t, guard)
-    k, _, magnitude = _tracked_branch(8.0 * n * params.mu * params.hbar * t)
-    return BranchedValue(
-        magnitude=magnitude, phase_index=k, value=magnitude * _I_POW[k % 4]
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +192,12 @@ def _check_xn_order(n: int) -> None:
 
 def _xn_closed_pieces(
     n: int, alpha: complex, params: SystemParams, t: float
-) -> tuple[float, float, int, complex]:
-    """Shared pieces ``(exponent, magnitude, phase_index, series_sum)``.
+) -> tuple[float, float, int, complex, bool]:
+    """Shared pieces ``(exponent, magnitude, phase_index, series_sum, closed_route)``.
 
     The full average is
     ``exp(exponent) * 2^((n+1)/2) mag^(n+1) i^(k(n+1)) * series_sum``.
+    ``closed_route`` is ``cos(8 n mu hbar t) > 0``, read off the sign of ``b^2``.
     """
     a = complex(alpha)
     phi = 8.0 * n * params.mu * params.hbar * t
@@ -248,10 +217,11 @@ def _xn_closed_pieces(
         series += (
             coef * params.hbar**j * xb_mag**power * _I_POW[(k * power) % 4]
         )
-    return exponent, mag, k, series
+    return exponent, mag, k, series, bsq > 0.0
 
 
-def _log10_magnitude(n: int, exponent: float, mag: float, series: complex) -> float:
+def _log10_magnitude(n: int, pieces: tuple) -> float:
+    exponent, mag, _, series, _ = pieces
     if series == 0:
         return -math.inf
     return (
@@ -261,22 +231,8 @@ def _log10_magnitude(n: int, exponent: float, mag: float, series: complex) -> fl
     )
 
 
-def _check_representable(n: int, pieces: tuple, t: float) -> None:
-    # The magnitude blows up double-exponentially on the approach to a
-    # collapse time and leaves float64 range long before the guard band;
-    # treat that overflow zone as collapse proximity (log-scale evaluation
-    # stays available arbitrarily close).
-    exponent, mag, _, series = pieces
-    log10_mag = _log10_magnitude(n, exponent, mag, series)
-    if log10_mag > 307.0:
-        raise CollapseProximity(
-            f"|<x^{n}>| ~ 1e{log10_mag:.0f} exceeds float64 range at t={t}; "
-            "use hyperbolic_xn_log10_magnitude for near-collapse scans"
-        )
-
-
 def _xn_closed_value(n: int, pieces: tuple) -> complex:
-    exponent, mag, k, series = pieces
+    exponent, mag, k, series, _ = pieces
     prefactor = 2.0 ** ((n + 1) / 2.0) * mag ** (n + 1) * _I_POW[(k * (n + 1)) % 4]
     if exponent <= _LOG_FLOAT_MAX:
         value = cmath.exp(exponent) * prefactor * series
@@ -327,15 +283,31 @@ def _xn_integral_value(n: int, alpha: complex, params: SystemParams, t: float) -
     return cmath.sqrt(2.0 / w) * cmath.exp(exponent) * ratios[n]
 
 
-def _representable_pieces(
+def _guarded_pieces(
     n: int, alpha: complex, params: SystemParams, t: float, guard: float
-) -> tuple[float, float, int, complex]:
-    """Validated closed-form pieces, built once for every check and route."""
+) -> tuple[float, float, int, complex, bool]:
+    """Closed-form pieces after the order, model and collapse-guard checks."""
     _check_xn_order(n)
     params.require_hyperbolic()
     check_collapse_guard(n, params, t, guard)
-    pieces = _xn_closed_pieces(n, alpha, params, t)
-    _check_representable(n, pieces, t)
+    return _xn_closed_pieces(n, alpha, params, t)
+
+
+def _representable_pieces(
+    n: int, alpha: complex, params: SystemParams, t: float, guard: float
+) -> tuple[float, float, int, complex, bool]:
+    """Guarded pieces whose value fits float64, built once for every route."""
+    pieces = _guarded_pieces(n, alpha, params, t, guard)
+    # The magnitude blows up double-exponentially on the approach to a
+    # collapse time and leaves float64 range long before the guard band;
+    # treat that overflow zone as collapse proximity (log-scale evaluation
+    # stays available arbitrarily close).
+    log10_mag = _log10_magnitude(n, pieces)
+    if log10_mag > 307.0:
+        raise CollapseProximity(
+            f"|<x^{n}>| ~ 1e{log10_mag:.0f} exceeds float64 range at t={t}; "
+            "use hyperbolic_xn_log10_magnitude for near-collapse scans"
+        )
     return pieces
 
 
@@ -361,7 +333,7 @@ def hyperbolic_xn_average(
         If the parameters are not hyperbolic-capable or ``n`` is out of range.
     """
     pieces = _representable_pieces(n, alpha, params, t, guard)
-    if math.cos(8.0 * n * params.mu * params.hbar * t) > 0.0:
+    if pieces[-1]:  # closed_route: cos(8 n mu hbar t) > 0
         return _xn_closed_value(n, pieces)
     return _xn_integral_value(n, alpha, params, t)
 
@@ -391,11 +363,7 @@ def hyperbolic_xn_log10_magnitude(
     logarithm is perfectly representable; approach sequences are therefore
     reported in log scale.
     """
-    _check_xn_order(n)
-    params.require_hyperbolic()
-    check_collapse_guard(n, params, t, guard)
-    exponent, mag, _, series = _xn_closed_pieces(n, alpha, params, t)
-    return _log10_magnitude(n, exponent, mag, series)
+    return _log10_magnitude(n, _guarded_pieces(n, alpha, params, t, guard))
 
 
 @_within_float_range
@@ -436,13 +404,28 @@ class DispersionRegime(Enum):
     CROSSOVER = "crossover"
 
 
-def _regime_measures(
-    alpha: complex, params: SystemParams, t: float
-) -> tuple[float, float, float, float]:
+def _regime_sets(
+    alpha: complex, params: SystemParams, t: float, ratio: float, slack: float
+) -> dict[DispersionRegime, bool]:
+    """Whether each regime's inequality set holds, in precedence order.
+
+    ``a << b`` is read as ``a * (ratio / slack) <= b``, and the crossover band
+    is widened by ``slack`` on both sides.
+    """
     mod2 = abs(complex(alpha)) ** 2
     u = abs(params.mu * params.hbar * t)
     growth = params.mu**2 * params.hbar * t * t
-    return u, mod2, growth * math.sqrt(mod2), growth * mod2
+    lin, quad = growth * math.sqrt(mod2), growth * mod2
+    eff = ratio / slack
+    low, high = _CROSSOVER_BAND[0] / slack, _CROSSOVER_BAND[1] * slack
+    common = u * eff <= 1.0 and mod2 >= eff * params.hbar
+    return {
+        DispersionRegime.CROSSOVER: common and low <= 64.0 * quad <= high,
+        DispersionRegime.EXPONENTIAL_DOMINATED: common and quad >= eff,
+        DispersionRegime.SMALL_CORRECTION: common
+        and lin * eff <= 1.0
+        and 64.0 * quad < _CROSSOVER_BAND[0] * slack,
+    }
 
 
 def classify_dispersion_regime(
@@ -462,17 +445,8 @@ def classify_dispersion_regime(
     band (the linearized form is meaningless beyond it).  Returns ``None``
     when no set holds.
     """
-    u, mod2, lin, quad = _regime_measures(alpha, params, t)
-    if u * ratio > 1.0 or mod2 < ratio * params.hbar:
-        return None
-    low, high = _CROSSOVER_BAND
-    if low <= 64.0 * quad <= high:
-        return DispersionRegime.CROSSOVER
-    if quad >= ratio:
-        return DispersionRegime.EXPONENTIAL_DOMINATED
-    if lin * ratio <= 1.0 and 64.0 * quad < low:
-        return DispersionRegime.SMALL_CORRECTION
-    return None
+    sets = _regime_sets(alpha, params, t, ratio, 1.0)
+    return next((regime for regime, holds in sets.items() if holds), None)
 
 
 def dispersion_approx(
@@ -495,19 +469,9 @@ def dispersion_approx(
         If the inequality set fails by more than the slack allows.
     """
     a = complex(alpha)
-    u, mod2, lin, quad = _regime_measures(a, params, t)
-    eff = ratio / slack
-    low, high = _CROSSOVER_BAND[0] / slack, _CROSSOVER_BAND[1] * slack
-    ok_common = u * eff <= 1.0 and mod2 >= eff * params.hbar
-    checks = {
-        DispersionRegime.SMALL_CORRECTION: ok_common
-        and lin * eff <= 1.0
-        and 64.0 * quad < _CROSSOVER_BAND[0] * slack,
-        DispersionRegime.EXPONENTIAL_DOMINATED: ok_common and quad >= eff,
-        DispersionRegime.CROSSOVER: ok_common
-        and low <= 64.0 * quad <= high,
-    }
-    if not checks[regime]:
+    mod2 = abs(a) ** 2
+    if not _regime_sets(a, params, t, ratio, slack)[regime]:
+        u = abs(params.mu * params.hbar * t)
         raise RegimeMismatch(
             f"point (|alpha|^2={mod2:.3g}, mu*hbar*t={u:.3g}) fails the "
             f"{regime.value} inequalities beyond slack {slack:g}"

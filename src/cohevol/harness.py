@@ -83,7 +83,11 @@ class RunConfig:
         if not self.t_max > self.t_min:
             raise ConfigError("time grid needs t_max > t_min")
         step = (self.t_max - self.t_min) / (self.points - 1)
-        return [self.t_min + k * step for k in range(self.points)]
+        grid = [self.t_min + k * step for k in range(self.points)]
+        if not all(map(math.isfinite, grid)):
+            span = self.t_max - self.t_min
+            raise ConfigError(f"time grid is not finite (t_max - t_min = {span!r})")
+        return grid
 
     def metadata(self, command: str) -> list[tuple[str, str]]:
         items = [("command", command)]
@@ -110,6 +114,14 @@ def _parse_alpha(text: str) -> complex:
     return value
 
 
+def _parse_float(text: str) -> float:
+    """Every float key and ``hbar_list`` entry: a non-finite value is refused."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {value!r}")
+    return value
+
+
 def _parse_sources(text: str) -> tuple[str, ...]:
     names = tuple(s.strip() for s in text.split(",") if s.strip())
     allowed = {"closed", "classical", "oracle"}
@@ -123,23 +135,23 @@ def _parse_sources(text: str) -> tuple[str, ...]:
 
 _KEY_PARSERS = {
     "kind": str,
-    "omega": float,
-    "mu": float,
-    "hbar": float,
+    "omega": _parse_float,
+    "mu": _parse_float,
+    "hbar": _parse_float,
     "alpha": _parse_alpha,
     "observable": _parse_observable,
-    "t_min": float,
-    "t_max": float,
+    "t_min": _parse_float,
+    "t_max": _parse_float,
     "points": int,
     "sources": _parse_sources,
-    "guard": float,
+    "guard": _parse_float,
     "format": str,
-    "oracle_tol": float,
+    "oracle_tol": _parse_float,
     "oracle_dim_cap": int,
     "ell_min": int,
     "ell_max": int,
-    "hbar_list": lambda s: tuple(float(x) for x in s.split(",")),
-    "breakdown_threshold": float,
+    "hbar_list": lambda s: tuple(_parse_float(x) for x in s.split(",")),
+    "breakdown_threshold": _parse_float,
 }
 
 

@@ -44,7 +44,6 @@ class OperatorTerm:
 
     order: int
     wrt: str  # "alpha" or "alpha_star": the variable the derivative acts on
-    hbar_power: int
     coeffs: dict
 
     def coefficient_at(self, alpha: complex) -> complex:
@@ -57,7 +56,6 @@ class OperatorTerm:
 class EvolutionOperator:
     """Sum of polynomial-coefficient derivative terms acting on averages."""
 
-    degree: int
     terms: tuple[OperatorTerm, ...]
 
     def table(self) -> dict:
@@ -91,10 +89,9 @@ def generate_operator(symbol: WickPolynomial, hbar: float) -> EvolutionOperator:
 
     The symbol's degree is capped when it is built (:class:`DegreeError`).
     """
-    degree = symbol.degree
     symbol.validate_hermitian()
     terms: list[OperatorTerm] = []
-    for r in range(1, degree + 1):
+    for r in range(1, symbol.degree + 1):
         scale = 1j * hbar ** (r - 1)
         plus = _shifted_table(symbol.coeffs, r, "alpha")
         if plus:
@@ -102,7 +99,6 @@ def generate_operator(symbol: WickPolynomial, hbar: float) -> EvolutionOperator:
                 OperatorTerm(
                     order=r,
                     wrt="alpha_star",
-                    hbar_power=r - 1,
                     coeffs={key: scale * c for key, c in plus.items()},
                 )
             )
@@ -112,11 +108,10 @@ def generate_operator(symbol: WickPolynomial, hbar: float) -> EvolutionOperator:
                 OperatorTerm(
                     order=r,
                     wrt="alpha",
-                    hbar_power=r - 1,
                     coeffs={key: -scale * c for key, c in minus.items()},
                 )
             )
-    return EvolutionOperator(degree=degree, terms=tuple(terms))
+    return EvolutionOperator(tuple(terms))
 
 
 def liouville_operator(symbol: WickPolynomial) -> EvolutionOperator:
@@ -126,7 +121,7 @@ def liouville_operator(symbol: WickPolynomial) -> EvolutionOperator:
     any ``hbar`` gives them exactly.
     """
     full = generate_operator(symbol, 1.0)
-    return EvolutionOperator(full.degree, tuple(term for term in full.terms if term.order == 1))
+    return EvolutionOperator(tuple(term for term in full.terms if term.order == 1))
 
 
 # ---------------------------------------------------------------------------

@@ -9,44 +9,55 @@ from hypothesis import strategies as st
 from cohevol import (
     CollapseProximity,
     SystemParams,
-    branch_factor,
     check_collapse_guard,
     collapse_spacing,
     collapse_times,
     make_hyperbolic_params,
 )
+from cohevol.closedform import _I_POW, DEFAULT_GUARD, _tracked_branch
 
 P = make_hyperbolic_params(1.0, 0.1, 0.1)
 
 
+def branch(n, params, t, guard=DEFAULT_GUARD):
+    """Guarded ``(k, bsq, magnitude, value)`` of the tracked ``1/sqrt(2 cos(8 mu n hbar t))``."""
+    check_collapse_guard(n, params, t, guard)
+    k, bsq, magnitude = _tracked_branch(8.0 * n * params.mu * params.hbar * t)
+    return k, bsq, magnitude, magnitude * _I_POW[k % 4]
+
+
 class TestBranchFactor:
+    """The tracked root ``(2|cos|)^(-1/2) i^k`` that every closed-form power uses."""
+
     def test_initial_value(self):
-        bf = branch_factor(1, P, 0.0)
-        assert bf.phase_index == 0
-        assert bf.magnitude == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
-        assert bf.value == pytest.approx(1.0 / math.sqrt(2.0))
+        k, bsq, magnitude, value = branch(1, P, 0.0)
+        assert k == 0
+        assert bsq == 0.5
+        assert magnitude == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
+        assert value == pytest.approx(1.0 / math.sqrt(2.0))
 
     def test_quadratic_limit_frozen(self):
         p0 = SystemParams(1.0, 0.0, 0.3)
         for t in (0.0, 5.0, 500.0):
-            bf = branch_factor(1, p0, t)
-            assert bf.value == pytest.approx(1.0 / math.sqrt(2.0))
-            assert bf.phase_index == 0
+            k, _, _, value = branch(1, p0, t)
+            assert value == pytest.approx(1.0 / math.sqrt(2.0))
+            assert k == 0
 
     def test_three_quarter_angle(self):
         # 8 mu hbar t = 3 pi / 4: one collapse crossed, magnitude (2|cos|)^-1/2
         t = (3.0 * math.pi / 4.0) / (8.0 * P.mu * P.hbar)
-        bf = branch_factor(1, P, t)
-        assert bf.phase_index == 1
-        assert bf.magnitude == pytest.approx(2.0 ** (-0.25), rel=1e-13)
-        assert bf.value == pytest.approx(1j * 2.0 ** (-0.25), rel=1e-13)
+        k, bsq, magnitude, value = branch(1, P, t)
+        assert k == 1
+        assert bsq < 0.0
+        assert magnitude == pytest.approx(2.0 ** (-0.25), rel=1e-13)
+        assert value == pytest.approx(1j * 2.0 ** (-0.25), rel=1e-13)
 
     def test_guard_raises_near_collapse(self):
         t_first = math.pi / (16.0 * P.mu * P.hbar)
         with pytest.raises(CollapseProximity):
-            branch_factor(1, P, t_first)
+            branch(1, P, t_first)
         # opting in with guard=0 evaluates right at the collapse time
-        assert branch_factor(1, P, t_first, guard=0.0).magnitude > 1e6
+        assert branch(1, P, t_first, guard=0.0)[2] > 1e6
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -56,15 +67,16 @@ class TestBranchFactor:
     def test_square_inverts_double_angle(self, t, n):
         # value^2 * 2 cos(8 n mu hbar t) == 1 on every branch interval
         try:
-            bf = branch_factor(n, P, t)
+            k, bsq, _, value = branch(n, P, t)
         except CollapseProximity:
             return
         phi = 8.0 * n * P.mu * P.hbar * t
-        product = bf.value**2 * 2.0 * math.cos(phi)
+        product = value**2 * 2.0 * math.cos(phi)
         assert product.real == pytest.approx(1.0, rel=1e-9)
         assert abs(product.imag) <= 1e-12
-        assert bf.phase_index == math.floor(0.5 + phi / math.pi)
-        assert abs(bf.value**2 * (2.0 * math.cos(phi))) == pytest.approx(1.0, rel=1e-9)
+        assert k == math.floor(0.5 + phi / math.pi)
+        assert abs(value**2 * (2.0 * math.cos(phi))) == pytest.approx(1.0, rel=1e-9)
+        assert value**2 == pytest.approx(bsq, rel=1e-12)
 
 
 class TestCollapseTimes:

@@ -1,9 +1,12 @@
 """Exact dispersion, regime classification, and displayed approximations."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohevol import (
     CollapseProximity,
@@ -110,6 +113,34 @@ class TestRegimeClassification:
                 classify_dispersion_regime(alpha, P, 0.5)
                 is DispersionRegime.SMALL_CORRECTION
             )
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        log_mu=st.floats(min_value=-3.0, max_value=-0.5),
+        log_hbar=st.floats(min_value=-4.0, max_value=-1.0),
+        log_mod=st.floats(min_value=-1.0, max_value=2.5),
+        arg=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+        log_t=st.floats(min_value=-1.0, max_value=3.0),
+        ratio=st.floats(min_value=1.0, max_value=30.0),
+    )
+    def test_classifier_agrees_with_approximation_check(
+        self, log_mu, log_hbar, log_mod, arg, log_t, ratio
+    ):
+        # the label the classifier gives is one the approximation accepts at
+        # slack 1, and an unlabelled point is refused by every approximation
+        p = make_hyperbolic_params(1.0, 10.0**log_mu, 10.0**log_hbar)
+        alpha, t = 10.0**log_mod * cmath.exp(1j * arg), 10.0**log_t
+        regime = classify_dispersion_regime(alpha, p, t, ratio=ratio)
+        for candidate in DispersionRegime:
+            if regime is None:
+                with pytest.raises(RegimeMismatch):
+                    dispersion_approx(alpha, p, t, candidate, slack=1.0, ratio=ratio)
+            elif candidate is regime:
+                try:
+                    dispersion_approx(alpha, p, t, candidate, slack=1.0, ratio=ratio)
+                except OverflowError:
+                    pass  # deep exponential form beyond float range: still accepted
 
 
 class TestApproximations:

@@ -382,6 +382,48 @@ class TestWritersAndCli:
         assert main([command, "--config", str(cfg)]) == 2
         assert "line 6" in capsys.readouterr().err
 
+    FLOAT_KEYS = (
+        "omega", "mu", "hbar", "t_min", "t_max", "guard", "oracle_tol",
+        "breakdown_threshold", "hbar_list",
+    )
+
+    @staticmethod
+    def _assert_config_error(capsys, argv, message):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cohevol: config error:") and err.count("\n") == 1
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ("nan", "inf", "-inf"))
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_cli_nonfinite_float_key_exit_code(self, tmp_path, capsys, key, value):
+        lines = [line for line in BASE_CFG.splitlines() if not line.startswith(f"{key} =")]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n".join(lines) + f"\n{key} = {value}\n")
+        self._assert_config_error(
+            capsys, ["evolve", "--config", str(cfg)], f"bad value for {key!r}"
+        )
+
+    @pytest.mark.parametrize("value", ("nan", "inf"))
+    def test_cli_nonfinite_guard_flag_exit_code(self, tmp_path, capsys, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_CFG)
+        self._assert_config_error(
+            capsys, ["evolve", "--config", str(cfg), "--guard", value], "--guard must be finite"
+        )
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_cli_overflowing_span_exit_code(self, tmp_path, capsys, command):
+        # both ends finite, but t_max - t_min overflows: the grid would hold nan
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            BASE_CFG.replace("t_min = 0.0", "t_min = -1e308").replace("t_max = 1.0", "t_max = 1e308")
+            + "hbar_list = 0.1\n"
+        )
+        self._assert_config_error(
+            capsys, [command, "--config", str(cfg)], "time grid is not finite"
+        )
+
     # Every cell kind in every column; the string holds both characters JSON escapes.
     GOLDEN = TableResult(
         columns=("t", "re(f)", "source", "flag"),

@@ -127,10 +127,6 @@ class TestOperatorGeneration:
         with pytest.raises(DegreeError):
             generate_operator(WickPolynomial({(5, 4): 1.0, (4, 5): 1.0}), 0.1)
 
-    def test_hbar_powers_recorded(self):
-        op = generate_operator(hyperbolic_symbol(HYP), HYP.hbar)
-        assert {t.order: t.hbar_power for t in op.terms} == {1: 0, 2: 1, 3: 2, 4: 3}
-
 
 class TestStencils:
     def test_first_derivative_fourth_order(self):
