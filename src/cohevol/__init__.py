@@ -54,8 +54,6 @@ from .closedform import (
 )
 from .residual import (
     EvolutionOperator,
-    OperatorTerm,
-    apply_operator,
     central_weights,
     generate_operator,
     liouville_operator,

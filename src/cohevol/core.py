@@ -194,12 +194,6 @@ class WickPolynomial:
                     f"{c!r} vs conj({mirror!r})"
                 )
 
-    def __add__(self, other: "WickPolynomial") -> "WickPolynomial":
-        merged = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            merged[key] = merged.get(key, 0.0) + c
-        return WickPolynomial(merged)
-
 
 def elliptic_symbol(params: SystemParams) -> WickPolynomial:
     """Symbol ``omega |alpha|^2 + mu |alpha|^4`` of the elliptic model."""

@@ -41,6 +41,8 @@ from .core import (
 
 APPROACH_EXPONENTS = (2, 3, 4, 5, 6)  # distances t_ell * 10^-k for collapse scans
 _BISECT_REL = 1e-4  # breakdown crossings are bisected to this share of their grid interval
+_MAX_POINTS = 1_000_000  # time-grid size, refused before the grid is built
+_MAX_SCAN_ROWS = 1_000_000  # collapse-scan rows, refused before the scan runs
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +80,8 @@ class RunConfig:
     def time_grid(self) -> list[float]:
         if self.points < 1:
             raise ConfigError("points must be >= 1")
+        if self.points > _MAX_POINTS:
+            raise ConfigError(f"points must be <= {_MAX_POINTS:,}, got {self.points:,}")
         if self.points == 1:
             return [self.t_min]
         if not self.t_max > self.t_min:
@@ -353,6 +357,9 @@ def cmd_collapse_scan(config: RunConfig) -> TableResult:
     lo, hi = config.ell_min, config.ell_max
     if hi < lo:
         raise ConfigError("ell range must satisfy ell_min <= ell_max")
+    n_rows = len(APPROACH_EXPONENTS) * (hi - lo + 1)
+    if n_rows > _MAX_SCAN_ROWS:
+        raise ConfigError(f"collapse-scan is limited to {_MAX_SCAN_ROWS:,} rows, got {n_rows:,}")
     base = math.pi / (16.0 * params.mu * obs.n * params.hbar)
     spacing = 2.0 * base
     rows = []
@@ -522,8 +529,9 @@ def cmd_ehrenfest(config: RunConfig, hbar_list: "tuple[float, ...] | None" = Non
 
 def cmd_dispersion_regimes(config: RunConfig) -> TableResult:
     """Classify each grid time and compare exact vs approximate dispersion."""
+    if config.kind != "hyperbolic":
+        raise ConfigError("dispersion-regimes needs kind = hyperbolic")
     params = config.params
-    params.require_hyperbolic()
     rows = []
     for t in config.time_grid():
         regime = classify_dispersion_regime(config.alpha, params, t)

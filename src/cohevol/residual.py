@@ -7,9 +7,11 @@ differential operator governing its evolved averages,
                               - (d/da*)^r H (hbar d/da)^r ],
 
 with coefficient tables built in exact integer arithmetic (binomials) times
-the symbol coefficients.  ``residual`` then checks a candidate solution
-``f(alpha, t)`` against such an operator by central differences, with the
-phase-space derivatives realized as Wirtinger combinations
+the symbol coefficients.  The operator is its coefficient table:
+``{(wrt, order): {(ell, s): c}}``.  ``residual`` then checks a candidate
+solution ``f(alpha, t)`` against such an operator in one stencil pass: it
+samples the time stencil and the phase-space grid once each, and realizes
+the phase-space derivatives as Wirtinger combinations
 ``d/da = (d/du - i d/dv)/2``, ``d/da* = (d/du + i d/dv)/2`` over
 ``alpha = u + i v``.
 
@@ -39,34 +41,19 @@ DEFAULT_ACCURACY = 4
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class OperatorTerm:
-    """One ``coefficient(alpha, alpha*) * d^order/d(wrt)^order`` summand."""
-
-    order: int
-    wrt: str  # "alpha" or "alpha_star": the variable the derivative acts on
-    coeffs: dict
-
-    def coefficient_at(self, alpha: complex) -> complex:
-        a = complex(alpha)
-        ac = a.conjugate()
-        return sum(c * ac**ell * a**s for (ell, s), c in self.coeffs.items())
-
-
-@dataclass(frozen=True)
 class EvolutionOperator:
-    """Sum of polynomial-coefficient derivative terms acting on averages."""
+    """Sum of polynomial-coefficient derivative terms acting on averages.
 
-    terms: tuple[OperatorTerm, ...]
+    ``terms`` maps ``(wrt, order)`` to the coefficient table
+    ``{(ell, s): c}`` of ``sum c conj(alpha)^ell alpha^s`` multiplying
+    ``d^order/d(wrt)^order``; ``wrt`` is ``"alpha"`` or ``"alpha_star"``.
+    """
+
+    terms: dict
 
     def table(self) -> dict:
-        """Canonical ``{(wrt, order): coefficient table}`` for equality tests."""
-        merged: dict = {}
-        for term in self.terms:
-            key = (term.wrt, term.order)
-            tab = merged.setdefault(key, {})
-            for mono, c in term.coeffs.items():
-                tab[mono] = tab.get(mono, 0j) + c
-        return {key: tab for key, tab in merged.items() if any(tab.values())}
+        """The coefficient tables with an all-zero table dropped."""
+        return {key: tab for key, tab in self.terms.items() if any(tab.values())}
 
 
 def _shifted_table(coeffs: dict, r: int, var: str) -> dict:
@@ -90,28 +77,16 @@ def generate_operator(symbol: WickPolynomial, hbar: float) -> EvolutionOperator:
     The symbol's degree is capped when it is built (:class:`DegreeError`).
     """
     symbol.validate_hermitian()
-    terms: list[OperatorTerm] = []
+    terms: dict = {}
     for r in range(1, symbol.degree + 1):
         scale = 1j * hbar ** (r - 1)
         plus = _shifted_table(symbol.coeffs, r, "alpha")
         if plus:
-            terms.append(
-                OperatorTerm(
-                    order=r,
-                    wrt="alpha_star",
-                    coeffs={key: scale * c for key, c in plus.items()},
-                )
-            )
+            terms[("alpha_star", r)] = {key: scale * c for key, c in plus.items()}
         minus = _shifted_table(symbol.coeffs, r, "alpha_star")
         if minus:
-            terms.append(
-                OperatorTerm(
-                    order=r,
-                    wrt="alpha",
-                    coeffs={key: -scale * c for key, c in minus.items()},
-                )
-            )
-    return EvolutionOperator(tuple(terms))
+            terms[("alpha", r)] = {key: -scale * c for key, c in minus.items()}
+    return EvolutionOperator(terms)
 
 
 def liouville_operator(symbol: WickPolynomial) -> EvolutionOperator:
@@ -121,7 +96,7 @@ def liouville_operator(symbol: WickPolynomial) -> EvolutionOperator:
     any ``hbar`` gives them exactly.
     """
     full = generate_operator(symbol, 1.0)
-    return EvolutionOperator(tuple(term for term in full.terms if term.order == 1))
+    return EvolutionOperator({key: tab for key, tab in full.terms.items() if key[1] == 1})
 
 
 # ---------------------------------------------------------------------------
@@ -214,35 +189,19 @@ def _stencil_radius(order: int, accuracy: int) -> int:
     return (order + 1) // 2 + accuracy // 2 - 1
 
 
-def _sample_grid(f, alpha: complex, t: float, max_order: int, step: float, accuracy: int) -> dict:
-    radius = _stencil_radius(max_order, accuracy)
-    grid = {}
+def _sample(f, points: list) -> list:
+    # Every stencil evaluation goes through here, so one guard maps to StencilError.
     try:
-        for ju in range(-radius, radius + 1):
-            for jv in range(-radius, radius + 1):
-                grid[(ju, jv)] = f(alpha + (ju + 1j * jv) * step, t)
+        return [f(alpha, t) for alpha, t in points]
     except CollapseProximity as exc:
         raise StencilError(f"stencil point hit an evaluation guard: {exc}") from exc
-    return grid
 
 
-def apply_operator(
-    op: EvolutionOperator,
-    f,
-    alpha: complex,
-    t: float,
-    step: float = DEFAULT_STEP,
-    accuracy: int = DEFAULT_ACCURACY,
-) -> complex:
-    """Operator applied to the candidate at one point, by central differences."""
-    max_order = max((term.order for term in op.terms), default=0)
-    h = step * max(1.0, abs(alpha))
-    grid = _sample_grid(f, alpha, t, max_order, h, accuracy)
-    total = 0j
-    for term in op.terms:
-        derivative = _wirtinger_from_grid(grid, term.order, term.wrt, h, accuracy)
-        total += term.coefficient_at(alpha) * derivative
-    return total
+def _sample_grid(f, alpha: complex, t: float, max_order: int, step: float, accuracy: int) -> dict:
+    radius = _stencil_radius(max_order, accuracy)
+    offsets = [(ju, jv) for ju in range(-radius, radius + 1) for jv in range(-radius, radius + 1)]
+    values = _sample(f, [(alpha + (ju + 1j * jv) * step, t) for ju, jv in offsets])
+    return dict(zip(offsets, values))
 
 
 def residual(
@@ -266,9 +225,15 @@ def residual(
     """
     h = step * max(1.0, abs(alpha))
     off_t, w_t = central_weights(1, accuracy)
-    try:
-        dfdt = sum(float(w) * f(alpha, t + j * h) for j, w in zip(off_t, w_t) if w != 0)
-    except CollapseProximity as exc:
-        raise StencilError(f"time stencil hit an evaluation guard: {exc}") from exc
-    dfdt /= h
-    return dfdt - apply_operator(op, f, alpha, t, step, accuracy)
+    taps = [(j, float(w)) for j, w in zip(off_t, w_t) if w != 0]
+    values = _sample(f, [(alpha, t + j * h) for j, _ in taps])
+    dfdt = sum(w * v for (_, w), v in zip(taps, values)) / h
+    max_order = max((order for _, order in op.terms), default=0)
+    grid = _sample_grid(f, alpha, t, max_order, h, accuracy)
+    a = complex(alpha)
+    ac = a.conjugate()
+    total = 0j
+    for (wrt, order), coeffs in op.terms.items():
+        derivative = _wirtinger_from_grid(grid, order, wrt, h, accuracy)
+        total += sum(c * ac**ell * a**s for (ell, s), c in coeffs.items()) * derivative
+    return dfdt - total

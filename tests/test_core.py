@@ -105,13 +105,6 @@ class TestWickPolynomial:
         poly = WickPolynomial({(1, 1): 1.0, (2, 2): 0.0})
         assert (2, 2) not in poly.coeffs
 
-    def test_addition_merges(self):
-        a = WickPolynomial({(1, 1): 1.0})
-        b = WickPolynomial({(1, 1): 2.0, (2, 2): 0.5})
-        total = a + b
-        assert total.coeffs[(1, 1)] == 3.0
-        assert total.coeffs[(2, 2)] == 0.5
-
     @settings(max_examples=50, deadline=None)
     @given(
         perturbation=st.complex_numbers(

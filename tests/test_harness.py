@@ -424,6 +424,87 @@ class TestWritersAndCli:
             capsys, [command, "--config", str(cfg)], "time grid is not finite"
         )
 
+    @pytest.mark.parametrize("command,edits,message", (
+        ("evolve", {"points = 5": "points = 0"}, "points must be >= 1"),
+        ("evolve", {"t_max = 1.0": "t_max = 0.0"}, "time grid needs t_max > t_min"),
+        ("evolve", {"observable = x^1": "observable = y^2"}, "cannot parse observable 'y^2'"),
+        ("evolve", {"closed,classical": "closed,quantum"}, "unknown source 'quantum'"),
+        ("evolve", {"closed,classical": ","}, "sources must not be empty"),
+        ("evolve", {"mu = 0.1": "mu 0.1"}, "line 4: expected 'key = value'"),
+        ("evolve", {"kind = hyperbolic": "kind = parabolic"}, "kind must be hyperbolic or elliptic"),
+        ("evolve", {"points = 5": "points = 5\nformat = xml"}, "format must be csv or json"),
+        (
+            "collapse-scan",
+            {"kind = hyperbolic": "kind = elliptic", "observable = x^1": "observable = mono:1,0"},
+            "collapse-scan needs the x^N observable",
+        ),
+        ("collapse-scan", {"points = 5": "ell_min = 3\nell_max = 2"}, "ell_min <= ell_max"),
+        ("ehrenfest", {}, "ehrenfest needs a nonempty hbar_list"),
+        (
+            "dispersion-regimes",
+            {"kind = hyperbolic": "kind = elliptic", "observable = x^1": "observable = mono:1,0"},
+            "dispersion-regimes needs kind = hyperbolic",
+        ),
+        ("evolve", {"points = 5": "points = 1000001"}, "points must be <= 1,000,000"),
+        (
+            "collapse-scan",
+            {"points = 5": "ell_min = 0\nell_max = 200000"},
+            "collapse-scan is limited to 1,000,000 rows, got 1,000,005",
+        ),
+    ), ids=(
+        "no-points", "empty-span", "observable", "unknown-source", "no-sources", "no-equals",
+        "kind", "format", "scan-elliptic", "ell-range", "no-hbar-list", "dispersion-elliptic",
+        "points-limit", "scan-rows-limit",
+    ))
+    def test_cli_config_rejection(self, tmp_path, capsys, command, edits, message):
+        text = BASE_CFG
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        self._assert_config_error(capsys, [command, "--config", str(cfg)], message)
+
+    @staticmethod
+    def _table(capsys, argv) -> list[str]:
+        """Header and rows of a CSV run; the metadata lists config-file keys only."""
+        assert main(argv) == 0
+        return [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+
+    def test_cli_guard_flag_matches_config_key(self, tmp_path, capsys):
+        t0 = math.pi / (32.0 * 0.1 * 0.1)  # first n=2 collapse
+        text = (
+            "kind = hyperbolic\nmu = 0.1\nhbar = 0.1\nalpha = 1j\nobservable = x^2\n"
+            f"t_min = {0.99 * t0}\nt_max = {1.01 * t0}\npoints = 41\n"
+        )
+        plain, keyed = tmp_path / "plain.cfg", tmp_path / "keyed.cfg"
+        plain.write_text(text)
+        keyed.write_text(text + "guard = 1e-3\n")
+        flagged = self._table(capsys, ["evolve", "--config", str(plain), "--guard", "1e-3"])
+        assert flagged == self._table(capsys, ["evolve", "--config", str(keyed)])
+        assert flagged != self._table(capsys, ["evolve", "--config", str(plain)])
+
+    def test_cli_oracle_off_matches_sources(self, tmp_path, capsys):
+        shipped = CONFIGS / "elliptic_evolve.cfg"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(shipped.read_text().replace(
+            "sources = closed,classical,oracle", "sources = closed,classical"
+        ))
+        off = self._table(capsys, ["evolve", "--config", str(shipped), "--oracle", "off"])
+        assert off == self._table(capsys, ["evolve", "--config", str(cfg)])
+        assert len(off) == 1 + 2 * 21 and not any(",oracle," in line for line in off)
+
+    @pytest.mark.parametrize("command", ("compare", "dispersion-regimes"))
+    def test_cli_collapse_row_has_empty_cells(self, tmp_path, capsys, command):
+        t0 = math.pi / (16.0 * 0.1 * 0.1)  # first n=1 collapse, which guards both commands
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            BASE_CFG.replace("points = 5", "points = 2").replace("t_max = 1.0", f"t_max = {t0!r}")
+        )
+        _, first, last = self._table(capsys, [command, "--config", str(cfg)])
+        assert first.endswith(",0")
+        t, *cells, flag = last.split(",")
+        assert float(t) == t0 and cells[-5:] == [""] * 5 and flag == "1"
+
     # Every cell kind in every column; the string holds both characters JSON escapes.
     GOLDEN = TableResult(
         columns=("t", "re(f)", "source", "flag"),

@@ -108,7 +108,10 @@ class TestOperatorGeneration:
         a = elliptic_symbol(ELL)
         b = WickPolynomial({(1, 1): 0.4, (2, 1): 0.2j, (1, 2): -0.2j})
         hb = 0.2
-        combined = generate_operator(a + b, hb).table()
+        summed = dict(a.coeffs)
+        for key, c in b.coeffs.items():
+            summed[key] = summed.get(key, 0.0) + c
+        combined = generate_operator(WickPolynomial(summed), hb).table()
         separate_a = generate_operator(a, hb).table()
         separate_b = generate_operator(b, hb).table()
         merged = {}
