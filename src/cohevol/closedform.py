@@ -2,11 +2,11 @@
 
 Evaluation strategy
 -------------------
-All growing/decaying factors are combined into a single exponent before
-exponentiation, so values near the float range (``exp(+-1e6)`` intermediate
-factors at small ``hbar``) are computed without overflow as long as the final
-value is representable.  For collapse scans the log-magnitude evaluator never
-forms the value at all.
+All growing/decaying factors are combined into a single exponent, and both
+``x^n`` routes form their value through one overflow-safe product
+(``_exp_product``, in log scale where ``exp`` or the product overflows), so
+values near the float range are computed as long as the final value is
+representable.  For collapse scans the log-magnitude evaluator never forms it.
 
 Every fractional power of ``cos(8 n mu hbar t)`` is realized through integer
 powers of the tracked branch value (``_tracked_branch``), never via a
@@ -18,9 +18,9 @@ principal square roots (its argument has positive real part away from
 collapse, so no tracking is needed there) and a scaled three-term moment
 recursion.
 
-The classical and elliptic evaluators raise :class:`FloatRangeError` (a
-:class:`DomainError`) for a value that overflows float64, never returning
-``inf``/``nan``.
+No evaluator returns ``inf``/``nan``.  An ``x^n`` average beyond float64 is
+:class:`CollapseProximity`; a classical, elliptic or dispersion value is
+:class:`FloatRangeError` (a :class:`DomainError` and an ``OverflowError``).
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ _MAX_XN_ORDER = 20
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-class FloatRangeError(DomainError):
-    """A classical or elliptic average that overflows float64."""
+class FloatRangeError(DomainError, OverflowError):
+    """A classical, elliptic or dispersion value that overflows float64."""
 
 
 def _within_float_range(evaluate):
@@ -231,19 +231,24 @@ def _log10_magnitude(n: int, pieces: tuple) -> float:
     )
 
 
-def _xn_closed_value(n: int, pieces: tuple) -> complex:
-    exponent, mag, k, series, _ = pieces
-    prefactor = 2.0 ** ((n + 1) / 2.0) * mag ** (n + 1) * _I_POW[(k * (n + 1)) % 4]
-    if exponent <= _LOG_FLOAT_MAX:
-        value = cmath.exp(exponent) * prefactor * series
+def _exp_product(exponent: complex, a: complex, b: complex) -> complex:
+    """``a * exp(exponent) * b``, in log scale where ``exp`` or the product overflows."""
+    if exponent.real <= _LOG_FLOAT_MAX:
+        value = a * cmath.exp(exponent) * b
         if cmath.isfinite(value):
             return value
-    # exp(exponent) * prefactor overflows although the product with the small
-    # series is representable: combine the factors in log scale instead.
-    scaled = prefactor * series
+    # a * exp(exponent) overflows although the product with a small b is
+    # representable: combine the factors in log scale instead.
+    scaled = a * b
     if scaled == 0:
         return 0j
     return cmath.exp(exponent + cmath.log(scaled))
+
+
+def _xn_closed_value(n: int, pieces: tuple) -> complex:
+    exponent, mag, k, series, _ = pieces
+    prefactor = 2.0 ** ((n + 1) / 2.0) * mag ** (n + 1) * _I_POW[(k * (n + 1)) % 4]
+    return _exp_product(exponent, prefactor, series)
 
 
 def gaussian_moment_ratios(
@@ -280,7 +285,7 @@ def _xn_integral_value(n: int, alpha: complex, params: SystemParams, t: float) -
         + 4j * params.mu * params.hbar * t * n * (n + 1)
     )
     ratios = gaussian_moment_ratios(n, w, b, params.hbar)
-    return cmath.sqrt(2.0 / w) * cmath.exp(exponent) * ratios[n]
+    return _exp_product(exponent, cmath.sqrt(2.0 / w), ratios[n])
 
 
 def _guarded_pieces(
@@ -383,6 +388,7 @@ def hyperbolic_classical_xn(
 # Dispersion
 # ---------------------------------------------------------------------------
 
+@_within_float_range
 def dispersion_exact(
     alpha: complex, params: SystemParams, t: float, guard: float = DEFAULT_GUARD
 ) -> complex:
@@ -449,6 +455,7 @@ def classify_dispersion_regime(
     return next((regime for regime, holds in sets.items() if holds), None)
 
 
+@_within_float_range
 def dispersion_approx(
     alpha: complex,
     params: SystemParams,

@@ -71,6 +71,29 @@ class RunConfig:
     breakdown_threshold: float = 1.0
     raw_items: tuple[tuple[str, str], ...] = field(default=(), repr=False)
 
+    def __post_init__(self) -> None:
+        """Every config, parsed or built, is checked once; the grid is not built here."""
+        if self.kind not in ("hyperbolic", "elliptic"):
+            raise ConfigError(f"kind must be hyperbolic or elliptic, got {self.kind!r}")
+        if self.format not in ("csv", "json"):
+            raise ConfigError(f"format must be csv or json, got {self.format!r}")
+        if self.kind == "hyperbolic" and not isinstance(self.observable, XPower):
+            raise ConfigError("hyperbolic runs accept the x^N observable only")
+        if self.kind == "elliptic" and not isinstance(self.observable, Monomial):
+            raise ConfigError("elliptic runs accept the mono:M,Q observable only")
+        self.params  # built once and cached; raises DomainError for invalid physics
+        if self.points < 1:
+            raise ConfigError("points must be >= 1")
+        if self.points > _MAX_POINTS:
+            raise ConfigError(f"points must be <= {_MAX_POINTS:,}, got {self.points:,}")
+        if self.points > 1:
+            if not self.t_max > self.t_min:
+                raise ConfigError("time grid needs t_max > t_min")
+            # the grid is monotone from a finite t_min, so its last point decides
+            span, last = self.t_max - self.t_min, self.points - 1
+            if not math.isfinite(self.t_min + last * (span / last)):
+                raise ConfigError(f"time grid is not finite (t_max - t_min = {span!r})")
+
     @cached_property
     def params(self) -> SystemParams:
         if self.kind == "hyperbolic":
@@ -78,20 +101,11 @@ class RunConfig:
         return SystemParams(self.omega, self.mu, self.hbar)
 
     def time_grid(self) -> list[float]:
-        if self.points < 1:
-            raise ConfigError("points must be >= 1")
-        if self.points > _MAX_POINTS:
-            raise ConfigError(f"points must be <= {_MAX_POINTS:,}, got {self.points:,}")
+        """``t_min + k * step`` per point; ``__post_init__`` checked its size and ends."""
         if self.points == 1:
             return [self.t_min]
-        if not self.t_max > self.t_min:
-            raise ConfigError("time grid needs t_max > t_min")
         step = (self.t_max - self.t_min) / (self.points - 1)
-        grid = [self.t_min + k * step for k in range(self.points)]
-        if not all(map(math.isfinite, grid)):
-            span = self.t_max - self.t_min
-            raise ConfigError(f"time grid is not finite (t_max - t_min = {span!r})")
-        return grid
+        return [self.t_min + k * step for k in range(self.points)]
 
     def metadata(self, command: str) -> list[tuple[str, str]]:
         items = [("command", command)]
@@ -185,22 +199,7 @@ def parse_config(text: str) -> RunConfig:
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
         raw.append((key, value))
-    config = RunConfig(**fields, raw_items=tuple(sorted(raw)))
-    _validate(config)
-    return config
-
-
-def _validate(config: RunConfig) -> None:
-    if config.kind not in ("hyperbolic", "elliptic"):
-        raise ConfigError(f"kind must be hyperbolic or elliptic, got {config.kind!r}")
-    if config.format not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {config.format!r}")
-    if config.kind == "hyperbolic" and not isinstance(config.observable, XPower):
-        raise ConfigError("hyperbolic runs accept the x^N observable only")
-    if config.kind == "elliptic" and not isinstance(config.observable, Monomial):
-        raise ConfigError("elliptic runs accept the mono:M,Q observable only")
-    config.params  # built once and cached; raises DomainError for invalid physics
-    config.time_grid()
+    return RunConfig(**fields, raw_items=tuple(sorted(raw)))
 
 
 def load_config(path: str) -> RunConfig:
@@ -245,19 +244,11 @@ def oracle_average(*args, **kwargs) -> complex:
     return fock.oracle_average(*args, **kwargs)
 
 
-def _guarded(closed, t: float) -> "complex | None":
-    """Closed-form value at t, or None where the collapse guard declines it."""
+def _value_or_none(error, evaluate, *args) -> "complex | None":
+    """``evaluate(*args)``, or None where it raises ``error`` (a value it cannot give)."""
     try:
-        return closed(t)
-    except CollapseProximity:
-        return None
-
-
-def _finite(classical, t: float) -> "complex | None":
-    """Classical value at t, or None where it leaves the float64 range."""
-    try:
-        return classical(t)
-    except FloatRangeError:
+        return evaluate(*args)
+    except error:
         return None
 
 
@@ -287,7 +278,7 @@ def cmd_evolve(config: RunConfig) -> TableResult:
     evaluate = _evaluators(config)
     hyperbolic = isinstance(config.observable, XPower)
     if hyperbolic or "closed" in config.sources:
-        closed = [_guarded(evaluate["closed"], t) for t in grid]
+        closed = [_value_or_none(CollapseProximity, evaluate["closed"], t) for t in grid]
     else:
         closed = [None] * len(grid)
     flags = [hyperbolic and value is None for value in closed]
@@ -300,7 +291,7 @@ def cmd_evolve(config: RunConfig) -> TableResult:
                 rows.append((t, None, None, name, 1))
                 continue
             if name == "classical":
-                value = _finite(evaluate[name], t)
+                value = _value_or_none(FloatRangeError, evaluate[name], t)
             elif name == "oracle":
                 value = evaluate[name](t)
             cells = (None, None) if value is None else (value.real, value.imag)
@@ -318,7 +309,7 @@ def cmd_compare(config: RunConfig) -> TableResult:
     rows = []
     worst = 0.0
     for t in grid:
-        closed = _guarded(evaluate["closed"], t)
+        closed = _value_or_none(CollapseProximity, evaluate["closed"], t)
         if closed is None:
             rows.append((t, None, None, None, None, None, 1))
             continue
@@ -528,30 +519,32 @@ def cmd_ehrenfest(config: RunConfig, hbar_list: "tuple[float, ...] | None" = Non
 
 
 def cmd_dispersion_regimes(config: RunConfig) -> TableResult:
-    """Classify each grid time and compare exact vs approximate dispersion."""
+    """Classify each grid time and compare exact vs approximate dispersion.
+
+    A collapse-guarded row is flagged with empty cells; a value beyond float64
+    empties its own cells (the exact one all five) and leaves the row unflagged.
+    """
     if config.kind != "hyperbolic":
         raise ConfigError("dispersion-regimes needs kind = hyperbolic")
-    params = config.params
+    alpha, params = config.alpha, config.params
     rows = []
     for t in config.time_grid():
-        regime = classify_dispersion_regime(config.alpha, params, t)
+        regime = classify_dispersion_regime(alpha, params, t)
         label = regime.value if regime is not None else "none"
         try:
-            exact = dispersion_exact(config.alpha, params, t, config.guard)
+            exact = _value_or_none(FloatRangeError, dispersion_exact, alpha, params, t, config.guard)
         except CollapseProximity:
             rows.append((t, label, None, None, None, None, None, 1))
             continue
-        if regime is None:
-            rows.append((t, label, exact.real, exact.imag, None, None, None, 0))
-            continue
-        try:
-            approx = dispersion_approx(config.alpha, params, t, regime)
-        except OverflowError:
-            # deep exponential regime: the displayed form leaves float range
-            rows.append((t, label, exact.real, exact.imag, None, None, None, 0))
+        approx = None
+        if exact is not None and regime is not None:
+            approx = _value_or_none(FloatRangeError, dispersion_approx, alpha, params, t, regime)
+        exact_cells = (None, None) if exact is None else (exact.real, exact.imag)
+        if approx is None:
+            rows.append((t, label, *exact_cells, None, None, None, 0))
             continue
         gap = abs(approx - exact) / (abs(exact) + 1e-300)
-        rows.append((t, label, exact.real, exact.imag, approx.real, approx.imag, gap, 0))
+        rows.append((t, label, *exact_cells, approx.real, approx.imag, gap, 0))
     return TableResult(
         columns=(
             "t",

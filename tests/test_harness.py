@@ -655,6 +655,78 @@ class TestFloatRange:
             cmd_evolve(config)
 
 
+# Long windows drive the averages toward float64's limit: one x^n point per
+# route whose product overflowed (x^2 in exp itself, a bare OverflowError; x^4
+# in the product, inf cells), and the shipped dispersion config run on.
+NEAR_FLOAT_LIMIT = {
+    "x2-integral-exp": (2, 0.05, 0.02, 0.8 + 0j, 193.5),
+    "x4-integral-product": (
+        4, 0.08982448984892522, 0.036022968351849025,
+        -1.2579579218445768e-06 - 0.06258582688687708j, 88.77290378443767,
+    ),
+}
+
+
+def _csv_rows(text):
+    """Data rows of a CSV table: the metadata lines and the header dropped."""
+    lines = [line for line in text.splitlines() if not line.startswith("#")]
+    return [line.split(",") for line in lines[1:]]
+
+
+class TestNearFloatLimit:
+    """Values near float64's limit: exit 0, finite cells, the branch-tracked value."""
+
+    @pytest.mark.parametrize("case", sorted(NEAR_FLOAT_LIMIT))
+    def test_evolve_matches_branch_tracked_value(self, case, tmp_path, capsys):
+        n, mu, hbar, alpha, t = NEAR_FLOAT_LIMIT[case]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"kind = hyperbolic\nmu = {mu!r}\nhbar = {hbar!r}\nalpha = {alpha!r}\n"
+            f"observable = x^{n}\nt_min = {t!r}\nt_max = {t!r}\npoints = 1\nsources = closed\n"
+        )
+        assert main(["evolve", "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        [[_, re_cell, im_cell, source, flag]] = _csv_rows(captured.out)
+        assert (source, flag) == ("closed", "0")
+        value = complex(float(re_cell), float(im_cell))
+        branch, _ = closedform.hyperbolic_xn_paths(n, alpha, make_hyperbolic_params(1.0, mu, hbar), t)
+        assert abs(value) > 1e304
+        assert abs(value - branch) <= 1e-12 * abs(branch)
+
+    def _dispersion_rows(self, tmp_path, capsys, t_max):
+        text = (CONFIGS / "dispersion_regimes.cfg").read_text()
+        text = text.replace("t_max = 2.0", f"t_max = {t_max}").replace("points = 21", "points = 401")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert main(["dispersion-regimes", "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "inf" not in captured.out and "nan" not in captured.out
+        return _csv_rows(captured.out), parse_config(text)
+
+    def test_dispersion_beyond_float64_leaves_cells_empty(self, tmp_path, capsys):
+        # <x>^2 leaves float64 from t = 149.25 on: three rows once read -inf
+        rows, _ = self._dispersion_rows(tmp_path, capsys, 150)
+        beyond = [row for row in rows if row[2:] == ["", "", "", "", "", "0"]]
+        assert [float(row[0]) for row in beyond] == [149.25, 149.625, 150.0]
+
+    def test_dispersion_past_the_integral_route_overflow(self, tmp_path, capsys):
+        # the x^2 pre-integral route used to raise a bare OverflowError at t = 193.5
+        rows, config = self._dispersion_rows(tmp_path, capsys, 200)
+        assert len(rows) == 401
+        params, alpha = config.params, config.alpha
+        late = [row for row in rows if float(row[0]) >= 149.0 and row[2]]
+        assert late
+        for row in late:
+            value = complex(float(row[2]), float(row[3]))
+            first, second = (
+                closedform.hyperbolic_xn_paths(n, alpha, params, float(row[0]))[0] for n in (1, 2)
+            )
+            branch = second - first * first
+            assert abs(value - branch) <= 1e-12 * abs(branch)
+
+
 class TestEvaluateOnce:
     """One closed-form evaluation per grid point and one pieces build per evaluation."""
 
@@ -749,6 +821,32 @@ class TestEvaluateOnce:
         monkeypatch.setattr(core.SystemParams, "__post_init__", counted)
         cmd_evolve(config)
         assert len(builds) == 0
+
+    def test_grid_built_once(self, monkeypatch):
+        # parse checks the grid's size and ends without building it
+        builds = []
+        time_grid = harness.RunConfig.time_grid
+
+        def counted(self):
+            builds.append(self.points)
+            return time_grid(self)
+
+        monkeypatch.setattr(harness.RunConfig, "time_grid", counted)
+        cmd_evolve(parse_config(BASE_CFG.replace("points = 5", "points = 100")))
+        assert builds == [100]
+
+    @pytest.mark.parametrize("fields,message", (
+        ({"points": 0}, "points must be >= 1"),
+        ({"points": 1_000_001}, "points must be <= 1,000,000"),
+        ({"t_max": 0.0}, "time grid needs t_max > t_min"),
+        ({"t_min": -1e308, "t_max": 1e308}, "time grid is not finite"),
+    ))
+    def test_built_config_checks_its_grid(self, fields, message):
+        # a config built or replaced in code is checked like a parsed one
+        with pytest.raises(ConfigError, match=message):
+            harness.RunConfig(**fields)
+        with pytest.raises(ConfigError, match=message):
+            replace(parse_config(BASE_CFG), **fields)
 
     def test_ehrenfest_one_scan_per_hbar(self, monkeypatch):
         calls = []

@@ -14,6 +14,7 @@ from cohevol import (
     CollapseProximity,
     DomainError,
     collapse_spacing,
+    dispersion_exact,
     hyperbolic_classical_xn,
     hyperbolic_xn_average,
     hyperbolic_xn_log10_magnitude,
@@ -21,6 +22,7 @@ from cohevol import (
     make_hyperbolic_params,
     scaling_transform_check,
 )
+from cohevol.closedform import FloatRangeError
 
 P = make_hyperbolic_params(1.0, 0.1, 0.05)
 
@@ -182,6 +184,39 @@ class TestRealityAndPositivity:
             checked += 1
             assert value.real >= 0.0
         assert checked >= 200
+
+
+class TestFloatRange:
+    """On long windows values near float64's limit are the normal case."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=4),
+        mu=st.floats(min_value=-0.15, max_value=0.15),
+        hbar=st.floats(min_value=0.005, max_value=0.2),
+        re=st.floats(min_value=-1.5, max_value=1.5),
+        im=st.floats(min_value=-1.5, max_value=1.5),
+        t=st.floats(min_value=0.0, max_value=400.0),
+    )
+    # exp overflowed in the x^2 pre-integral route: a bare OverflowError
+    @example(n=2, mu=0.05, hbar=0.02, re=0.8, im=0.0, t=193.5)
+    # the x^4 pre-integral product overflowed although the value fits: inf
+    @example(
+        n=4, mu=0.08982448984892522, hbar=0.036022968351849025,
+        re=-1.2579579218445768e-06, im=-0.06258582688687708, t=88.77290378443767,
+    )
+    # <x>^2 overflows although <x> and <x^2> fit: a -inf dispersion
+    @example(n=1, mu=0.05, hbar=0.02, re=0.8, im=0.0, t=149.25)
+    def test_finite_or_taxonomy_error(self, n, mu, hbar, re, im, t):
+        params, alpha = make_hyperbolic_params(1.0, mu, hbar), complex(re, im)
+        try:
+            assert cmath.isfinite(hyperbolic_xn_average(n, alpha, params, t))
+        except CollapseProximity:
+            pass
+        try:
+            assert cmath.isfinite(dispersion_exact(alpha, params, t))
+        except (CollapseProximity, FloatRangeError):
+            pass
 
 
 class TestClassicalFlow:
