@@ -28,13 +28,14 @@ form:
 Observables ``x^n`` and ``adag^m a^q`` are applied by banded shifts with the
 ladder elements ``sqrt(hbar k)``; no dense operator is formed.
 
-What does not depend on ``t`` is built once per (state, basis size) and
-kept on the cached representation: its eigensystem and ladder, and, for each
-recent ``alpha``, the coherent vector with its tail-test verdict, its norm
-``|psi_0|`` and its coefficients ``V^T g^* psi_0`` in each sector's
-eigenbasis.  Each time point then computes only the phases, the
-back-transform ``g V (phases * coefficients)``, the unitarity check against
-``|psi_0|`` and the observable.
+What does not depend on ``t`` is built once and kept on the cached
+representation: its eigensystem, ladder and phase rates ``-1j E``, and, for
+each recent ``alpha``, the coherent vector with its tail-test verdict, its
+norm ``|psi_0|`` and its coefficients ``V^T g^* psi_0`` in each sector's
+eigenbasis (the last one found again by identity).  Each time point then
+computes only the phases ``exp(-1j E * (t / hbar))``, their product with the
+coefficients (hyperbolic: ``g V (phases * coefficients)``), the unitarity
+check against ``|psi_0|`` and the observable.
 
 numpy loads with this module, and no other module of the package imports
 numpy or scipy.  The package imports this module when one of its oracle
@@ -51,6 +52,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import struct
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -94,7 +96,7 @@ class FockRepresentation:
 
     The spectral data (:meth:`eigensystem`) and the ladder are computed lazily
     exactly once.  ``_states`` holds the time-invariant data of the last few
-    initial states evolved on this basis (see :func:`_initial_state`).
+    initial states evolved on this basis, ``_last`` the latest of them.
     """
 
     kind: str
@@ -102,6 +104,8 @@ class FockRepresentation:
     dim: int
     _eig: "tuple[Sector, ...] | None" = field(default=None, repr=False)
     _states: "dict[bytes, _Initial | None]" = field(default_factory=dict, init=False, repr=False)
+    _last: "_Initial | None" = field(default=None, init=False, repr=False)
+    _rates: "tuple | None" = field(default=None, init=False, repr=False)
 
     @property
     def hbar(self) -> float:
@@ -276,12 +280,12 @@ def _prepare(rep: FockRepresentation, vector: CoherentVector) -> _Initial:
         if sector.vectors is not None:
             part = _frozen(_real_matmul(sector.vectors.T, sector.gauge.conj() * part))
         coeffs.append(part)
-    return _Initial(vector, np.linalg.norm(vector.coeffs), tuple(coeffs))
+    return _Initial(vector, float(np.linalg.norm(vector.coeffs)), tuple(coeffs))
 
 
 def _state_key(alpha: complex) -> bytes:
     # the exact bits, so that 0.0 and -0.0 stay apart
-    return np.complex128(alpha).tobytes()
+    return struct.pack("dd", alpha.real, alpha.imag)
 
 
 def _initial_state(rep: FockRepresentation, alpha: complex) -> "_Initial | None":
@@ -301,24 +305,31 @@ def _initial_state(rep: FockRepresentation, alpha: complex) -> "_Initial | None"
         if len(rep._states) >= _STATES_PER_REPRESENTATION:
             del rep._states[next(iter(rep._states))]
         rep._states[key] = initial
-    return rep._states[key]
+    rep._last = rep._states[key]
+    return rep._last
 
 
 def _initial_of(rep: FockRepresentation, v: CoherentVector) -> _Initial:
     # the remembered data if v is the vector _initial_state built, else fresh
-    known = rep._states.get(_state_key(v.alpha))
+    known = rep._last
+    if known is None or known.vector is not v:
+        known = rep._states.get(_state_key(v.alpha))
     return known if known is not None and known.vector is v else _prepare(rep, v)
 
 
 def _propagate(rep: FockRepresentation, initial: _Initial, t: float) -> np.ndarray:
-    out = np.empty(rep.dim, dtype=complex)
-    for sector, coeffs in zip(rep.eigensystem(), initial.coeffs):
-        phases = np.exp(-1j * sector.energies * (t / rep.hbar))
-        if sector.vectors is None:
-            out[sector.index] = phases * coeffs
-        else:
+    sectors = rep.eigensystem()
+    if rep._rates is None or rep._rates[0] is not sectors:  # once per sectors eigensystem() returns
+        rep._rates = (sectors, tuple(_frozen(-1j * s.energies) for s in sectors))
+    rates = rep._rates[1]
+    if sectors[0].vectors is None:  # elliptic: one diagonal sector, the whole basis
+        out = np.exp(rates[0] * (t / rep.hbar)) * initial.coeffs[0]
+    else:
+        out = np.empty(rep.dim, dtype=complex)
+        for sector, rate, coeffs in zip(sectors, rates, initial.coeffs):
+            phases = np.exp(rate * (t / rep.hbar))
             out[sector.index] = sector.gauge * _real_matmul(sector.vectors, phases * coeffs)
-    drift = abs(np.linalg.norm(out) - initial.norm)
+    drift = abs(math.sqrt(np.vdot(out, out).real) - initial.norm)
     if drift > _UNITARITY_TOL:
         raise ConvergenceError(f"propagator lost unitarity: norm drift {drift:.3e}")
     return out

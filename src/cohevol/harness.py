@@ -579,29 +579,58 @@ def _fmt_cell(value, null: str, quote) -> str:
     return quote(value)
 
 
+_CSV_SLOTS = {float: "%.16e", int: "%d", str: "%s", type(None): "%.0s"}
+_JSON_SLOTS = {**_CSV_SLOTS, str: '"%s"', type(None): "null%.0s"}
+# RFC 8259: a string literal escapes '"', '\' and the controls U+0000-U+001F
+_JSON_ESCAPES = {code: f"\\u{code:04x}" for code in range(0x20)}
+_JSON_ESCAPES.update({ord("\\"): "\\\\", ord('"'): '\\"'})
+
+
+def _row_lines(rows, slots: dict, null: str, quote, as_json: bool = False) -> list[str]:
+    """Each row's cells joined by ``,``, through one ``%`` template per row type signature.
+
+    A row holding a type with no slot (``bool``, a numpy scalar) goes through
+    :func:`_fmt_cell` one cell at a time instead.  With ``as_json`` each line is
+    a bracketed array, and a row whose string cells bring a ``"``, ``\\`` or
+    control character takes the per-cell path too.
+    """
+    form = "[%s]" if as_json else "%s"
+    templates: dict = {}
+    lines = []
+    for row in rows:
+        types = tuple(map(type, row))
+        template = templates.get(types)
+        if template is None:  # "" for a type without a slot
+            parts = [slots.get(kind, "") for kind in types]
+            template = templates[types] = form % ",".join(parts) if all(parts) else ""
+        line = template % row if template else ""
+        if not template or (as_json and not (
+            line.isprintable() and "\\" not in line and line.count('"') == template.count('"')
+        )):
+            line = form % ",".join([_fmt_cell(cell, null, quote) for cell in row])
+        lines.append(line)
+    return lines
+
+
 def render_csv(result: TableResult, meta: list[tuple[str, str]]) -> str:
+    """Metadata as ``# key=value`` lines, the header, then one unquoted line per row."""
     lines = [f"# {key}={value}" for key, value in (*meta, *result.extra_meta)]
     lines.append(",".join(result.columns))
-    for row in result.rows:
-        lines.append(",".join(_fmt_cell(cell, "", str) for cell in row))
+    lines += _row_lines(result.rows, _CSV_SLOTS, "", str)
     return "\n".join(lines) + "\n"
 
 
 def _json_string(value) -> str:
-    escaped = str(value).replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{escaped}"'
+    return '"' + str(value).translate(_JSON_ESCAPES) + '"'
 
 
 def render_json(result: TableResult, meta: list[tuple[str, str]]) -> str:
-    """Hand-rolled serializer so float formatting matches the CSV exactly."""
+    """Hand-rolled serializer so that every cell reads as in the CSV (None as ``null``)."""
     meta_items = ",".join(
         f"{_json_string(k)}:{_json_string(v)}" for k, v in (*meta, *result.extra_meta)
     )
     columns = ",".join(_json_string(c) for c in result.columns)
-    rows = ",".join(
-        "[" + ",".join(_fmt_cell(cell, "null", _json_string) for cell in row) + "]"
-        for row in result.rows
-    )
+    rows = ",".join(_row_lines(result.rows, _JSON_SLOTS, "null", _json_string, as_json=True))
     return (
         '{"meta":{' + meta_items + '},"columns":[' + columns + '],"rows":[' + rows + "]}\n"
     )

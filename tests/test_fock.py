@@ -380,6 +380,105 @@ class TestUnitarityDrift:
         assert "unitarity" in capsys.readouterr().err
 
 
+
+def _per_point_state(rep, v, t):
+    """The evolved state as each point formed it before the per-representation caches.
+
+    A fresh prepared state, ``-1j * E`` formed anew, every sector written into
+    one new buffer.
+    """
+
+    def real_matmul(matrix, vec):
+        out = matrix @ np.stack((vec.real, vec.imag), axis=1)
+        return out[:, 0] + 1j * out[:, 1]
+
+    out = np.empty(rep.dim, dtype=complex)
+    for sector in rep.eigensystem():
+        coeffs = v.coeffs[sector.index]
+        phases = np.exp(-1j * sector.energies * (t / rep.hbar))
+        if sector.vectors is None:
+            out[sector.index] = phases * coeffs
+        else:
+            coeffs = real_matmul(sector.vectors.T, sector.gauge.conj() * coeffs)
+            out[sector.index] = sector.gauge * real_matmul(sector.vectors, phases * coeffs)
+    return out
+
+
+def _per_point_x_power(rep, state, n):
+    half_ladder = np.sqrt(rep.hbar * np.arange(1, rep.dim)) * math.sqrt(0.5)
+
+    def apply_x(vec):
+        out = np.zeros_like(vec)
+        out[:-1] = half_ladder * vec[1:]
+        out[1:] += half_ladder * vec[:-1]
+        return out
+
+    for _ in range(n // 2):
+        state = apply_x(state)
+    return complex(np.vdot(state, apply_x(state) if n % 2 else state))
+
+
+def _per_point_monomial(rep, state, m, q):
+    ladder = np.sqrt(rep.hbar * np.arange(1, rep.dim))
+    lowered = [state]
+    for _ in range(max(m, q)):
+        lowered.append(ladder[: len(lowered[-1]) - 1] * lowered[-1][1:])
+    size = rep.dim - max(m, q)
+    return complex(np.vdot(lowered[m][:size], lowered[q][:size]))
+
+
+class TestPerPointPath:
+    """The cached per-point path gives every bit of the uncached one."""
+
+    @pytest.mark.parametrize("kind,params", (("elliptic", ELL), ("hyperbolic", HYP)))
+    @pytest.mark.parametrize("dim", (64, 128, 256))
+    def test_equals_the_uncached_path(self, kind, params, dim):
+        rep = build_hamiltonian(kind, params, dim)
+        remembered = fock._initial_state(rep, 0.4 - 0.2j).vector
+        last = fock._initial_state(rep, 0.5 + 0.3j).vector
+        fresh = coherent_vector(0.5 + 0.3j, params.hbar, dim)
+        # found by identity, by the bits of alpha, and prepared afresh
+        for v in (last, remembered, fresh):
+            for t in (0.0, 0.1, 0.7, 2.5, 11.0):
+                state = _per_point_state(rep, v, t)
+                for n in (1, 2, 3, 4):
+                    assert propagate_expectation(rep, v, n, t) == _per_point_x_power(rep, state, n)
+                for m, q in ((1, 0), (2, 1), (1, 1), (0, 3)):
+                    expected = _per_point_monomial(rep, state, m, q)
+                    assert monomial_expectation(rep, v, m, q, t) == expected
+
+    def test_signed_zeros_are_distinct_states(self):
+        # alpha's bits are the memo key: -0.0 would otherwise reuse +0.0's vector
+        rep = build_hamiltonian("elliptic", ELL, 64)
+        for alpha in (complex(0.0, 0.5), complex(-0.0, 0.5), complex(0.0, 0.5)):
+            remembered = fock._initial_state(rep, alpha).vector.alpha
+            assert math.copysign(1.0, remembered.real) == math.copysign(1.0, alpha.real)
+
+    @pytest.fixture
+    def corrupted_norm(self, monkeypatch):
+        # every state prepared from here on carries a norm off by 1e-9
+        fock._cached_representation.cache_clear()
+        prepare = fock._prepare
+
+        def corrupted(rep, v):
+            initial = prepare(rep, v)
+            return initial._replace(norm=initial.norm + 1e-9)
+
+        monkeypatch.setattr(fock, "_prepare", corrupted)
+        yield
+        fock._cached_representation.cache_clear()  # drop the corrupted states
+
+    @pytest.mark.parametrize("kind,params,obs", (("elliptic", ELL, (2, 1)), ("hyperbolic", HYP, 1)))
+    def test_corrupted_norm_raises(self, corrupted_norm, kind, params, obs):
+        with pytest.raises(ConvergenceError, match="unitarity"):
+            oracle_average(kind, params, 0.5 + 0.3j, obs, 0.3)
+        rep = build_hamiltonian(kind, params, 64)
+        v = coherent_vector(0.5 + 0.3j, params.hbar, 64)
+        with pytest.raises(ConvergenceError, match="unitarity"):
+            propagate_expectation(rep, v, 1, 0.3)
+        with pytest.raises(ConvergenceError, match="unitarity"):
+            monomial_expectation(rep, v, 1, 1, 0.3)
+
 def _oracle_from_scratch(kind, params, alpha, obs, t, tol=1e-6):
     """The doubling protocol on a fresh coherent vector at every basis size."""
     degree = sum(obs) if isinstance(obs, tuple) else obs

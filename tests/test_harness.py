@@ -4,7 +4,10 @@ import math
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cohevol.closedform as closedform
 import cohevol.core as core
@@ -50,6 +53,56 @@ def _column(result, source):
     rows = [row for row in result.rows if row[3] == source]
     values = [None if row[1] is None else complex(row[1], row[2]) for row in rows]
     return values, [bool(row[4]) for row in rows]
+
+
+# Cells of every type a row may hold: the writers template float, int, str and
+# None and format bool and numpy scalars one cell at a time.
+_TEXT = st.one_of(
+    st.sampled_from(("closed", "oracle", "", 'a"b', "back\\slash", "x,y", "tab\there", "%s %d")),
+    st.text(max_size=6),
+)
+_FLOATS = st.one_of(
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308)),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_CELLS = st.one_of(
+    _FLOATS, st.integers(), st.booleans(), st.none(), _FLOATS.map(np.float64), _TEXT
+)
+
+
+def _per_cell(value, null, quote):
+    # every cell through one type test, as the writers did before row templates
+    if value is None:
+        return null
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return format(float(value), ".16e")
+    return quote(value)
+
+
+def _per_cell_csv(result, meta):
+    lines = [f"# {key}={value}" for key, value in (*meta, *result.extra_meta)]
+    lines.append(",".join(result.columns))
+    for row in result.rows:
+        lines.append(",".join(_per_cell(cell, "", str) for cell in row))
+    return "\n".join(lines) + "\n"
+
+
+def _per_cell_json_string(value):
+    # backslash and quote escaped, then each control character as \u00XX (RFC 8259)
+    text = str(value).replace("\\", "\\\\").replace('"', '\\"')
+    return '"' + "".join(f"\\u{ord(c):04x}" if c < " " else c for c in text) + '"'
+
+
+def _per_cell_json(result, meta):
+    q = _per_cell_json_string
+    meta_items = ",".join(f"{q(k)}:{q(v)}" for k, v in (*meta, *result.extra_meta))
+    columns = ",".join(q(c) for c in result.columns)
+    rows = ",".join(
+        "[" + ",".join(_per_cell(cell, "null", q) for cell in row) + "]" for row in result.rows
+    )
+    return '{"meta":{' + meta_items + '},"columns":[' + columns + '],"rows":[' + rows + "]}\n"
 
 
 class TestConfigParsing:
@@ -540,6 +593,38 @@ class TestWritersAndCli:
             '[1.0000000000000001e-01,"a \\"b\\" \\\\c",null,7],'
             '["a \\"b\\" \\\\c",null,7,1.0000000000000001e-01]]}\n'
         )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.integers(min_value=0, max_value=5).flatmap(
+            lambda width: st.lists(st.tuples(*[_CELLS] * width), max_size=8).map(tuple)
+        ),
+        meta_value=_TEXT,
+    )
+    def test_writers_match_the_per_cell_path(self, rows, meta_value):
+        import json
+
+        result = TableResult(columns=("a", 'b"c', "d\te"), rows=rows)
+        meta = [("command", "evolve"), ("sources", meta_value)]
+        assert render_csv(result, meta) == _per_cell_csv(result, meta)
+        text = render_json(result, meta)
+        assert text == _per_cell_json(result, meta)
+        if any(type(cell) is bool for row in rows for cell in row):
+            return  # printed as True/False, as the per-cell path always has
+        parsed = json.loads(text)
+        assert parsed["meta"] == dict(meta)
+        assert parsed["columns"] == list(result.columns)
+        assert parsed["rows"] == [list(row) for row in rows]
+
+    def test_cli_json_escapes_control_characters(self, tmp_path, capsys):
+        import json
+
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_CFG.replace("sources = closed,classical", "sources = closed,\tclassical"))
+        assert main(["evolve", "--config", str(cfg), "--format", "json"]) == 0
+        parsed = json.loads(capsys.readouterr().out)
+        assert parsed["meta"]["sources"] == "closed,\tclassical"
+        assert {row[3] for row in parsed["rows"]} == {"closed", "classical"}
 
     def test_cli_compare_subcommand(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -319,6 +319,8 @@ class TestScalingIdentity:
     # both sides are subnormal (~4e-315) here, where one unit in the last
     # place is already a relative error of 1.2e-9; the bound is floored there
     @example(re=0.0, im=1.0, t=2.2250738585e-313, s=2.0, n=3)
+    # one side is the smallest subnormal (5e-324) and the other rounds to zero
+    @example(re=5e-324, im=0.0, t=0.0, s=3.0, n=3)
     def test_scaling_property(self, re, im, t, s, n):
         # alpha/sqrt(hbar) and mu*hbar are invariant under the transform, so
         # the identity holds pointwise on every branch interval
@@ -328,10 +330,8 @@ class TestScalingIdentity:
             lhs, rhs = scaling_transform_check(n, complex(re, im), P, t, s)
         except CollapseProximity:
             return
-        if rhs == 0:
-            assert lhs == 0
-        else:
-            assert abs(lhs - rhs) <= 1e-10 * max(abs(rhs), sys.float_info.min)
+        # floored at 1e-10 of the smallest normal, also where rhs rounds to zero
+        assert abs(lhs - rhs) <= 1e-10 * max(abs(rhs), sys.float_info.min)
 
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(DomainError):
