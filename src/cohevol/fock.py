@@ -310,10 +310,8 @@ def _initial_state(rep: FockRepresentation, alpha: complex) -> "_Initial | None"
 
 
 def _initial_of(rep: FockRepresentation, v: CoherentVector) -> _Initial:
-    # the remembered data if v is the vector _initial_state built, else fresh
+    # the remembered data if v is the vector _initial_state last returned, else fresh
     known = rep._last
-    if known is None or known.vector is not v:
-        known = rep._states.get(_state_key(v.alpha))
     return known if known is not None and known.vector is v else _prepare(rep, v)
 
 

@@ -380,7 +380,6 @@ class TestUnitarityDrift:
         assert "unitarity" in capsys.readouterr().err
 
 
-
 def _per_point_state(rep, v, t):
     """The evolved state as each point formed it before the per-representation caches.
 
@@ -437,7 +436,8 @@ class TestPerPointPath:
         remembered = fock._initial_state(rep, 0.4 - 0.2j).vector
         last = fock._initial_state(rep, 0.5 + 0.3j).vector
         fresh = coherent_vector(0.5 + 0.3j, params.hbar, dim)
-        # found by identity, by the bits of alpha, and prepared afresh
+        # the state _initial_state returned last, one it returned earlier and a
+        # fresh vector: the first is found by identity, the others prepared anew
         for v in (last, remembered, fresh):
             for t in (0.0, 0.1, 0.7, 2.5, 11.0):
                 state = _per_point_state(rep, v, t)
@@ -478,6 +478,7 @@ class TestPerPointPath:
             propagate_expectation(rep, v, 1, 0.3)
         with pytest.raises(ConvergenceError, match="unitarity"):
             monomial_expectation(rep, v, 1, 1, 0.3)
+
 
 def _oracle_from_scratch(kind, params, alpha, obs, t, tol=1e-6):
     """The doubling protocol on a fresh coherent vector at every basis size."""
