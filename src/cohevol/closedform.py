@@ -10,17 +10,26 @@ representable.  For collapse scans the log-magnitude evaluator never forms it.
 
 Every fractional power of ``cos(8 n mu hbar t)`` is realized through integer
 powers of the tracked branch value (``_tracked_branch``), never via a
-principal power of a negative real.  Each closed-form call runs its checks
-and builds its pieces (exponent, branch, series, route) once, and feeds them
-to the float-range check, the route choice and the value.  The independent
-cross-check path evaluates the pre-integral Gaussian representation with
-principal square roots (its argument has positive real part away from
-collapse, so no tracking is needed there) and a scaled three-term moment
-recursion.
+principal power of a negative real.  The independent cross-check path
+evaluates the pre-integral Gaussian representation with principal square
+roots (its argument has positive real part away from collapse, so no tracking
+is needed there) and a scaled three-term moment recursion.
+
+Prepared evaluators
+-------------------
+Each quantity has one evaluator class.  Its build runs the order and model
+checks and forms all that does not depend on ``t`` (``8 n mu hbar``,
+``-s^2/(2 hbar)``, drift rates, series coefficients times ``hbar^j`` with the
+factorials cached per ``n``, ``|alpha|^2``, the monomial prefactor, the regime
+bounds of one ``(ratio, slack)``); a point computes the rest in the order a
+one-shot call does, so values are bit-identical.  An evaluator never changes
+after its build; each public function builds one and calls it once.
 
 No evaluator returns ``inf``/``nan``.  An ``x^n`` average beyond float64 is
 :class:`CollapseProximity`; a classical, elliptic or dispersion value is
 :class:`FloatRangeError` (a :class:`DomainError` and an ``OverflowError``).
+A ``t``-independent factor beyond float64 (``|alpha|^2`` at ``alpha = 1e200``)
+is raised by each call, where the per-point formula meets it, not by the build.
 """
 
 from __future__ import annotations
@@ -46,26 +55,25 @@ _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
 
 _MAX_XN_ORDER = 20
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_LN10 = math.log(10.0)
+_HALF_LOG10_2 = 0.5 * math.log10(2.0)
 
 
 class FloatRangeError(DomainError, OverflowError):
     """A classical, elliptic or dispersion value that overflows float64."""
 
 
-def _within_float_range(evaluate):
-    """Map a result that overflows float64 (OverflowError, inf or nan) to FloatRangeError."""
+class _FloatChecked:
+    """``_value(t)``, or :class:`FloatRangeError` naming the function ``name`` beyond float64."""
 
-    @functools.wraps(evaluate)
-    def checked(*args, **kwargs) -> complex:
+    def __call__(self, t: float) -> complex:
         try:
-            value = evaluate(*args, **kwargs)
+            value = self._value(t)
         except OverflowError as exc:
-            raise FloatRangeError(f"{evaluate.__name__} overflows float64 ({exc})") from None
+            raise FloatRangeError(f"{self.name} overflows float64 ({exc})") from None
         if not cmath.isfinite(value):
-            raise FloatRangeError(f"{evaluate.__name__} is not finite (got {value!r})")
+            raise FloatRangeError(f"{self.name} is not finite (got {value!r})")
         return value
-
-    return checked
 
 
 # ---------------------------------------------------------------------------
@@ -114,13 +122,15 @@ def check_collapse_guard(
     """
     if params.mu == 0.0 or guard <= 0.0:
         return
-    phi = 8.0 * n * params.mu * params.hbar * t
-    r = phi / math.pi - 0.5
+    r = 8.0 * n * params.mu * params.hbar * t / math.pi - 0.5
     if abs(r - round(r)) < guard:
-        raise CollapseProximity(
-            f"t={t} is within {guard:g} of a collapse time for n={n} "
-            "(shrink the guard to scan closer)"
-        )
+        raise _near_collapse(n, t, guard)
+
+
+def _near_collapse(n: int, t: float, guard: float) -> CollapseProximity:
+    return CollapseProximity(
+        f"t={t} is within {guard:g} of a collapse time for n={n} (shrink the guard to scan closer)"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -149,32 +159,60 @@ def _validate_monomial(m: int, q: int) -> None:
         raise DomainError(f"monomial orders must be nonnegative integers, got {(m, q)}")
 
 
-@_within_float_range
-def elliptic_quantum_average(
-    m: int, q: int, alpha: complex, params: SystemParams, t: float
-) -> complex:
+class EllipticAverage(_FloatChecked):
+    """Prepared quantum average of ``adag^m a^q`` in the elliptic model."""
+
+    name = "elliptic_quantum_average"
+
+    def __init__(self, m: int, q: int, alpha: complex, params: SystemParams) -> None:
+        _validate_monomial(m, q)
+        a, mu_h = complex(alpha), params.mu * params.hbar
+        self._d, self._kerr = m - q, m * (m - 1) - q * (q - 1)
+        self._spin, self._shift = 1j * params.omega, 1j * mu_h
+        self._turn = 2j * mu_h * self._d
+        self._hbar, self._overflow = params.hbar, None
+        try:
+            self._mod2, self._start = abs(a) ** 2, a.conjugate() ** m * a**q
+        except OverflowError as exc:
+            self._overflow = exc.args
+
+    def _value(self, t: float) -> complex:
+        phase = cmath.exp(self._turn * t)
+        if self._overflow is not None:
+            raise OverflowError(*self._overflow)
+        exponent = (self._spin * t * self._d + self._shift * t * self._kerr
+                    + (phase - 1.0) * self._mod2 / self._hbar)
+        return self._start * cmath.exp(exponent)
+
+
+class EllipticClassical(_FloatChecked):
+    """Prepared transport of ``conj(a)^m a^q`` along the classical elliptic flow."""
+
+    name = "elliptic_classical_average"
+
+    def __init__(self, m: int, q: int, alpha: complex, params: SystemParams) -> None:
+        _validate_monomial(m, q)
+        a = complex(alpha)
+        try:
+            self._rate = 1j * (params.omega + 2.0 * params.mu * abs(a) ** 2) * (m - q)
+            self._start, self._overflow = a.conjugate() ** m * a**q, None
+        except OverflowError as exc:
+            self._overflow = exc.args
+
+    def _value(self, t: float) -> complex:
+        if self._overflow is not None:
+            raise OverflowError(*self._overflow)
+        return self._start * cmath.exp(self._rate * t)
+
+
+def elliptic_quantum_average(m: int, q: int, alpha: complex, params: SystemParams, t: float) -> complex:
     """Evolved average of ``adag^m a^q`` in the elliptic model; entire in t."""
-    _validate_monomial(m, q)
-    a = complex(alpha)
-    d = m - q
-    mu_h = params.mu * params.hbar
-    exponent = (
-        1j * params.omega * t * d
-        + 1j * mu_h * t * (m * (m - 1) - q * (q - 1))
-        + (cmath.exp(2j * mu_h * d * t) - 1.0) * abs(a) ** 2 / params.hbar
-    )
-    return a.conjugate() ** m * a**q * cmath.exp(exponent)
+    return EllipticAverage(m, q, alpha, params)(t)
 
 
-@_within_float_range
-def elliptic_classical_average(
-    m: int, q: int, alpha: complex, params: SystemParams, t: float
-) -> complex:
+def elliptic_classical_average(m: int, q: int, alpha: complex, params: SystemParams, t: float) -> complex:
     """Transport of ``conj(a)^m a^q`` along the classical elliptic flow."""
-    _validate_monomial(m, q)
-    a = complex(alpha)
-    rate = params.omega + 2.0 * params.mu * abs(a) ** 2
-    return a.conjugate() ** m * a**q * cmath.exp(1j * rate * (m - q) * t)
+    return EllipticClassical(m, q, alpha, params)(t)
 
 
 # ---------------------------------------------------------------------------
@@ -190,44 +228,12 @@ def _check_xn_order(n: int) -> None:
         )
 
 
-def _xn_closed_pieces(
-    n: int, alpha: complex, params: SystemParams, t: float
-) -> tuple[float, float, int, complex, bool]:
-    """Shared pieces ``(exponent, magnitude, phase_index, series_sum, closed_route)``.
-
-    The full average is
-    ``exp(exponent) * 2^((n+1)/2) mag^(n+1) i^(k(n+1)) * series_sum``.
-    ``closed_route`` is ``cos(8 n mu hbar t) > 0``, read off the sign of ``b^2``.
-    """
-    a = complex(alpha)
-    phi = 8.0 * n * params.mu * params.hbar * t
-    k, bsq, mag = _tracked_branch(phi)
-    xi = 2.0 * (a * cmath.exp(0.5j * phi)).real  # real for every alpha
-    s_line = 2.0 * a.real  # alpha + conj(alpha)
-    exponent = (
-        -s_line * s_line / (2.0 * params.hbar)
-        + xi * xi * bsq / params.hbar
-        + 2.0 * params.omega * n * t
-    )
-    series = 0j
-    xb_mag = xi * mag
-    for j in range(n // 2 + 1):
-        coef = math.factorial(n) / (4.0**j * math.factorial(j) * math.factorial(n - 2 * j))
-        power = n - 2 * j
-        series += (
-            coef * params.hbar**j * xb_mag**power * _I_POW[(k * power) % 4]
-        )
-    return exponent, mag, k, series, bsq > 0.0
-
-
-def _log10_magnitude(n: int, pieces: tuple) -> float:
-    exponent, mag, _, series, _ = pieces
-    if series == 0:
-        return -math.inf
-    return (
-        exponent / math.log(10.0)
-        + (n + 1) * (0.5 * math.log10(2.0) + math.log10(mag))
-        + math.log10(abs(series))
+@functools.cache  # one entry per checked order, at most _MAX_XN_ORDER
+def _series_coefficients(n: int) -> tuple[tuple[float, int, int], ...]:
+    """``(n! / (4^j j! (n-2j)!), j, n - 2j)`` for each term ``j`` of the ``x^n`` series."""
+    return tuple(
+        (math.factorial(n) / (4.0**j * math.factorial(j) * math.factorial(n - 2 * j)), j, n - 2 * j)
+        for j in range(n // 2 + 1)
     )
 
 
@@ -243,12 +249,6 @@ def _exp_product(exponent: complex, a: complex, b: complex) -> complex:
     if scaled == 0:
         return 0j
     return cmath.exp(exponent + cmath.log(scaled))
-
-
-def _xn_closed_value(n: int, pieces: tuple) -> complex:
-    exponent, mag, k, series, _ = pieces
-    prefactor = 2.0 ** ((n + 1) / 2.0) * mag ** (n + 1) * _I_POW[(k * (n + 1)) % 4]
-    return _exp_product(exponent, prefactor, series)
 
 
 def gaussian_moment_ratios(
@@ -271,57 +271,115 @@ def gaussian_moment_ratios(
     return ratios
 
 
-def _xn_integral_value(n: int, alpha: complex, params: SystemParams, t: float) -> complex:
-    """Pre-integral Gaussian route with principal square roots throughout."""
-    a = complex(alpha)
-    theta = 8.0 * n * params.mu * params.hbar * t
-    w = 1.0 + cmath.exp(2j * theta)
-    b = a.conjugate() + a * cmath.exp(1j * theta)
-    s_line = 2.0 * a.real
-    exponent = (
-        -s_line * s_line / (2.0 * params.hbar)
-        + b * b / (params.hbar * w)
-        + 2.0 * params.omega * n * t
-        + 4j * params.mu * params.hbar * t * n * (n + 1)
-    )
-    ratios = gaussian_moment_ratios(n, w, b, params.hbar)
-    return _exp_product(exponent, cmath.sqrt(2.0 / w), ratios[n])
+class XnAverage:
+    """Prepared coherent-state average of ``x^n`` in the hyperbolic model.
 
+    The branch-tracked value is ``exp(exponent) 2^((n+1)/2) mag^(n+1) i^(k(n+1)) series``;
+    where ``cos(8 n mu hbar t) < 0`` (the sign of ``b^2``) the pre-integral route gives it.
+    """
 
-def _guarded_pieces(
-    n: int, alpha: complex, params: SystemParams, t: float, guard: float
-) -> tuple[float, float, int, complex, bool]:
-    """Closed-form pieces after the order, model and collapse-guard checks."""
-    _check_xn_order(n)
-    params.require_hyperbolic()
-    check_collapse_guard(n, params, t, guard)
-    return _xn_closed_pieces(n, alpha, params, t)
+    def __init__(
+        self, n: int, alpha: complex, params: SystemParams, guard: float = DEFAULT_GUARD
+    ) -> None:
+        _check_xn_order(n)
+        params.require_hyperbolic()
+        a, hbar = complex(alpha), params.hbar
+        s_line = 2.0 * a.real  # alpha + conj(alpha)
+        self.n, self._guard = n, 0.0 if params.mu == 0.0 or guard <= 0.0 else guard
+        self._alpha, self._conj, self._hbar = a, a.conjugate(), hbar
+        self._phase = 8.0 * n * params.mu * hbar
+        self._base = -s_line * s_line / (2.0 * hbar)
+        self._drift, self._shift = 2.0 * params.omega * n, 4j * params.mu * hbar
+        self._root2, self._overflow, self._terms = 2.0 ** ((n + 1) / 2.0), None, []
+        try:
+            for coef, j, power in _series_coefficients(n):
+                self._terms.append((coef * hbar**j, power))
+        except OverflowError as exc:  # hbar^j beyond float64: each call's series raises it
+            self._overflow = exc.args
 
-
-def _representable_pieces(
-    n: int, alpha: complex, params: SystemParams, t: float, guard: float
-) -> tuple[float, float, int, complex, bool]:
-    """Guarded pieces whose value fits float64, built once for every route."""
-    pieces = _guarded_pieces(n, alpha, params, t, guard)
-    # The magnitude blows up double-exponentially on the approach to a
-    # collapse time and leaves float64 range long before the guard band;
-    # treat that overflow zone as collapse proximity (log-scale evaluation
-    # stays available arbitrarily close).
-    log10_mag = _log10_magnitude(n, pieces)
-    if log10_mag > 307.0:
-        raise CollapseProximity(
-            f"|<x^{n}>| ~ 1e{log10_mag:.0f} exceeds float64 range at t={t}; "
-            "use hyperbolic_xn_log10_magnitude for near-collapse scans"
+    def _pieces(self, t: float, representable: bool = True) -> tuple:
+        """``(phi, bsq, mag, k, exponent, series, log10_mag)`` at ``t``, after the guard checks."""
+        phi = self._phase * t
+        if self._guard:  # 0.0 where check_collapse_guard checks nothing
+            r = phi / math.pi - 0.5
+            if abs(r - round(r)) < self._guard:
+                raise _near_collapse(self.n, t, self._guard)
+        k, bsq, mag = _tracked_branch(phi)
+        xi = 2.0 * (self._alpha * cmath.exp(0.5j * phi)).real  # real for every alpha
+        exponent = self._base + xi * xi * bsq / self._hbar + self._drift * t
+        xb_mag = xi * mag
+        if self._overflow is not None:
+            raise OverflowError(*self._overflow)
+        series = 0j
+        for coef, power in self._terms:
+            series += coef * xb_mag**power * _I_POW[(k * power) % 4]
+        log10_mag = -math.inf if series == 0 else (
+            exponent / _LN10
+            + (self.n + 1) * (_HALF_LOG10_2 + math.log10(mag))
+            + math.log10(abs(series))
         )
-    return pieces
+        # The magnitude blows up double-exponentially on the approach to a
+        # collapse time and leaves float64 range long before the guard band;
+        # treat that overflow zone as collapse proximity (log-scale evaluation
+        # stays available arbitrarily close).
+        if representable and log10_mag > 307.0:
+            raise CollapseProximity(
+                f"|<x^{self.n}>| ~ 1e{log10_mag:.0f} exceeds float64 range at t={t}; "
+                "use hyperbolic_xn_log10_magnitude for near-collapse scans"
+            )
+        return phi, bsq, mag, k, exponent, series, log10_mag
+
+    def _closed_value(self, mag: float, k: int, exponent: float, series: complex) -> complex:
+        n1 = self.n + 1
+        prefactor = self._root2 * mag**n1 * _I_POW[(k * n1) % 4]
+        return _exp_product(exponent, prefactor, series)
+
+    def _integral_value(self, phi: float, t: float) -> complex:
+        """Pre-integral Gaussian route with principal square roots throughout."""
+        n, hbar = self.n, self._hbar
+        w = 1.0 + cmath.exp(2j * phi)
+        b = self._conj + self._alpha * cmath.exp(1j * phi)
+        exponent = self._base + b * b / (hbar * w) + self._drift * t + self._shift * t * n * (n + 1)
+        ratios = gaussian_moment_ratios(n, w, b, hbar)
+        return _exp_product(exponent, cmath.sqrt(2.0 / w), ratios[n])
+
+    def __call__(self, t: float) -> complex:
+        phi, bsq, mag, k, exponent, series, _ = self._pieces(t)
+        if bsq > 0.0:  # cos(8 n mu hbar t) > 0: the branch-tracked route
+            return self._closed_value(mag, k, exponent, series)
+        return self._integral_value(phi, t)
+
+    def paths(self, t: float) -> tuple[complex, complex]:
+        phi, _, mag, k, exponent, series, _ = self._pieces(t)
+        return self._closed_value(mag, k, exponent, series), self._integral_value(phi, t)
+
+    def log10_magnitude(self, t: float) -> float:
+        return self._pieces(t, representable=False)[-1]
+
+
+class XnClassical(_FloatChecked):
+    """Prepared classical transport of ``x^n``: ``x0^n exp(n (2 omega - 8 mu x0 p0) t)``."""
+
+    name = "hyperbolic_classical_xn"
+
+    def __init__(self, n: int, alpha: complex, params: SystemParams) -> None:
+        _check_xn_order(n)
+        a = complex(alpha)
+        x0, p0 = math.sqrt(2.0) * a.real, math.sqrt(2.0) * a.imag
+        self._rate = n * (2.0 * params.omega - 8.0 * params.mu * x0 * p0)
+        try:
+            self._start, self._overflow = x0**n, None
+        except OverflowError as exc:
+            self._overflow = exc.args
+
+    def _value(self, t: float) -> complex:
+        if self._overflow is not None:
+            raise OverflowError(*self._overflow)
+        return complex(self._start * math.exp(self._rate * t))
 
 
 def hyperbolic_xn_average(
-    n: int,
-    alpha: complex,
-    params: SystemParams,
-    t: float,
-    guard: float = DEFAULT_GUARD,
+    n: int, alpha: complex, params: SystemParams, t: float, guard: float = DEFAULT_GUARD
 ) -> complex:
     """Evolved coherent-state average of ``x^n`` in the hyperbolic model.
 
@@ -337,30 +395,18 @@ def hyperbolic_xn_average(
     DomainError
         If the parameters are not hyperbolic-capable or ``n`` is out of range.
     """
-    pieces = _representable_pieces(n, alpha, params, t, guard)
-    if pieces[-1]:  # closed_route: cos(8 n mu hbar t) > 0
-        return _xn_closed_value(n, pieces)
-    return _xn_integral_value(n, alpha, params, t)
+    return XnAverage(n, alpha, params, guard)(t)
 
 
 def hyperbolic_xn_paths(
-    n: int,
-    alpha: complex,
-    params: SystemParams,
-    t: float,
-    guard: float = DEFAULT_GUARD,
+    n: int, alpha: complex, params: SystemParams, t: float, guard: float = DEFAULT_GUARD
 ) -> tuple[complex, complex]:
     """Both evaluation routes ``(branch-tracked, pre-integral)`` for cross-checks."""
-    pieces = _representable_pieces(n, alpha, params, t, guard)
-    return _xn_closed_value(n, pieces), _xn_integral_value(n, alpha, params, t)
+    return XnAverage(n, alpha, params, guard).paths(t)
 
 
 def hyperbolic_xn_log10_magnitude(
-    n: int,
-    alpha: complex,
-    params: SystemParams,
-    t: float,
-    guard: float = DEFAULT_GUARD,
+    n: int, alpha: complex, params: SystemParams, t: float, guard: float = DEFAULT_GUARD
 ) -> float:
     """``log10 |<x^n>(t)|`` without forming the value (collapse-scan safe).
 
@@ -368,34 +414,37 @@ def hyperbolic_xn_log10_magnitude(
     logarithm is perfectly representable; approach sequences are therefore
     reported in log scale.
     """
-    return _log10_magnitude(n, _guarded_pieces(n, alpha, params, t, guard))
+    return XnAverage(n, alpha, params, guard).log10_magnitude(t)
 
 
-@_within_float_range
-def hyperbolic_classical_xn(
-    n: int, alpha: complex, params: SystemParams, t: float
-) -> complex:
+def hyperbolic_classical_xn(n: int, alpha: complex, params: SystemParams, t: float) -> complex:
     """Classical transport of ``x^n``: ``x0^n exp(n (2 omega - 8 mu x0 p0) t)``."""
-    _check_xn_order(n)
-    a = complex(alpha)
-    x0 = math.sqrt(2.0) * a.real
-    p0 = math.sqrt(2.0) * a.imag
-    rate = 2.0 * params.omega - 8.0 * params.mu * x0 * p0
-    return complex(x0**n * math.exp(n * rate * t))
+    return XnClassical(n, alpha, params)(t)
 
 
 # ---------------------------------------------------------------------------
 # Dispersion
 # ---------------------------------------------------------------------------
 
-@_within_float_range
+class DispersionExact(_FloatChecked):
+    """Prepared exact ``<x^2> - <x>^2``; guarded by both the n=1 and n=2 collapse sets."""
+
+    name = "dispersion_exact"
+
+    def __init__(self, alpha: complex, params: SystemParams, guard: float = DEFAULT_GUARD) -> None:
+        self._second = XnAverage(2, alpha, params, guard)
+        self._first = XnAverage(1, alpha, params, guard)
+
+    def _value(self, t: float) -> complex:
+        second, first = self._second(t), self._first(t)
+        return second - first * first
+
+
 def dispersion_exact(
     alpha: complex, params: SystemParams, t: float, guard: float = DEFAULT_GUARD
 ) -> complex:
     """Exact ``<x^2> - <x>^2``; guarded by both the n=1 and n=2 collapse sets."""
-    second = hyperbolic_xn_average(2, alpha, params, t, guard)
-    first = hyperbolic_xn_average(1, alpha, params, t, guard)
-    return second - first * first
+    return DispersionExact(alpha, params, guard)(t)
 
 
 # 64 mu^2 hbar t^2 |alpha|^2 inside this band reads as the crossover "~ 1"
@@ -410,35 +459,55 @@ class DispersionRegime(Enum):
     CROSSOVER = "crossover"
 
 
-def _regime_sets(
-    alpha: complex, params: SystemParams, t: float, ratio: float, slack: float
-) -> dict[DispersionRegime, bool]:
-    """Whether each regime's inequality set holds, in precedence order.
+_PRECEDENCE = (DispersionRegime.CROSSOVER, DispersionRegime.EXPONENTIAL_DOMINATED,
+               DispersionRegime.SMALL_CORRECTION)
+_RANK = {regime: rank for rank, regime in enumerate(_PRECEDENCE)}
+
+
+class RegimeSets:
+    """Prepared regime inequality sets of one ``(alpha, params, ratio, slack)``.
 
     ``a << b`` is read as ``a * (ratio / slack) <= b``, and the crossover band
-    is widened by ``slack`` on both sides.
+    is widened by ``slack`` on both sides.  A point computes only ``u``, the
+    growth parameter, ``lin`` and ``quad``.
     """
-    mod2 = abs(complex(alpha)) ** 2
-    u = abs(params.mu * params.hbar * t)
-    growth = params.mu**2 * params.hbar * t * t
-    lin, quad = growth * math.sqrt(mod2), growth * mod2
-    eff = ratio / slack
-    low, high = _CROSSOVER_BAND[0] / slack, _CROSSOVER_BAND[1] * slack
-    common = u * eff <= 1.0 and mod2 >= eff * params.hbar
-    return {
-        DispersionRegime.CROSSOVER: common and low <= 64.0 * quad <= high,
-        DispersionRegime.EXPONENTIAL_DOMINATED: common and quad >= eff,
-        DispersionRegime.SMALL_CORRECTION: common
-        and lin * eff <= 1.0
-        and 64.0 * quad < _CROSSOVER_BAND[0] * slack,
-    }
+
+    def __init__(
+        self, alpha: complex, params: SystemParams, ratio: float = 10.0, slack: float = 1.0
+    ) -> None:
+        self._overflow = None
+        try:
+            mod2 = abs(complex(alpha)) ** 2
+        except OverflowError as exc:
+            self._overflow, mod2 = exc.args, math.nan
+        eff = ratio / slack
+        self._mod2, self._mod = mod2, math.sqrt(mod2)
+        self._muh, self._g0 = params.mu * params.hbar, params.mu**2 * params.hbar
+        self._eff, self._amp = eff, mod2 >= eff * params.hbar
+        self._low, self._high = _CROSSOVER_BAND[0] / slack, _CROSSOVER_BAND[1] * slack
+        self._cap = _CROSSOVER_BAND[0] * slack
+
+    def holds(self, t: float) -> tuple[bool, bool, bool]:
+        """Whether each regime's set holds at ``t``, in precedence order."""
+        if self._overflow is not None:
+            raise OverflowError(*self._overflow)
+        eff = self._eff
+        u = abs(self._muh * t)
+        growth = self._g0 * t * t
+        lin, quad = growth * self._mod, growth * self._mod2
+        common = u * eff <= 1.0 and self._amp
+        return (
+            common and self._low <= 64.0 * quad <= self._high,
+            common and quad >= eff,
+            common and lin * eff <= 1.0 and 64.0 * quad < self._cap,
+        )
+
+    def classify(self, t: float) -> Optional[DispersionRegime]:
+        return next((regime for regime, holds in zip(_PRECEDENCE, self.holds(t)) if holds), None)
 
 
 def classify_dispersion_regime(
-    alpha: complex,
-    params: SystemParams,
-    t: float,
-    ratio: float = 10.0,
+    alpha: complex, params: SystemParams, t: float, ratio: float = 10.0
 ) -> Optional[DispersionRegime]:
     """Total classification of a point against the three inequality sets.
 
@@ -451,18 +520,50 @@ def classify_dispersion_regime(
     band (the linearized form is meaningless beyond it).  Returns ``None``
     when no set holds.
     """
-    sets = _regime_sets(alpha, params, t, ratio, 1.0)
-    return next((regime for regime, holds in sets.items() if holds), None)
+    return RegimeSets(alpha, params, ratio, 1.0).classify(t)
 
 
-@_within_float_range
+class DispersionApprox(RegimeSets, _FloatChecked):
+    """Prepared displayed approximation of one regime (:class:`RegimeMismatch` off its set)."""
+
+    name = "dispersion_approx"
+
+    def __init__(
+        self, alpha: complex, params: SystemParams, regime: DispersionRegime,
+        slack: float = 10.0, ratio: float = 10.0,
+    ) -> None:
+        a, mu, hbar = complex(alpha), params.mu, params.hbar
+        super().__init__(a, params, ratio, slack)
+        self.regime, self.slack = regime, slack
+        self._s_line = 2.0 * a.real
+        self._a2 = a * a - a.conjugate() * a.conjugate()  # purely imaginary
+        self._rate, self._turn = 4.0 * params.omega, 8j * mu
+        self._h2, self._lin, self._quad = 0.5 * hbar, 4j * mu * hbar, 32.0 * mu**2 * hbar
+
+    def _value(self, t: float) -> complex:
+        mod2, regime = self._mod2, self.regime
+        if not self.holds(t)[_RANK[regime]]:
+            u = abs(self._muh * t)
+            raise RegimeMismatch(
+                f"point (|alpha|^2={mod2:.3g}, mu*hbar*t={u:.3g}) fails the "
+                f"{regime.value} inequalities beyond slack {self.slack:g}"
+            )
+        a2 = self._a2
+        prefactor = cmath.exp(self._rate * t + self._turn * t * a2)
+        if regime is DispersionRegime.SMALL_CORRECTION:
+            return prefactor * (
+                self._h2 + self._lin * t * a2 + self._quad * t * t * self._s_line**2 * mod2
+            )
+        growth = self._g0 * t * t * mod2
+        if regime is DispersionRegime.EXPONENTIAL_DOMINATED:
+            return 0.5 * prefactor * self._s_line**2 * math.exp(128.0 * growth)
+        return 0.5 * prefactor * self._s_line**2 * (
+            math.exp(128.0 * growth) - math.exp(64.0 * growth))
+
+
 def dispersion_approx(
-    alpha: complex,
-    params: SystemParams,
-    t: float,
-    regime: DispersionRegime,
-    slack: float = 10.0,
-    ratio: float = 10.0,
+    alpha: complex, params: SystemParams, t: float, regime: DispersionRegime,
+    slack: float = 10.0, ratio: float = 10.0,
 ) -> complex:
     """Displayed approximation of the dispersion for the requested regime.
 
@@ -475,33 +576,7 @@ def dispersion_approx(
     RegimeMismatch
         If the inequality set fails by more than the slack allows.
     """
-    a = complex(alpha)
-    mod2 = abs(a) ** 2
-    if not _regime_sets(a, params, t, ratio, slack)[regime]:
-        u = abs(params.mu * params.hbar * t)
-        raise RegimeMismatch(
-            f"point (|alpha|^2={mod2:.3g}, mu*hbar*t={u:.3g}) fails the "
-            f"{regime.value} inequalities beyond slack {slack:g}"
-        )
-    mu, hbar, omega = params.mu, params.hbar, params.omega
-    a2 = a * a - a.conjugate() * a.conjugate()  # purely imaginary
-    s_line = 2.0 * a.real
-    prefactor = cmath.exp(4.0 * omega * t + 8j * mu * t * a2)
-    if regime is DispersionRegime.SMALL_CORRECTION:
-        return prefactor * (
-            0.5 * hbar
-            + 4j * mu * hbar * t * a2
-            + 32.0 * mu**2 * hbar * t * t * s_line**2 * mod2
-        )
-    growth = mu**2 * hbar * t * t * mod2
-    if regime is DispersionRegime.EXPONENTIAL_DOMINATED:
-        return 0.5 * prefactor * s_line**2 * math.exp(128.0 * growth)
-    return (
-        0.5
-        * prefactor
-        * s_line**2
-        * (math.exp(128.0 * growth) - math.exp(64.0 * growth))
-    )
+    return DispersionApprox(alpha, params, regime, slack, ratio)(t)
 
 
 # ---------------------------------------------------------------------------

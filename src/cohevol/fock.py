@@ -19,8 +19,9 @@ form:
   ``k +- 2``: it splits into an even and an odd parity sector, each a real
   symmetric tridiagonal matrix with zero diagonal and off-diagonal
   ``hbar sqrt((k+1)(k+2))``.  Each sector is diagonalised once per
-  representation with ``scipy.linalg.eigh_tridiagonal`` (MRRR); the energies
-  are ``w s - mu s^2`` for the eigenvalues ``s`` of ``S``.  Inside a sector
+  representation with ``scipy.linalg.eigh_tridiagonal``, whose default driver
+  for the full spectrum is LAPACK ``stevd`` (divide and conquer) in scipy
+  1.17.1; the energies are ``w s - mu s^2`` for the eigenvalues ``s`` of ``S``.  Inside a sector
   the gauge reduces to ``i^j`` (a constant sector phase cancels), so it adds
   no rounding either.  scipy is imported at the first hyperbolic eigensolve,
   so an elliptic run never loads it.

@@ -15,16 +15,9 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from typing import Optional
 
-from .closedform import (
-    DEFAULT_GUARD,
-    FloatRangeError,
-    classify_dispersion_regime,
-    dispersion_approx,
-    dispersion_exact,
-    elliptic_classical_average,
-    elliptic_quantum_average,
-    hyperbolic_classical_xn,
-    hyperbolic_xn_average,
+from . import closedform
+from .closedform import (  # noqa: F401  the three functions only for bench/spans.py to wrap here
+    DEFAULT_GUARD, FloatRangeError, elliptic_quantum_average, hyperbolic_xn_average,
     hyperbolic_xn_log10_magnitude,
 )
 from .core import (
@@ -212,20 +205,18 @@ def load_config(path: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def _evaluators(config: RunConfig) -> dict:
-    """``t -> value`` for each source name, bound to the config's observable.
-
-    Built per command call, so the evaluation functions are looked up in this
-    module's namespace when the command runs.
+    """``t -> value`` per source name: the prepared closed forms, built once per command, and
+    the oracle, looked up in this module's namespace when the command runs.
     """
     obs, params, alpha = config.observable, config.params, config.alpha
     if isinstance(obs, XPower):
         key = obs.n
-        closed = partial(hyperbolic_xn_average, obs.n, alpha, params, guard=config.guard)
-        classical = partial(hyperbolic_classical_xn, obs.n, alpha, params)
+        closed = closedform.XnAverage(obs.n, alpha, params, config.guard)
+        classical = closedform.XnClassical(obs.n, alpha, params)
     else:
         key = (obs.m, obs.q)
-        closed = partial(elliptic_quantum_average, obs.m, obs.q, alpha, params)
-        classical = partial(elliptic_classical_average, obs.m, obs.q, alpha, params)
+        closed = closedform.EllipticAverage(obs.m, obs.q, alpha, params)
+        classical = closedform.EllipticClassical(obs.m, obs.q, alpha, params)
     oracle = partial(
         oracle_average, config.kind, params, alpha, key,
         tol=config.oracle_tol, dim_cap=config.oracle_dim_cap,
@@ -353,15 +344,13 @@ def cmd_collapse_scan(config: RunConfig) -> TableResult:
         raise ConfigError(f"collapse-scan is limited to {_MAX_SCAN_ROWS:,} rows, got {n_rows:,}")
     base = math.pi / (16.0 * params.mu * obs.n * params.hbar)
     spacing = 2.0 * base
+    log10_magnitude = closedform.XnAverage(obs.n, config.alpha, params, guard=0.0).log10_magnitude
     rows = []
     for ell in range(lo, hi + 1):
         t_ell = base + ell * spacing
         for k in APPROACH_EXPONENTS:
             t = t_ell - abs(t_ell) * 10.0 ** (-k)
-            log_mag = hyperbolic_xn_log10_magnitude(
-                obs.n, config.alpha, params, t, guard=0.0
-            )
-            rows.append((ell, t_ell, k, t, log_mag))
+            rows.append((ell, t_ell, k, t, log10_magnitude(t)))
     return TableResult(
         columns=("ell", "t_ell", "k", "t", "log10_abs_f"),
         rows=tuple(rows),
@@ -527,18 +516,22 @@ def cmd_dispersion_regimes(config: RunConfig) -> TableResult:
     if config.kind != "hyperbolic":
         raise ConfigError("dispersion-regimes needs kind = hyperbolic")
     alpha, params = config.alpha, config.params
+    regimes = closedform.RegimeSets(alpha, params)  # classify_dispersion_regime's defaults
+    dispersion = closedform.DispersionExact(alpha, params, config.guard)
+    approximations = {regime: closedform.DispersionApprox(alpha, params, regime)
+                      for regime in closedform.DispersionRegime}
     rows = []
     for t in config.time_grid():
-        regime = classify_dispersion_regime(alpha, params, t)
+        regime = regimes.classify(t)
         label = regime.value if regime is not None else "none"
         try:
-            exact = _value_or_none(FloatRangeError, dispersion_exact, alpha, params, t, config.guard)
+            exact = _value_or_none(FloatRangeError, dispersion, t)
         except CollapseProximity:
             rows.append((t, label, None, None, None, None, None, 1))
             continue
         approx = None
         if exact is not None and regime is not None:
-            approx = _value_or_none(FloatRangeError, dispersion_approx, alpha, params, t, regime)
+            approx = _value_or_none(FloatRangeError, approximations[regime], t)
         exact_cells = (None, None) if exact is None else (exact.real, exact.imag)
         if approx is None:
             rows.append((t, label, *exact_cells, None, None, None, 0))
@@ -579,6 +572,15 @@ def _fmt_cell(value, null: str, quote) -> str:
     return quote(value)
 
 
+def _json_cell(value) -> str:
+    """As in the CSV, but ``null`` also for a non-finite float and ``true``/``false`` for a bool."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float) and not math.isfinite(value):
+        return "null"
+    return _fmt_cell(value, "null", _json_string)
+
+
 _CSV_SLOTS = {float: "%.16e", int: "%d", str: "%s", type(None): "%.0s"}
 _JSON_SLOTS = {**_CSV_SLOTS, str: '"%s"', type(None): "null%.0s"}
 # RFC 8259: a string literal escapes '"', '\' and the controls U+0000-U+001F
@@ -586,28 +588,37 @@ _JSON_ESCAPES = {code: f"\\u{code:04x}" for code in range(0x20)}
 _JSON_ESCAPES.update({ord("\\"): "\\\\", ord('"'): '\\"'})
 
 
-def _row_lines(rows, slots: dict, null: str, quote, as_json: bool = False) -> list[str]:
+def _row_lines(rows, slots: dict, cell, as_json: bool = False) -> list[str]:
     """Each row's cells joined by ``,``, through one ``%`` template per row type signature.
 
     A row holding a type with no slot (``bool``, a numpy scalar) goes through
-    :func:`_fmt_cell` one cell at a time instead.  With ``as_json`` each line is
-    a bracketed array, and a row whose string cells bring a ``"``, ``\\`` or
-    control character takes the per-cell path too.
+    ``cell`` one cell at a time instead.  With ``as_json`` each line is a bracketed array,
+    and a row also goes cell by cell where a string cell needs an escape (decided once per
+    distinct string) or a float prints as ``inf`` or ``nan``.
     """
     form = "[%s]" if as_json else "%s"
     templates: dict = {}
+    plain: dict = {}  # string cell -> it needs no JSON escape
+
+    def unescaped(text: str) -> bool:
+        if text not in plain:
+            plain[text] = text.translate(_JSON_ESCAPES) == text
+        return plain[text]
+
     lines = []
     for row in rows:
         types = tuple(map(type, row))
-        template = templates.get(types)
-        if template is None:  # "" for a type without a slot
+        entry = templates.get(types)
+        if entry is None:  # template "" for a type without a slot
             parts = [slots.get(kind, "") for kind in types]
-            template = templates[types] = form % ",".join(parts) if all(parts) else ""
+            strings = [i for i, kind in enumerate(types) if kind is str and as_json]
+            entry = templates[types] = (form % ",".join(parts) if all(parts) else "", strings)
+        template, strings = entry
         line = template % row if template else ""
-        if not template or (as_json and not (
-            line.isprintable() and "\\" not in line and line.count('"') == template.count('"')
-        )):
-            line = form % ",".join([_fmt_cell(cell, null, quote) for cell in row])
+        if not template or as_json and (
+            "inf" in line or "nan" in line or not all(map(unescaped, map(row.__getitem__, strings)))
+        ):
+            line = form % ",".join([cell(value) for value in row])
         lines.append(line)
     return lines
 
@@ -616,7 +627,7 @@ def render_csv(result: TableResult, meta: list[tuple[str, str]]) -> str:
     """Metadata as ``# key=value`` lines, the header, then one unquoted line per row."""
     lines = [f"# {key}={value}" for key, value in (*meta, *result.extra_meta)]
     lines.append(",".join(result.columns))
-    lines += _row_lines(result.rows, _CSV_SLOTS, "", str)
+    lines += _row_lines(result.rows, _CSV_SLOTS, partial(_fmt_cell, null="", quote=str))
     return "\n".join(lines) + "\n"
 
 
@@ -625,12 +636,14 @@ def _json_string(value) -> str:
 
 
 def render_json(result: TableResult, meta: list[tuple[str, str]]) -> str:
-    """Hand-rolled serializer so that every cell reads as in the CSV (None as ``null``)."""
+    """Hand-rolled serializer: cells read as in the CSV, except that None and a non-finite
+    float are ``null`` and a bool is ``true``/``false``, so a JSON parser accepts every output.
+    """
     meta_items = ",".join(
         f"{_json_string(k)}:{_json_string(v)}" for k, v in (*meta, *result.extra_meta)
     )
     columns = ",".join(_json_string(c) for c in result.columns)
-    rows = ",".join(_row_lines(result.rows, _JSON_SLOTS, "null", _json_string, as_json=True))
+    rows = ",".join(_row_lines(result.rows, _JSON_SLOTS, _json_cell, as_json=True))
     return (
         '{"meta":{' + meta_items + '},"columns":[' + columns + '],"rows":[' + rows + "]}\n"
     )

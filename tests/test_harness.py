@@ -62,8 +62,8 @@ _TEXT = st.one_of(
     st.text(max_size=6),
 )
 _FLOATS = st.one_of(
-    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308)),
-    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, math.inf, -math.inf, math.nan)),
+    st.floats(),
 )
 _CELLS = st.one_of(
     _FLOATS, st.integers(), st.booleans(), st.none(), _FLOATS.map(np.float64), _TEXT
@@ -95,12 +95,21 @@ def _per_cell_json_string(value):
     return '"' + "".join(f"\\u{ord(c):04x}" if c < " " else c for c in text) + '"'
 
 
+def _per_cell_json_value(value):
+    # JSON has no inf/nan and spells its booleans in lower case
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float) and not math.isfinite(value):
+        return "null"
+    return _per_cell(value, "null", _per_cell_json_string)
+
+
 def _per_cell_json(result, meta):
     q = _per_cell_json_string
     meta_items = ",".join(f"{q(k)}:{q(v)}" for k, v in (*meta, *result.extra_meta))
     columns = ",".join(q(c) for c in result.columns)
     rows = ",".join(
-        "[" + ",".join(_per_cell(cell, "null", q) for cell in row) + "]" for row in result.rows
+        "[" + ",".join(_per_cell_json_value(cell) for cell in row) + "]" for row in result.rows
     )
     return '{"meta":{' + meta_items + '},"columns":[' + columns + '],"rows":[' + rows + "]}\n"
 
@@ -609,12 +618,29 @@ class TestWritersAndCli:
         assert render_csv(result, meta) == _per_cell_csv(result, meta)
         text = render_json(result, meta)
         assert text == _per_cell_json(result, meta)
-        if any(type(cell) is bool for row in rows for cell in row):
-            return  # printed as True/False, as the per-cell path always has
-        parsed = json.loads(text)
+        parsed = json.loads(text)  # every output, bool and non-finite cells included
         assert parsed["meta"] == dict(meta)
         assert parsed["columns"] == list(result.columns)
-        assert parsed["rows"] == [list(row) for row in rows]
+
+        def parsed_cell(cell):
+            return None if isinstance(cell, float) and not math.isfinite(cell) else cell
+
+        assert parsed["rows"] == [[parsed_cell(cell) for cell in row] for row in rows]
+
+    def test_cli_json_zero_average_is_valid_json(self, tmp_path, capsys):
+        import json
+
+        # alpha = 0: the odd-n average is exactly 0, so every log10 |f| is -inf
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "kind = hyperbolic\nmu = 0.1\nhbar = 0.1\nalpha = 0\nobservable = x^1\n"
+            "ell_min = 0\nell_max = 0\n"
+        )
+        assert main(["collapse-scan", "--config", str(cfg), "--format", "json"]) == 0
+        parsed = json.loads(capsys.readouterr().out)
+        assert [row[4] for row in parsed["rows"]] == [None] * 5
+        assert main(["collapse-scan", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out.count(",-inf\n") == 5  # the CSV is unchanged
 
     def test_cli_json_escapes_control_characters(self, tmp_path, capsys):
         import json
@@ -813,29 +839,34 @@ class TestNearFloatLimit:
 
 
 class TestEvaluateOnce:
-    """One closed-form evaluation per grid point and one pieces build per evaluation."""
+    """One evaluator per command, one evaluation per grid point, one pieces build per evaluation."""
+
+    @staticmethod
+    def _count(monkeypatch, cls, attr, calls):
+        # each call of cls.attr appends its instance to calls[attr]
+        original = getattr(cls, attr)
+
+        def counted(self, *args, **kwargs):
+            calls.setdefault(attr, []).append(self)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, attr, counted)
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        counts = {"average": 0, "pieces": 0}
-        average = harness.hyperbolic_xn_average
-        pieces = closedform._xn_closed_pieces
+        calls = {}
+        for attr in ("__init__", "__call__", "_pieces"):
+            self._count(monkeypatch, closedform.XnAverage, attr, calls)
 
-        def counted_average(*args, **kwargs):
-            counts["average"] += 1
-            return average(*args, **kwargs)
+        def tally():
+            named = {"__init__": "builds", "__call__": "average", "_pieces": "pieces"}
+            return {named[attr]: len(seen) for attr, seen in calls.items()}
 
-        def counted_pieces(*args, **kwargs):
-            counts["pieces"] += 1
-            return pieces(*args, **kwargs)
-
-        monkeypatch.setattr(harness, "hyperbolic_xn_average", counted_average)
-        monkeypatch.setattr(closedform, "_xn_closed_pieces", counted_pieces)
-        return counts
+        return tally
 
     def test_evolve(self, counts):
         cmd_evolve(parse_config(BASE_CFG.replace("points = 5", "points = 7")))
-        assert counts == {"average": 7, "pieces": 7}
+        assert counts() == {"builds": 1, "average": 7, "pieces": 7}
 
     def test_evolve_with_flagged_rows(self, counts):
         t0 = math.pi / (32.0 * 0.1 * 0.1)  # first n=2 collapse
@@ -845,8 +876,9 @@ class TestEvaluateOnce:
         )
         rows = cmd_evolve(config).rows
         assert any(row[4] for row in rows)
-        assert counts["average"] == 41
-        assert counts["pieces"] <= 41
+        assert counts()["builds"] == 1
+        assert counts()["average"] == 41
+        assert counts()["pieces"] <= 41
 
     def test_compare(self, counts):
         config = parse_config(
@@ -854,44 +886,28 @@ class TestEvaluateOnce:
             + "oracle_dim_cap = 2048\n"
         )
         cmd_compare(config)
-        assert counts == {"average": 2, "pieces": 2}
+        assert counts() == {"builds": 1, "average": 2, "pieces": 2}
 
     @pytest.mark.parametrize("sources,expected", (("classical", 0), ("closed,classical", 5)))
     def test_elliptic_closed_form_only_as_a_source(self, monkeypatch, sources, expected):
-        calls = []
-        average = harness.elliptic_quantum_average
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return average(*args, **kwargs)
-
-        monkeypatch.setattr(harness, "elliptic_quantum_average", counted)
+        calls = {}
+        self._count(monkeypatch, closedform.EllipticAverage, "_value", calls)
         cmd_evolve(parse_config(
             f"kind = elliptic\nmu = 0.05\nobservable = mono:2,1\npoints = 5\nsources = {sources}\n"
         ))
-        assert len(calls) == expected
+        assert len(calls.get("_value", [])) == expected
 
     def test_ehrenfest_one_classical_per_quantum(self, monkeypatch):
-        calls = {"quantum": 0, "classical": 0}
-        quantum, classical = harness.hyperbolic_xn_average, harness.hyperbolic_classical_xn
-
-        def counted_quantum(*args, **kwargs):
-            calls["quantum"] += 1
-            return quantum(*args, **kwargs)
-
-        def counted_classical(*args, **kwargs):
-            calls["classical"] += 1
-            return classical(*args, **kwargs)
-
-        monkeypatch.setattr(harness, "hyperbolic_xn_average", counted_quantum)
-        monkeypatch.setattr(harness, "hyperbolic_classical_xn", counted_classical)
+        calls = {}
+        self._count(monkeypatch, closedform.XnAverage, "__call__", calls)
+        self._count(monkeypatch, closedform.XnClassical, "_value", calls)
         config = parse_config(
             "kind = hyperbolic\nmu = 0.05\nhbar = 0.01\nalpha = 1.0\nobservable = x^1\n"
             "t_min = 0.0\nt_max = 10.0\npoints = 50\n"
         )
         cmd_ehrenfest(config, (1e-2, 1e-3))
-        assert calls["quantum"] > 0
-        assert calls["classical"] == calls["quantum"]
+        assert len(calls["__call__"]) > 0
+        assert len(calls["_value"]) == len(calls["__call__"])
 
     def test_evolve_builds_no_params(self, monkeypatch):
         # the config built its SystemParams once, at parse time
@@ -934,21 +950,18 @@ class TestEvaluateOnce:
             replace(parse_config(BASE_CFG), **fields)
 
     def test_ehrenfest_one_scan_per_hbar(self, monkeypatch):
-        calls = []
-        quantum = harness.hyperbolic_xn_average
-
-        def counted(*args, **kwargs):
-            calls.append(args[2].hbar)
-            return quantum(*args, **kwargs)
-
-        monkeypatch.setattr(harness, "hyperbolic_xn_average", counted)
+        calls = {}
+        self._count(monkeypatch, closedform.XnAverage, "__call__", calls)
         config = parse_config(
             "kind = hyperbolic\nmu = 0.05\nhbar = 0.01\nalpha = 1.0\nobservable = x^1\n"
             "t_min = 0.0\nt_max = 6.0\npoints = 200\nbreakdown_threshold = 1e300\n"
         )
         fit, _ = cmd_ehrenfest(config, (1e-2, 1e-3))
         assert fit.breakdown_times == fit.relative_times == (None, None)
-        assert [calls.count(h) for h in (1e-2, 1e-3)] == [200, 200]
+        # one evaluator per hbar, each called once per grid point
+        evaluators = list(dict.fromkeys(calls["__call__"]))
+        assert [evaluator._hbar for evaluator in evaluators] == [1e-2, 1e-3]
+        assert [calls["__call__"].count(evaluator) for evaluator in evaluators] == [200, 200]
 
     @pytest.fixture
     def oracle_calls(self, monkeypatch):
