@@ -17,13 +17,13 @@ is needed there) and a scaled three-term moment recursion.
 
 Prepared evaluators
 -------------------
-Each quantity has one evaluator class.  Its build runs the order and model
+Each closed form is an evaluator class.  Its build runs the order and model
 checks and forms all that does not depend on ``t`` (``8 n mu hbar``,
-``-s^2/(2 hbar)``, drift rates, series coefficients times ``hbar^j`` with the
-factorials cached per ``n``, ``|alpha|^2``, the monomial prefactor, the regime
-bounds of one ``(ratio, slack)``); a point computes the rest in the order a
-one-shot call does, so values are bit-identical.  An evaluator never changes
-after its build; each public function builds one and calls it once.
+``-s^2/(2 hbar)``, drift rates, series coefficients times ``hbar^j``,
+``|alpha|^2``, monomial prefactors, regime bounds); a point computes the
+rest in the same order, so values are bit-identical.  An evaluator never
+changes after its build.  Each public function builds one and calls its
+bound ``__call__`` (cheaper than calling the instance on CPython) once.
 
 No evaluator returns ``inf``/``nan``.  An ``x^n`` average beyond float64 is
 :class:`CollapseProximity`; a classical, elliptic or dispersion value is
@@ -207,12 +207,12 @@ class EllipticClassical(_FloatChecked):
 
 def elliptic_quantum_average(m: int, q: int, alpha: complex, params: SystemParams, t: float) -> complex:
     """Evolved average of ``adag^m a^q`` in the elliptic model; entire in t."""
-    return EllipticAverage(m, q, alpha, params)(t)
+    return EllipticAverage(m, q, alpha, params).__call__(t)
 
 
 def elliptic_classical_average(m: int, q: int, alpha: complex, params: SystemParams, t: float) -> complex:
     """Transport of ``conj(a)^m a^q`` along the classical elliptic flow."""
-    return EllipticClassical(m, q, alpha, params)(t)
+    return EllipticClassical(m, q, alpha, params).__call__(t)
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +278,9 @@ class XnAverage:
     where ``cos(8 n mu hbar t) < 0`` (the sign of ``b^2``) the pre-integral route gives it.
     """
 
+    __slots__ = ("n", "_guard", "_alpha", "_conj", "_hbar", "_phase", "_base", "_drift", "_shift",
+                 "_root2", "_overflow", "_terms")
+
     def __init__(
         self, n: int, alpha: complex, params: SystemParams, guard: float = DEFAULT_GUARD
     ) -> None:
@@ -329,11 +332,6 @@ class XnAverage:
             )
         return phi, bsq, mag, k, exponent, series, log10_mag
 
-    def _closed_value(self, mag: float, k: int, exponent: float, series: complex) -> complex:
-        n1 = self.n + 1
-        prefactor = self._root2 * mag**n1 * _I_POW[(k * n1) % 4]
-        return _exp_product(exponent, prefactor, series)
-
     def _integral_value(self, phi: float, t: float) -> complex:
         """Pre-integral Gaussian route with principal square roots throughout."""
         n, hbar = self.n, self._hbar
@@ -346,12 +344,15 @@ class XnAverage:
     def __call__(self, t: float) -> complex:
         phi, bsq, mag, k, exponent, series, _ = self._pieces(t)
         if bsq > 0.0:  # cos(8 n mu hbar t) > 0: the branch-tracked route
-            return self._closed_value(mag, k, exponent, series)
+            n1 = self.n + 1
+            return _exp_product(exponent, self._root2 * mag**n1 * _I_POW[(k * n1) % 4], series)
         return self._integral_value(phi, t)
 
     def paths(self, t: float) -> tuple[complex, complex]:
         phi, _, mag, k, exponent, series, _ = self._pieces(t)
-        return self._closed_value(mag, k, exponent, series), self._integral_value(phi, t)
+        n1 = self.n + 1
+        closed = _exp_product(exponent, self._root2 * mag**n1 * _I_POW[(k * n1) % 4], series)
+        return closed, self._integral_value(phi, t)
 
     def log10_magnitude(self, t: float) -> float:
         return self._pieces(t, representable=False)[-1]
@@ -395,7 +396,7 @@ def hyperbolic_xn_average(
     DomainError
         If the parameters are not hyperbolic-capable or ``n`` is out of range.
     """
-    return XnAverage(n, alpha, params, guard)(t)
+    return XnAverage(n, alpha, params, guard).__call__(t)
 
 
 def hyperbolic_xn_paths(
@@ -419,7 +420,7 @@ def hyperbolic_xn_log10_magnitude(
 
 def hyperbolic_classical_xn(n: int, alpha: complex, params: SystemParams, t: float) -> complex:
     """Classical transport of ``x^n``: ``x0^n exp(n (2 omega - 8 mu x0 p0) t)``."""
-    return XnClassical(n, alpha, params)(t)
+    return XnClassical(n, alpha, params).__call__(t)
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +433,8 @@ class DispersionExact(_FloatChecked):
     name = "dispersion_exact"
 
     def __init__(self, alpha: complex, params: SystemParams, guard: float = DEFAULT_GUARD) -> None:
-        self._second = XnAverage(2, alpha, params, guard)
-        self._first = XnAverage(1, alpha, params, guard)
+        self._second = XnAverage(2, alpha, params, guard).__call__
+        self._first = XnAverage(1, alpha, params, guard).__call__
 
     def _value(self, t: float) -> complex:
         second, first = self._second(t), self._first(t)
@@ -444,7 +445,7 @@ def dispersion_exact(
     alpha: complex, params: SystemParams, t: float, guard: float = DEFAULT_GUARD
 ) -> complex:
     """Exact ``<x^2> - <x>^2``; guarded by both the n=1 and n=2 collapse sets."""
-    return DispersionExact(alpha, params, guard)(t)
+    return DispersionExact(alpha, params, guard).__call__(t)
 
 
 # 64 mu^2 hbar t^2 |alpha|^2 inside this band reads as the crossover "~ 1"
@@ -576,7 +577,7 @@ def dispersion_approx(
     RegimeMismatch
         If the inequality set fails by more than the slack allows.
     """
-    return DispersionApprox(alpha, params, regime, slack, ratio)(t)
+    return DispersionApprox(alpha, params, regime, slack, ratio).__call__(t)
 
 
 # ---------------------------------------------------------------------------

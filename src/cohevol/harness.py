@@ -205,18 +205,18 @@ def load_config(path: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def _evaluators(config: RunConfig) -> dict:
-    """``t -> value`` per source name: the prepared closed forms, built once per command, and
-    the oracle, looked up in this module's namespace when the command runs.
-    """
+    """``t -> value`` per source name: the prepared closed forms, built once per command (their
+    bound ``__call__``, which skips the instance call), and the oracle, looked up in this
+    module's namespace when the command runs."""
     obs, params, alpha = config.observable, config.params, config.alpha
     if isinstance(obs, XPower):
         key = obs.n
-        closed = closedform.XnAverage(obs.n, alpha, params, config.guard)
-        classical = closedform.XnClassical(obs.n, alpha, params)
+        closed = closedform.XnAverage(obs.n, alpha, params, config.guard).__call__
+        classical = closedform.XnClassical(obs.n, alpha, params).__call__
     else:
         key = (obs.m, obs.q)
-        closed = closedform.EllipticAverage(obs.m, obs.q, alpha, params)
-        classical = closedform.EllipticClassical(obs.m, obs.q, alpha, params)
+        closed = closedform.EllipticAverage(obs.m, obs.q, alpha, params).__call__
+        classical = closedform.EllipticClassical(obs.m, obs.q, alpha, params).__call__
     oracle = partial(
         oracle_average, config.kind, params, alpha, key,
         tol=config.oracle_tol, dim_cap=config.oracle_dim_cap,
@@ -517,8 +517,8 @@ def cmd_dispersion_regimes(config: RunConfig) -> TableResult:
         raise ConfigError("dispersion-regimes needs kind = hyperbolic")
     alpha, params = config.alpha, config.params
     regimes = closedform.RegimeSets(alpha, params)  # classify_dispersion_regime's defaults
-    dispersion = closedform.DispersionExact(alpha, params, config.guard)
-    approximations = {regime: closedform.DispersionApprox(alpha, params, regime)
+    dispersion = closedform.DispersionExact(alpha, params, config.guard).__call__
+    approximations = {regime: closedform.DispersionApprox(alpha, params, regime).__call__
                       for regime in closedform.DispersionRegime}
     rows = []
     for t in config.time_grid():
