@@ -25,11 +25,17 @@ rest in the same order, so values are bit-identical.  An evaluator never
 changes after its build.  Each public function builds one and calls its
 bound ``__call__`` (cheaper than calling the instance on CPython) once.
 
-No evaluator returns ``inf``/``nan``.  An ``x^n`` average beyond float64 is
-:class:`CollapseProximity`; a classical, elliptic or dispersion value is
-:class:`FloatRangeError` (a :class:`DomainError` and an ``OverflowError``).
-A ``t``-independent factor beyond float64 (``|alpha|^2`` at ``alpha = 1e200``)
-is raised by each call, where the per-point formula meets it, not by the build.
+No evaluator returns ``nan``, and only the log10 magnitude returns an
+infinity: ``-inf`` for an average that is exactly zero, and ``+-inf`` where
+its exponent alone leaves float64 (``|alpha|`` near ``1e150``).  An ``x^n``
+average whose magnitude is beyond float64 is :class:`CollapseProximity`.  A
+classical, elliptic or dispersion value beyond float64, an ``x^n`` series
+beyond it, an ``x^n`` exponent whose two terms are both beyond it (``nan``,
+as at ``alpha = 1e200``) and a regime classification of such an ``alpha``
+are :class:`FloatRangeError` (a :class:`DomainError` and an
+``OverflowError``).  A ``t``-independent factor beyond float64
+(``|alpha|^2`` at ``alpha = 1e200``, ``hbar^j`` at ``hbar = 1e200``) is
+raised by each call, where the per-point formula meets it, not by the build.
 """
 
 from __future__ import annotations
@@ -60,7 +66,7 @@ _HALF_LOG10_2 = 0.5 * math.log10(2.0)
 
 
 class FloatRangeError(DomainError, OverflowError):
-    """A classical, elliptic or dispersion value that overflows float64."""
+    """A closed-form value or input that overflows float64 (not a collapse)."""
 
 
 class _FloatChecked:
@@ -301,7 +307,10 @@ class XnAverage:
             self._overflow = exc.args
 
     def _pieces(self, t: float, representable: bool = True) -> tuple:
-        """``(phi, bsq, mag, k, exponent, series, log10_mag)`` at ``t``, after the guard checks."""
+        """``(phi, bsq, mag, k, exponent, series, log10_mag)`` at ``t``, after the guard checks.
+
+        A series or exponent beyond float64 is :class:`FloatRangeError`.
+        """
         phi = self._phase * t
         if self._guard:  # 0.0 where check_collapse_guard checks nothing
             r = phi / math.pi - 0.5
@@ -311,16 +320,21 @@ class XnAverage:
         xi = 2.0 * (self._alpha * cmath.exp(0.5j * phi)).real  # real for every alpha
         exponent = self._base + xi * xi * bsq / self._hbar + self._drift * t
         xb_mag = xi * mag
-        if self._overflow is not None:
-            raise OverflowError(*self._overflow)
-        series = 0j
-        for coef, power in self._terms:
-            series += coef * xb_mag**power * _I_POW[(k * power) % 4]
+        try:
+            if self._overflow is not None:
+                raise OverflowError(*self._overflow)
+            series = 0j
+            for coef, power in self._terms:
+                series += coef * xb_mag**power * _I_POW[(k * power) % 4]
+        except OverflowError as exc:
+            raise FloatRangeError(f"<x^{self.n}> overflows float64 at t={t} ({exc})") from None
         log10_mag = -math.inf if series == 0 else (
             exponent / _LN10
             + (self.n + 1) * (_HALF_LOG10_2 + math.log10(mag))
             + math.log10(abs(series))
         )
+        if math.isnan(log10_mag):  # inf - inf: -s^2/(2 hbar) and xi^2 b^2/hbar beyond float64
+            raise FloatRangeError(f"<x^{self.n}> is beyond float64 at t={t}: its log10 magnitude is nan")
         # The magnitude blows up double-exponentially on the approach to a
         # collapse time and leaves float64 range long before the guard band;
         # treat that overflow zone as collapse proximity (log-scale evaluation
@@ -504,7 +518,11 @@ class RegimeSets:
         )
 
     def classify(self, t: float) -> Optional[DispersionRegime]:
-        return next((regime for regime, holds in zip(_PRECEDENCE, self.holds(t)) if holds), None)
+        try:
+            sets = self.holds(t)
+        except OverflowError as exc:
+            raise FloatRangeError(f"classify_dispersion_regime overflows float64 ({exc})") from None
+        return next((regime for regime, holds in zip(_PRECEDENCE, sets) if holds), None)
 
 
 def classify_dispersion_regime(

@@ -29,14 +29,24 @@ form:
 Observables ``x^n`` and ``adag^m a^q`` are applied by banded shifts with the
 ladder elements ``sqrt(hbar k)``; no dense operator is formed.
 
-What does not depend on ``t`` is built once and kept on the cached
-representation: its eigensystem, ladder and phase rates ``-1j E``, and, for
-each recent ``alpha``, the coherent vector with its tail-test verdict, its
-norm ``|psi_0|`` and its coefficients ``V^T g^* psi_0`` in each sector's
-eigenbasis (the last one found again by identity).  Each time point then
-computes only the phases ``exp(-1j E * (t / hbar))``, their product with the
-coefficients (hyperbolic: ``g V (phases * coefficients)``), the unitarity
-check against ``|psi_0|`` and the observable.
+What does not depend on ``t`` is built once and kept on the representation:
+its eigensystem, ladder and phase rates ``-1j E``, and, for each of the last
+``_STATES_PER_REPRESENTATION`` values of ``alpha``, the coherent vector with
+its tail-test verdict, its norm ``|psi_0|`` and its coefficients
+``V^T g^* psi_0`` in each sector's eigenbasis (the last one found again by
+identity).  Each time point then computes only the phases
+``exp(-1j E * (t / hbar))``, their product with the coefficients
+(hyperbolic: ``g V (phases * coefficients)``), the unitarity check against
+``|psi_0|`` and the observable.
+
+The process keeps the representations of one model, the ``(kind, omega, mu,
+hbar)`` that :func:`build_hamiltonian` was last asked for, one per basis
+size.  For a doubling ladder up to the cap their eigenvectors take about
+341 MiB, ``4/3`` of the cap's own 256 MiB.  They live until another model is
+asked for, which releases them all, so a finished job's bases do not stay
+alive beside the next job's eigensolve.  Alternating between two models
+rebuilds each one every time.  This state is shared by the whole process:
+use the oracle from one thread at a time.
 
 numpy loads with this module, and no other module of the package imports
 numpy or scipy.  The package imports this module when one of its oracle
@@ -157,20 +167,21 @@ def _hyperbolic_sectors(params: SystemParams, dim: int) -> tuple[Sector, ...]:
     return tuple(sectors)
 
 
-@lru_cache(maxsize=8)
-def _cached_representation(
-    kind: str, omega: float, mu: float, hbar: float, dim: int
-) -> FockRepresentation:
+@lru_cache(maxsize=1)
+def _model_bases(kind: str, omega: float, mu: float, hbar: float) -> dict[int, FockRepresentation]:
+    # the representations of the last model asked for, by basis size; asking
+    # for another model drops them all
     if kind not in ("elliptic", "hyperbolic"):
         raise DomainError(f"unknown Hamiltonian kind {kind!r}")
-    return FockRepresentation(kind=kind, params=SystemParams(omega, mu, hbar), dim=dim)
+    return {}
 
 
 def build_hamiltonian(kind: str, params: SystemParams, dim: int) -> FockRepresentation:
     """Representation of the chosen model on a ``dim``-state basis.
 
-    Cached per ``(kind, params, dim)``, so the spectral data of one basis size
-    is reused by every later time point.
+    The representations of the most recent ``(kind, params)`` are kept, one per
+    basis size, so the spectral data of one basis size is reused by every later
+    time point; asking for another model releases them.
 
     Raises
     ------
@@ -182,7 +193,11 @@ def build_hamiltonian(kind: str, params: SystemParams, dim: int) -> FockRepresen
         raise DimensionError(f"degree-4 couplings need dim >= 5, got {dim}")
     if dim > DEFAULT_DIM_CAP:
         raise DimensionError(f"basis size {dim} exceeds the cap {DEFAULT_DIM_CAP}")
-    return _cached_representation(kind, params.omega, params.mu, params.hbar, int(dim))
+    omega, mu, hbar, dim = params.omega, params.mu, params.hbar, int(dim)
+    bases = _model_bases(kind, omega, mu, hbar)
+    if dim not in bases:
+        bases[dim] = FockRepresentation(kind=kind, params=SystemParams(omega, mu, hbar), dim=dim)
+    return bases[dim]
 
 
 @dataclass(frozen=True)
@@ -241,7 +256,10 @@ def coherent_vector(
     # a NaN or infinite nbar would never end the tail sum
     if not (cmath.isfinite(a) and math.isfinite(hbar) and hbar > 0.0):
         raise DomainError(f"coherent state needs finite alpha and hbar > 0, got {a!r}, {hbar!r}")
-    nbar = abs(a) ** 2 / hbar
+    try:
+        nbar = abs(a) ** 2 / hbar
+    except OverflowError:
+        raise DomainError(f"coherent state needs |alpha|^2 within float64, got alpha {a!r}") from None
     steps = np.empty(dim, dtype=complex)
     c0 = math.exp(-nbar / 2.0)
     steps[0] = c0

@@ -125,6 +125,13 @@ def central_weights(order: int, accuracy: int = DEFAULT_ACCURACY) -> tuple[tuple
     return offsets, tuple(weights)
 
 
+@lru_cache(maxsize=None)
+def _float_taps(order: int, accuracy: int) -> tuple[tuple[int, float], ...]:
+    """The ``(offset, float(weight))`` pairs of :func:`central_weights` whose weight is not 0."""
+    offsets, weights = central_weights(order, accuracy)
+    return tuple((j, float(w)) for j, w in zip(offsets, weights) if w != 0)
+
+
 def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
     n = len(rhs)
     aug = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
@@ -147,16 +154,11 @@ def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fracti
 def _mixed_partial(
     grid: dict, a_order: int, b_order: int, step: float, accuracy: int
 ) -> complex:
-    off_u, w_u = central_weights(a_order, accuracy)
-    off_v, w_v = central_weights(b_order, accuracy)
+    taps_v = _float_taps(b_order, accuracy)
     total = 0j
-    for ju, wu in zip(off_u, w_u):
-        if wu == 0:
-            continue
-        for jv, wv in zip(off_v, w_v):
-            if wv == 0:
-                continue
-            total += float(wu) * float(wv) * grid[(ju, jv)]
+    for ju, wu in _float_taps(a_order, accuracy):
+        for jv, wv in taps_v:
+            total += wu * wv * grid[(ju, jv)]
     return total / step ** (a_order + b_order)
 
 
@@ -224,8 +226,7 @@ def residual(
         If any stencil evaluation violates a collapse guard.
     """
     h = step * max(1.0, abs(alpha))
-    off_t, w_t = central_weights(1, accuracy)
-    taps = [(j, float(w)) for j, w in zip(off_t, w_t) if w != 0]
+    taps = _float_taps(1, accuracy)
     values = _sample(f, [(alpha, t + j * h) for j, _ in taps])
     dfdt = sum(w * v for (_, w), v in zip(taps, values)) / h
     max_order = max((order for _, order in op.terms), default=0)

@@ -1,7 +1,9 @@
 """Truncated-basis oracle: structure, invariants, and convergence protocol."""
 
 import cmath
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -457,7 +459,7 @@ class TestPerPointPath:
     @pytest.fixture
     def corrupted_norm(self, monkeypatch):
         # every state prepared from here on carries a norm off by 1e-9
-        fock._cached_representation.cache_clear()
+        fock._model_bases.cache_clear()
         prepare = fock._prepare
 
         def corrupted(rep, v):
@@ -466,7 +468,7 @@ class TestPerPointPath:
 
         monkeypatch.setattr(fock, "_prepare", corrupted)
         yield
-        fock._cached_representation.cache_clear()  # drop the corrupted states
+        fock._model_bases.cache_clear()  # drop the corrupted states
 
     @pytest.mark.parametrize("kind,params,obs", (("elliptic", ELL, (2, 1)), ("hyperbolic", HYP, 1)))
     def test_corrupted_norm_raises(self, corrupted_norm, kind, params, obs):
@@ -509,7 +511,7 @@ class TestStateReuse:
     def coherent_builds(self, monkeypatch):
         # fresh representations; counts only the oracle's builds (the
         # reference calls the unpatched function imported above)
-        fock._cached_representation.cache_clear()
+        fock._model_bases.cache_clear()
         builds = []
         coherent = fock.coherent_vector
 
@@ -526,18 +528,36 @@ class TestStateReuse:
     def test_equals_a_fresh_evaluation(self, coherent_builds, kind, obs):
         make = make_hyperbolic_params if kind == "hyperbolic" else SystemParams
         params = {hbar: make(1.0, 0.05, hbar) for hbar in (0.1, 0.2)}
-        # alpha 2.0 fails the tail test at dim 64 for hbar 0.1 (nbar 40); the
-        # times keep every basis size used within the 8 cached representations
+        # alpha 2.0 fails the tail test at dim 64 for hbar 0.1 (nbar 40)
         alphas = (0.5 + 0.3j, 2.0)
-        for t in (0.05, 0.1, 0.05):
-            for hbar, alpha in ((0.1, 0), (0.1, 1), (0.2, 0), (0.1, 0), (0.2, 1), (0.1, 1)):
+        steps = ((0.1, 0), (0.1, 1), (0.2, 0), (0.1, 0), (0.2, 1), (0.1, 1))
+        alternating = [(hbar, alpha, t) for t in (0.05, 0.1, 0.05) for hbar, alpha in steps]
+
+        def run(points):
+            for hbar, alpha, t in points:
                 p, a = params[hbar], alphas[alpha]
-                value = oracle_average(kind, p, a, obs, t)
-                assert value == _oracle_from_scratch(kind, p, a, obs, t)
+                assert oracle_average(kind, p, a, obs, t) == _oracle_from_scratch(kind, p, a, obs, t)
+
+        # alternating between two models rebuilds each one, value for value the same
+        run(alternating)
+        # one model after the other, as every command and criterion runs: each
+        # state is built once
+        fock._model_bases.cache_clear()
+        coherent_builds.clear()
+        run(sorted(alternating, key=lambda point: point[0]))
         assert len(coherent_builds) == len(set(coherent_builds))
         with pytest.raises(TailMassError):
             coherent_vector(2.0, 0.1, 64, tail_tol=DEFAULT_TAIL_TOL)
         assert coherent_builds.count((2.0, 0.1, 64)) == 1
+
+    def test_another_model_releases_the_bases(self):
+        # every basis size of the last model asked for is kept, and asking for
+        # another model releases them all
+        bases = [weakref.ref(build_hamiltonian("elliptic", ELL, dim)) for dim in (64, 128)]
+        assert all(build_hamiltonian("elliptic", ELL, dim) is ref() for dim, ref in zip((64, 128), bases))
+        build_hamiltonian("elliptic", SystemParams(1.0, 0.05, 0.2), 64)
+        gc.collect()
+        assert [ref() for ref in bases] == [None, None]
 
     def test_memo_is_bounded(self, coherent_builds):
         args = ("elliptic", ELL)

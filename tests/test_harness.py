@@ -676,24 +676,70 @@ ELL_CFG = (
     "kind = elliptic\nmu = 0.05\nhbar = 0.1\nobservable = mono:{m},{q}\n"
     "alpha = {alpha}\nt_min = 0.0\nt_max = 0.5\npoints = 2\nsources = {sources}\n"
 )
+HYP_ALPHA_1E200 = (make_hyperbolic_params(1.0, 0.05, 0.02), 1e200)
+HYP_ALPHA_1E200_CFG = (
+    "kind = hyperbolic\nmu = 0.05\nhbar = 0.02\nalpha = 1e200\nobservable = x^{n}\n"
+    "t_min = 0.0\nt_max = 2.0\npoints = 3\n"
+)
+# case: (library call, config, CLI command)
 BEYOND_FLOAT_RANGE = {
     "classical-xn": (
         lambda: hyperbolic_classical_xn(3, OVERFLOW_502[1], OVERFLOW_502[0], 57.0),
         "kind = hyperbolic\nmu = 0.07191055727820078\nhbar = 0.07017478951319374\n"
         "alpha = 1.331438709218367-1.480717736140777j\nobservable = x^3\n"
         "t_min = 55.0\nt_max = 57.0\npoints = 2\nsources = closed,classical\n",
+        "evolve",
     ),
     "elliptic-overflow": (
         lambda: elliptic_quantum_average(1, 0, 1e200, ELL, 0.5),
         ELL_CFG.format(m=1, q=0, alpha="1e200", sources="closed"),
+        "evolve",
     ),
     "elliptic-inf-nan": (
         lambda: elliptic_quantum_average(2, 2, 1e100, ELL, 0.5),
         ELL_CFG.format(m=2, q=2, alpha="1e100", sources="closed"),
+        "evolve",
     ),
     "elliptic-classical-inf-nan": (
         lambda: elliptic_classical_average(2, 2, 1e100, ELL, 0.5),
         ELL_CFG.format(m=2, q=2, alpha="1e100", sources="classical"),
+        "evolve",
+    ),
+    # |alpha|^2 in the regime bounds
+    "regime-alpha-overflow": (
+        lambda: closedform.classify_dispersion_regime(HYP_ALPHA_1E200[1], HYP_ALPHA_1E200[0], 1.0),
+        HYP_ALPHA_1E200_CFG.format(n=1),
+        "dispersion-regimes",
+    ),
+    # hbar^j in the x^n series
+    "xn-hbar-power-overflow": (
+        lambda: closedform.hyperbolic_xn_average(4, 0.5, make_hyperbolic_params(1.0, 0.0, 1e200), 0.5),
+        "kind = hyperbolic\nmu = 0\nhbar = 1e200\nalpha = 0.5\nobservable = x^4\n"
+        "t_min = 0.0\nt_max = 1.0\npoints = 3\n",
+        "evolve",
+    ),
+    # -s^2/(2 hbar) + xi^2 b^2/hbar = -inf + inf: once a nan cell
+    "xn-nan-exponent": (
+        lambda: closedform.hyperbolic_xn_average(1, HYP_ALPHA_1E200[1], HYP_ALPHA_1E200[0], 1.0),
+        HYP_ALPHA_1E200_CFG.format(n=1),
+        "evolve",
+    ),
+    "log10-nan-exponent": (
+        lambda: closedform.hyperbolic_xn_log10_magnitude(1, HYP_ALPHA_1E200[1], HYP_ALPHA_1E200[0], 1.0),
+        HYP_ALPHA_1E200_CFG.format(n=1),
+        "collapse-scan",
+    ),
+    # (xi b)^2 in the x^2 series
+    "xn-series-overflow": (
+        lambda: closedform.hyperbolic_xn_average(2, HYP_ALPHA_1E200[1], HYP_ALPHA_1E200[0], 1.0),
+        HYP_ALPHA_1E200_CFG.format(n=2),
+        "compare",
+    ),
+    # the oracle's |alpha|^2 / hbar, reached where no closed form is evaluated
+    "coherent-alpha-overflow": (
+        lambda: fock.coherent_vector(1e200, 0.02, 64),
+        ELL_CFG.format(m=1, q=0, alpha="1e200", sources="oracle"),
+        "evolve",
     ),
 }
 
@@ -704,22 +750,23 @@ CLASSICAL_CASES = ("classical-xn", "elliptic-classical-inf-nan")
 class TestFloatRange:
     """Averages beyond float64 raise DomainError, never a traceback or a nan cell.
 
-    A quantum average beyond float64 fails the run (exit 2); a classical one
-    leaves its ``evolve`` cells empty and the run goes on.
+    A quantum average beyond float64, and an input whose ``|alpha|^2`` or
+    ``hbar^j`` is, fail the run (exit 2); a classical one leaves its
+    ``evolve`` cells empty and the run goes on.
     """
 
     @pytest.mark.parametrize("case", sorted(BEYOND_FLOAT_RANGE))
     def test_library_raises_domain_error(self, case):
-        evaluate, _ = BEYOND_FLOAT_RANGE[case]
+        evaluate, _, _ = BEYOND_FLOAT_RANGE[case]
         with pytest.raises(DomainError, match="float64|not finite"):
             evaluate()
 
     @pytest.mark.parametrize("case", sorted(set(BEYOND_FLOAT_RANGE) - set(CLASSICAL_CASES)))
     def test_cli_exit_code(self, case, tmp_path, capsys):
-        _, text = BEYOND_FLOAT_RANGE[case]
+        _, text, command = BEYOND_FLOAT_RANGE[case]
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text)
-        assert main(["evolve", "--config", str(cfg)]) == 2
+        assert main([command, "--config", str(cfg)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("cohevol: config error: ")
@@ -729,7 +776,7 @@ class TestFloatRange:
     @pytest.mark.parametrize("case", CLASSICAL_CASES)
     @pytest.mark.parametrize("fmt", ("csv", "json"))
     def test_cli_classical_overflow_leaves_cells_empty(self, case, fmt, tmp_path, capsys):
-        _, text = BEYOND_FLOAT_RANGE[case]
+        _, text, _ = BEYOND_FLOAT_RANGE[case]
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text)
         assert main(["evolve", "--config", str(cfg), "--format", fmt]) == 0
@@ -966,7 +1013,7 @@ class TestEvaluateOnce:
     @pytest.fixture
     def oracle_calls(self, monkeypatch):
         # fresh representations, so that states built by earlier tests do not hide builds
-        fock._cached_representation.cache_clear()
+        fock._model_bases.cache_clear()
         calls = {"coherent": [], "expectation": []}
         coherent = fock.coherent_vector
         propagate, monomial = fock.propagate_expectation, fock.monomial_expectation

@@ -1,9 +1,12 @@
 """Prepared closed-form evaluators against the per-call code they replaced, bit for bit.
 
 The ``_ref_*`` functions below are a copy of the closed-form code that ran
-every check and formed every constant at each call.  Each public function and
-each evaluator reused across several times must give the same ``repr`` of
-its value, or raise the same exception type with the same message.
+every check and formed every constant at each call, with one later change:
+an ``x^n`` series beyond float64, a ``nan`` log10 magnitude and a regime
+classification of an ``alpha`` whose ``|alpha|^2`` overflows raise
+:class:`FloatRangeError`.  Each public function and each evaluator reused
+across several times must give the same ``repr`` of its value, or raise the
+same exception type with the same message.
 """
 
 import cmath
@@ -126,22 +129,28 @@ def _ref_pieces(n, alpha, params, t):
     )
     series = 0j
     xb_mag = xi * mag
-    for j in range(n // 2 + 1):
-        coef = math.factorial(n) / (4.0**j * math.factorial(j) * math.factorial(n - 2 * j))
-        power = n - 2 * j
-        series += coef * params.hbar**j * xb_mag**power * _I_POW[(k * power) % 4]
+    try:
+        for j in range(n // 2 + 1):
+            coef = math.factorial(n) / (4.0**j * math.factorial(j) * math.factorial(n - 2 * j))
+            power = n - 2 * j
+            series += coef * params.hbar**j * xb_mag**power * _I_POW[(k * power) % 4]
+    except OverflowError as exc:
+        raise FloatRangeError(f"<x^{n}> overflows float64 at t={t} ({exc})") from None
     return exponent, mag, k, series, bsq > 0.0
 
 
-def _ref_log10(n, pieces):
+def _ref_log10(n, pieces, t):
     exponent, mag, _, series, _ = pieces
     if series == 0:
         return -math.inf
-    return (
+    log10_mag = (
         exponent / math.log(10.0)
         + (n + 1) * (0.5 * math.log10(2.0) + math.log10(mag))
         + math.log10(abs(series))
     )
+    if math.isnan(log10_mag):
+        raise FloatRangeError(f"<x^{n}> is beyond float64 at t={t}: its log10 magnitude is nan")
+    return log10_mag
 
 
 def _ref_exp_product(exponent, a, b):
@@ -190,7 +199,7 @@ def _ref_guarded(n, alpha, params, t, guard):
 
 def _ref_representable(n, alpha, params, t, guard):
     pieces = _ref_guarded(n, alpha, params, t, guard)
-    log10_mag = _ref_log10(n, pieces)
+    log10_mag = _ref_log10(n, pieces, t)
     if log10_mag > 307.0:
         raise CollapseProximity(
             f"|<x^{n}>| ~ 1e{log10_mag:.0f} exceeds float64 range at t={t}; "
@@ -212,7 +221,7 @@ def hyperbolic_xn_paths_ref(n, alpha, params, t, guard):
 
 
 def hyperbolic_xn_log10_magnitude_ref(n, alpha, params, t, guard):
-    return _ref_log10(n, _ref_guarded(n, alpha, params, t, guard))
+    return _ref_log10(n, _ref_guarded(n, alpha, params, t, guard), t)
 
 
 @_ref_float_range
@@ -248,7 +257,10 @@ def _ref_regime_sets(alpha, params, t, ratio, slack):
 
 
 def classify_dispersion_regime_ref(alpha, params, t, ratio=10.0):
-    sets = _ref_regime_sets(alpha, params, t, ratio, 1.0)
+    try:
+        sets = _ref_regime_sets(alpha, params, t, ratio, 1.0)
+    except OverflowError as exc:
+        raise FloatRangeError(f"classify_dispersion_regime overflows float64 ({exc})") from None
     return next((regime for regime, holds in sets.items() if holds), None)
 
 
@@ -352,6 +364,7 @@ def _prepared(n, m, q, alpha, params, guard):
     guard=st.sampled_from((0.0, 1e-6, 1e-3)),
 )
 # |alpha|^2 beyond float64: every call raises it, the build does not
+@example(n=1, m=2, q=1, omega=1.0, mu=0.05, hbar=0.1, re=1e200, im=0.0, spacings=[0.3, 1.7], guard=1e-6)
 @example(n=2, m=2, q=1, omega=1.0, mu=0.05, hbar=0.1, re=1e200, im=0.0, spacings=[0.3, 1.7], guard=1e-6)
 # alpha = 0: the odd-n average is exactly 0 and its log10 magnitude -inf
 @example(n=1, m=1, q=0, omega=1.0, mu=0.1, hbar=0.1, re=0.0, im=0.0, spacings=[0.0, 0.49], guard=0.0)
