@@ -309,7 +309,7 @@ class XnAverage:
     def _pieces(self, t: float, representable: bool = True) -> tuple:
         """``(phi, bsq, mag, k, exponent, series, log10_mag)`` at ``t``, after the guard checks.
 
-        A series or exponent beyond float64 is :class:`FloatRangeError`.
+        A series beyond float64, or an exponent of ``inf - inf``, is :class:`FloatRangeError`.
         """
         phi = self._phase * t
         if self._guard:  # 0.0 where check_collapse_guard checks nothing
