@@ -26,16 +26,17 @@ changes after its build.  Each public function builds one and calls its
 bound ``__call__`` (cheaper than calling the instance on CPython) once.
 
 No evaluator returns ``nan``, and only the log10 magnitude returns an
-infinity: ``-inf`` for an average that is exactly zero, and ``+-inf`` where
-its exponent alone leaves float64 (``|alpha|`` near ``1e150``).  An ``x^n``
+infinity: ``-inf`` for an average that is exactly zero.  An ``x^n``
 average whose magnitude is beyond float64 is :class:`CollapseProximity`.  A
 classical, elliptic or dispersion value beyond float64, an ``x^n`` series
 beyond it, an ``x^n`` exponent whose two terms are both beyond it (``nan``,
-as at ``alpha = 1e200``) and a regime classification of such an ``alpha``
-are :class:`FloatRangeError` (a :class:`DomainError` and an
-``OverflowError``).  A ``t``-independent factor beyond float64
-(``|alpha|^2`` at ``alpha = 1e200``, ``hbar^j`` at ``hbar = 1e200``) is
-raised by each call, where the per-point formula meets it, not by the build.
+as at ``alpha = 1e200``), a log10 magnitude of ``+inf`` (its exponent alone
+beyond float64, as at ``alpha = 1e152``) and a regime classification of an
+``alpha`` whose ``|alpha|^2`` overflows are :class:`FloatRangeError` (a
+:class:`DomainError` and an ``OverflowError``).  A ``t``-independent
+factor beyond float64 (``|alpha|^2`` at ``alpha = 1e200``, ``hbar^j`` at
+``hbar = 1e200``) is raised by each call, where the per-point formula meets
+it, not by the build.
 """
 
 from __future__ import annotations
@@ -369,7 +370,12 @@ class XnAverage:
         return closed, self._integral_value(phi, t)
 
     def log10_magnitude(self, t: float) -> float:
-        return self._pieces(t, representable=False)[-1]
+        log10_mag = self._pieces(t, representable=False)[-1]
+        if log10_mag == math.inf:  # xi^2 b^2/hbar beyond float64, -s^2/(2 hbar) not
+            raise FloatRangeError(
+                f"<x^{self.n}> is beyond float64 at t={t}: its log10 magnitude is inf"
+            )
+        return log10_mag
 
 
 class XnClassical(_FloatChecked):
@@ -427,7 +433,8 @@ def hyperbolic_xn_log10_magnitude(
 
     Near a collapse time the magnitude overflows float64 although its
     logarithm is perfectly representable; approach sequences are therefore
-    reported in log scale.
+    reported in log scale.  A logarithm beyond float64 (``+inf``) is
+    :class:`FloatRangeError`.
     """
     return XnAverage(n, alpha, params, guard).log10_magnitude(t)
 

@@ -30,11 +30,11 @@ Observables ``x^n`` and ``adag^m a^q`` are applied by banded shifts with the
 ladder elements ``sqrt(hbar k)``; no dense operator is formed.
 
 What does not depend on ``t`` is built once and kept on the representation:
-its eigensystem, ladder and phase rates ``-1j E``, and, for each of the last
-``_STATES_PER_REPRESENTATION`` values of ``alpha``, the coherent vector with
-its tail-test verdict, its norm ``|psi_0|`` and its coefficients
-``V^T g^* psi_0`` in each sector's eigenbasis (the last one found again by
-identity).  Each time point then computes only the phases
+its eigensystem, whose sectors carry their phase rates ``-1j E``, its ladder,
+and one prepared state, that of the last ``alpha`` asked for: the coherent
+vector with its tail-test verdict, its norm ``|psi_0|`` and its coefficients
+``V^T g^* psi_0`` in each sector's eigenbasis.  Asking for another ``alpha``
+replaces it.  Each time point then computes only the phases
 ``exp(-1j E * (t / hbar))``, their product with the coefficients
 (hyperbolic: ``g V (phases * coefficients)``), the unitarity check against
 ``|psi_0|`` and the observable.
@@ -45,8 +45,9 @@ size.  For a doubling ladder up to the cap their eigenvectors take about
 341 MiB, ``4/3`` of the cap's own 256 MiB.  They live until another model is
 asked for, which releases them all, so a finished job's bases do not stay
 alive beside the next job's eigensolve.  Alternating between two models
-rebuilds each one every time.  This state is shared by the whole process:
-use the oracle from one thread at a time.
+rebuilds each one every time, and alternating between two ``alpha`` on one
+model prepares each state every time.  This state is shared by the whole
+process: use the oracle from one thread at a time.
 
 numpy loads with this module, and no other module of the package imports
 numpy or scipy.  The package imports this module when one of its oracle
@@ -85,18 +86,19 @@ DEFAULT_START_DIM = 64
 _UNITARITY_TOL = 1e-10
 _I_POWERS = np.array([1, 1j, -1, -1j])
 _TAIL_BLOCK = 64
-_STATES_PER_REPRESENTATION = 4
 
 
 class Sector(NamedTuple):
     """One invariant block of the basis, ``H[index, index] = g V diag(E) V^T g^*``.
 
-    ``vectors`` (real, orthonormal columns) and ``gauge`` (unit phases ``g``)
-    are ``None`` for a block on which ``H`` is already diagonal.
+    ``rates`` are the phase rates ``-1j E``.  ``vectors`` (real, orthonormal
+    columns) and ``gauge`` (unit phases ``g``) are ``None`` for a block on
+    which ``H`` is already diagonal.
     """
 
     index: slice
     energies: np.ndarray
+    rates: np.ndarray
     vectors: "np.ndarray | None"
     gauge: "np.ndarray | None"
 
@@ -106,17 +108,16 @@ class FockRepresentation:
     """One model at one basis size.
 
     The spectral data (:meth:`eigensystem`) and the ladder are computed lazily
-    exactly once.  ``_states`` holds the time-invariant data of the last few
-    initial states evolved on this basis, ``_last`` the latest of them.
+    exactly once.  ``_prepared`` holds the key of the last ``alpha`` evolved on
+    this basis and its time-invariant data (``None`` if its tail failed); its
+    empty key matches no ``alpha``.
     """
 
     kind: str
     params: SystemParams
     dim: int
     _eig: "tuple[Sector, ...] | None" = field(default=None, repr=False)
-    _states: "dict[bytes, _Initial | None]" = field(default_factory=dict, init=False, repr=False)
-    _last: "_Initial | None" = field(default=None, init=False, repr=False)
-    _rates: "tuple | None" = field(default=None, init=False, repr=False)
+    _prepared: "tuple[bytes, _Initial | None]" = field(default=(b"", None), init=False, repr=False)
 
     @property
     def hbar(self) -> float:
@@ -146,7 +147,7 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 def _elliptic_sectors(params: SystemParams, dim: int) -> tuple[Sector, ...]:
     k = np.arange(dim, dtype=float)
     energies = params.omega * params.hbar * k + params.mu * params.hbar**2 * k * (k - 1.0)
-    return (Sector(slice(None), _frozen(energies), None, None),)
+    return (Sector(slice(None), _frozen(energies), _frozen(-1j * energies), None, None),)
 
 
 def _hyperbolic_sectors(params: SystemParams, dim: int) -> tuple[Sector, ...]:
@@ -161,9 +162,10 @@ def _hyperbolic_sectors(params: SystemParams, dim: int) -> tuple[Sector, ...]:
         )
         energies = params.omega * s - params.mu * s * s
         gauge = _I_POWERS[np.arange(len(k) + 1) % 4]
-        sectors.append(
-            Sector(slice(parity, None, 2), _frozen(energies), _frozen(vectors), _frozen(gauge))
-        )
+        sectors.append(Sector(
+            slice(parity, None, 2), _frozen(energies), _frozen(-1j * energies),
+            _frozen(vectors), _frozen(gauge),
+        ))
     return tuple(sectors)
 
 
@@ -310,41 +312,35 @@ def _state_key(alpha: complex) -> bytes:
 def _initial_state(rep: FockRepresentation, alpha: complex) -> "_Initial | None":
     """The coherent state's :class:`_Initial` on ``rep``, ``None`` if its tail fails.
 
-    The tail test is :data:`DEFAULT_TAIL_TOL`.  Built once per ``alpha`` and
-    remembered on ``rep`` for the last ``_STATES_PER_REPRESENTATION`` values.
+    The tail test is :data:`DEFAULT_TAIL_TOL`.  Remembered on ``rep`` until
+    another ``alpha`` is asked for.
     """
     key = _state_key(alpha)
-    if key not in rep._states:
+    if rep._prepared[0] != key:
         try:
             vector = coherent_vector(alpha, rep.hbar, rep.dim, tail_tol=DEFAULT_TAIL_TOL)
         except TailMassError:
             initial = None
         else:
             initial = _prepare(rep, vector)
-        if len(rep._states) >= _STATES_PER_REPRESENTATION:
-            del rep._states[next(iter(rep._states))]
-        rep._states[key] = initial
-    rep._last = rep._states[key]
-    return rep._last
+        rep._prepared = (key, initial)
+    return rep._prepared[1]
 
 
 def _initial_of(rep: FockRepresentation, v: CoherentVector) -> _Initial:
     # the remembered data if v is the vector _initial_state last returned, else fresh
-    known = rep._last
+    known = rep._prepared[1]
     return known if known is not None and known.vector is v else _prepare(rep, v)
 
 
 def _propagate(rep: FockRepresentation, initial: _Initial, t: float) -> np.ndarray:
     sectors = rep.eigensystem()
-    if rep._rates is None or rep._rates[0] is not sectors:  # once per sectors eigensystem() returns
-        rep._rates = (sectors, tuple(_frozen(-1j * s.energies) for s in sectors))
-    rates = rep._rates[1]
     if sectors[0].vectors is None:  # elliptic: one diagonal sector, the whole basis
-        out = np.exp(rates[0] * (t / rep.hbar)) * initial.coeffs[0]
+        out = np.exp(sectors[0].rates * (t / rep.hbar)) * initial.coeffs[0]
     else:
         out = np.empty(rep.dim, dtype=complex)
-        for sector, rate, coeffs in zip(sectors, rates, initial.coeffs):
-            phases = np.exp(rate * (t / rep.hbar))
+        for sector, coeffs in zip(sectors, initial.coeffs):
+            phases = np.exp(sector.rates * (t / rep.hbar))
             out[sector.index] = sector.gauge * _real_matmul(sector.vectors, phases * coeffs)
     drift = abs(math.sqrt(np.vdot(out, out).real) - initial.norm)
     if drift > _UNITARITY_TOL:

@@ -355,11 +355,11 @@ class TestDenseReference:
 class TestUnitarityDrift:
     @pytest.fixture
     def leaky(self, monkeypatch):
-        # complex energies make the spectral propagator lose norm
+        # phase rates of complex energies E - 1e-6j make the spectral propagator lose norm
         exact = FockRepresentation.eigensystem
 
         def leaky_eigensystem(rep):
-            return tuple(s._replace(energies=s.energies - 1e-6j) for s in exact(rep))
+            return tuple(s._replace(rates=s.rates - 1e-6) for s in exact(rep))
 
         monkeypatch.setattr(FockRepresentation, "eigensystem", leaky_eigensystem)
 
@@ -450,7 +450,7 @@ class TestPerPointPath:
                     assert monomial_expectation(rep, v, m, q, t) == expected
 
     def test_signed_zeros_are_distinct_states(self):
-        # alpha's bits are the memo key: -0.0 would otherwise reuse +0.0's vector
+        # alpha's bits are the prepared state's key: -0.0 would otherwise reuse +0.0's vector
         rep = build_hamiltonian("elliptic", ELL, 64)
         for alpha in (complex(0.0, 0.5), complex(-0.0, 0.5), complex(0.0, 0.5)):
             remembered = fock._initial_state(rep, alpha).vector.alpha
@@ -540,11 +540,11 @@ class TestStateReuse:
 
         # alternating between two models rebuilds each one, value for value the same
         run(alternating)
-        # one model after the other, as every command and criterion runs: each
-        # state is built once
+        # one model and one alpha after the other, as every command and
+        # criterion runs: each state is built once
         fock._model_bases.cache_clear()
         coherent_builds.clear()
-        run(sorted(alternating, key=lambda point: point[0]))
+        run(sorted(alternating, key=lambda point: point[:2]))
         assert len(coherent_builds) == len(set(coherent_builds))
         with pytest.raises(TailMassError):
             coherent_vector(2.0, 0.1, 64, tail_tol=DEFAULT_TAIL_TOL)
@@ -559,17 +559,21 @@ class TestStateReuse:
         gc.collect()
         assert [ref() for ref in bases] == [None, None]
 
-    def test_memo_is_bounded(self, coherent_builds):
+    def test_one_state_per_basis(self, coherent_builds):
+        # each basis keeps the state of the last alpha only: alternating two
+        # alphas on one model prepares each one again, value for value the same
         args = ("elliptic", ELL)
-        alphas = [0.2 * k + 0.1j for k in range(1, 2 * fock._STATES_PER_REPRESENTATION + 1)]
-        for alpha in alphas + alphas[:1]:
-            value = oracle_average(*args, alpha, (1, 0), 0.4)
-            assert value == _oracle_from_scratch(*args, alpha, (1, 0), 0.4)
+        alphas = (0.3 + 0.1j, 0.5 - 0.2j)
+        for alpha in alphas + alphas:
+            for t in (0.4, 0.7):
+                value = oracle_average(*args, alpha, (1, 0), t)
+                assert value == _oracle_from_scratch(*args, alpha, (1, 0), t)
         for dim in (64, 128):
             rep = build_hamiltonian(*args, dim)
-            assert len(rep._states) == fock._STATES_PER_REPRESENTATION
-        # the first alpha was evicted and built again
-        assert coherent_builds.count((alphas[0], ELL.hbar, 64)) == 2
+            assert rep._prepared[0] == fock._state_key(alphas[1])
+            assert rep._prepared[1].vector.alpha == alphas[1]
+        # built once per visit, not once per time point
+        assert [coherent_builds.count((alpha, ELL.hbar, 64)) for alpha in alphas] == [2, 2]
 
 
 class TestConvergenceMessage:

@@ -729,6 +729,15 @@ BEYOND_FLOAT_RANGE = {
         HYP_ALPHA_1E200_CFG.format(n=1),
         "collapse-scan",
     ),
+    # xi^2 b^2/hbar beyond float64 while -s^2/(2 hbar) is not: once a +inf log10 cell
+    "log10-inf-exponent": (
+        lambda: closedform.hyperbolic_xn_log10_magnitude(
+            1, 1e152, make_hyperbolic_params(1.0, 0.05, 0.02), 196.1531913085127, guard=0.0
+        ),
+        "kind = hyperbolic\nmu = 0.05\nhbar = 0.02\nalpha = 1e152\nobservable = x^1\n"
+        "ell_min = 0\nell_max = 0\n",
+        "collapse-scan",
+    ),
     # (xi b)^2 in the x^2 series
     "xn-series-overflow": (
         lambda: closedform.hyperbolic_xn_average(2, HYP_ALPHA_1E200[1], HYP_ALPHA_1E200[0], 1.0),

@@ -13,6 +13,7 @@ from scipy.integrate import solve_ivp
 from cohevol import (
     CollapseProximity,
     DomainError,
+    SystemParams,
     collapse_spacing,
     dispersion_exact,
     hyperbolic_classical_xn,
@@ -314,20 +315,27 @@ class TestScalingIdentity:
         im=st.floats(min_value=-1.2, max_value=1.2, allow_nan=False),
         t=st.floats(min_value=0.0, max_value=3.0, allow_nan=False),
         s=st.floats(min_value=0.1, max_value=16.0, allow_nan=False),
-        n=st.integers(min_value=1, max_value=3),
+        n=st.integers(min_value=1, max_value=4),
+        omega=st.floats(min_value=0.3, max_value=2.0),
+        negative_omega=st.booleans(),
+        mu=st.floats(min_value=-0.3, max_value=0.3),
+        hbar=st.floats(min_value=1e-3, max_value=0.3),
     )
     # both sides are subnormal (~4e-315) here, where one unit in the last
     # place is already a relative error of 1.2e-9; the bound is floored there
-    @example(re=0.0, im=1.0, t=2.2250738585e-313, s=2.0, n=3)
+    @example(re=0.0, im=1.0, t=2.2250738585e-313, s=2.0, n=3,
+             omega=1.0, negative_omega=False, mu=0.1, hbar=0.05)
     # one side is the smallest subnormal (5e-324) and the other rounds to zero
-    @example(re=5e-324, im=0.0, t=0.0, s=3.0, n=3)
-    def test_scaling_property(self, re, im, t, s, n):
+    @example(re=5e-324, im=0.0, t=0.0, s=3.0, n=3,
+             omega=1.0, negative_omega=False, mu=0.1, hbar=0.05)
+    def test_scaling_property(self, re, im, t, s, n, omega, negative_omega, mu, hbar):
         # alpha/sqrt(hbar) and mu*hbar are invariant under the transform, so
         # the identity holds pointwise on every branch interval
-        if abs(math.cos(8.0 * n * P.mu * P.hbar * t)) < 0.05:
+        params = SystemParams(-omega if negative_omega else omega, mu, hbar)
+        if not params.hyperbolic_capable or abs(math.cos(8.0 * n * mu * hbar * t)) < 0.05:
             return
         try:
-            lhs, rhs = scaling_transform_check(n, complex(re, im), P, t, s)
+            lhs, rhs = scaling_transform_check(n, complex(re, im), params, t, s)
         except CollapseProximity:
             return
         # floored at 1e-10 of the smallest normal, also where rhs rounds to zero

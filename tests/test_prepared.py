@@ -2,11 +2,12 @@
 
 The ``_ref_*`` functions below are a copy of the closed-form code that ran
 every check and formed every constant at each call, with one later change:
-an ``x^n`` series beyond float64, a ``nan`` log10 magnitude and a regime
-classification of an ``alpha`` whose ``|alpha|^2`` overflows raise
-:class:`FloatRangeError`.  Each public function and each evaluator reused
-across several times must give the same ``repr`` of its value, or raise the
-same exception type with the same message.
+an ``x^n`` series beyond float64, a ``nan`` log10 magnitude, a ``+inf`` one
+from the log10 magnitude functions and a regime classification of an
+``alpha`` whose ``|alpha|^2`` overflows raise :class:`FloatRangeError`.
+Each public function and each evaluator reused across several times must
+give the same ``repr`` of its value, or raise the same exception type with
+the same message.
 """
 
 import cmath
@@ -221,7 +222,10 @@ def hyperbolic_xn_paths_ref(n, alpha, params, t, guard):
 
 
 def hyperbolic_xn_log10_magnitude_ref(n, alpha, params, t, guard):
-    return _ref_log10(n, _ref_guarded(n, alpha, params, t, guard), t)
+    log10_mag = _ref_log10(n, _ref_guarded(n, alpha, params, t, guard), t)
+    if log10_mag == math.inf:
+        raise FloatRangeError(f"<x^{n}> is beyond float64 at t={t}: its log10 magnitude is inf")
+    return log10_mag
 
 
 @_ref_float_range
@@ -366,6 +370,9 @@ def _prepared(n, m, q, alpha, params, guard):
 # |alpha|^2 beyond float64: every call raises it, the build does not
 @example(n=1, m=2, q=1, omega=1.0, mu=0.05, hbar=0.1, re=1e200, im=0.0, spacings=[0.3, 1.7], guard=1e-6)
 @example(n=2, m=2, q=1, omega=1.0, mu=0.05, hbar=0.1, re=1e200, im=0.0, spacings=[0.3, 1.7], guard=1e-6)
+# alpha = 1e152: xi^2 b^2/hbar leaves float64 near the first collapse, a +inf log10 magnitude
+@example(n=1, m=1, q=0, omega=1.0, mu=0.05, hbar=0.02, re=1e152, im=0.0, spacings=[0.3, 0.4995],
+         guard=0.0)
 # alpha = 0: the odd-n average is exactly 0 and its log10 magnitude -inf
 @example(n=1, m=1, q=0, omega=1.0, mu=0.1, hbar=0.1, re=0.0, im=0.0, spacings=[0.0, 0.49], guard=0.0)
 # right on the first collapse time and just past it
