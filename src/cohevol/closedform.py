@@ -30,8 +30,9 @@ infinity: ``-inf`` for an average that is exactly zero.  An ``x^n``
 average whose magnitude is beyond float64 is :class:`CollapseProximity`.  A
 classical, elliptic or dispersion value beyond float64, an ``x^n`` series
 beyond it, an ``x^n`` exponent whose two terms are both beyond it (``nan``,
-as at ``alpha = 1e200``), a log10 magnitude of ``+inf`` (its exponent alone
-beyond float64, as at ``alpha = 1e152``) and a regime classification of an
+as at ``alpha = 1e200``), a log10 magnitude whose exponent alone is beyond
+float64 (``+inf`` before the first collapse at ``alpha = 1e152``, ``-inf``
+after it) and a regime classification of an
 ``alpha`` whose ``|alpha|^2`` overflows are :class:`FloatRangeError` (a
 :class:`DomainError` and an ``OverflowError``).  A ``t``-independent
 factor beyond float64 (``|alpha|^2`` at ``alpha = 1e200``, ``hbar^j`` at
@@ -370,10 +371,10 @@ class XnAverage:
         return closed, self._integral_value(phi, t)
 
     def log10_magnitude(self, t: float) -> float:
-        log10_mag = self._pieces(t, representable=False)[-1]
-        if log10_mag == math.inf:  # xi^2 b^2/hbar beyond float64, -s^2/(2 hbar) not
+        *_, exponent, _, log10_mag = self._pieces(t, representable=False)
+        if math.isinf(exponent):  # xi^2 b^2/hbar (of either sign) or -s^2/(2 hbar) beyond float64
             raise FloatRangeError(
-                f"<x^{self.n}> is beyond float64 at t={t}: its log10 magnitude is inf"
+                f"<x^{self.n}> is beyond float64 at t={t}: its exponent is {exponent}"
             )
         return log10_mag
 
@@ -433,8 +434,9 @@ def hyperbolic_xn_log10_magnitude(
 
     Near a collapse time the magnitude overflows float64 although its
     logarithm is perfectly representable; approach sequences are therefore
-    reported in log scale.  A logarithm beyond float64 (``+inf``) is
-    :class:`FloatRangeError`.
+    reported in log scale.  A logarithm beyond float64 (an exponent of
+    ``+inf`` or ``-inf``) is :class:`FloatRangeError`; ``-inf`` is returned
+    only for an average that is exactly zero.
     """
     return XnAverage(n, alpha, params, guard).log10_magnitude(t)
 

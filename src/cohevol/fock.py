@@ -91,13 +91,12 @@ _TAIL_BLOCK = 64
 class Sector(NamedTuple):
     """One invariant block of the basis, ``H[index, index] = g V diag(E) V^T g^*``.
 
-    ``rates`` are the phase rates ``-1j E``.  ``vectors`` (real, orthonormal
-    columns) and ``gauge`` (unit phases ``g``) are ``None`` for a block on
-    which ``H`` is already diagonal.
+    The energies ``E`` are held as the phase rates ``rates = -1j E``.
+    ``vectors`` (real, orthonormal columns) and ``gauge`` (unit phases ``g``)
+    are ``None`` for a block on which ``H`` is already diagonal.
     """
 
     index: slice
-    energies: np.ndarray
     rates: np.ndarray
     vectors: "np.ndarray | None"
     gauge: "np.ndarray | None"
@@ -147,7 +146,7 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 def _elliptic_sectors(params: SystemParams, dim: int) -> tuple[Sector, ...]:
     k = np.arange(dim, dtype=float)
     energies = params.omega * params.hbar * k + params.mu * params.hbar**2 * k * (k - 1.0)
-    return (Sector(slice(None), _frozen(energies), _frozen(-1j * energies), None, None),)
+    return (Sector(slice(None), _frozen(-1j * energies), None, None),)
 
 
 def _hyperbolic_sectors(params: SystemParams, dim: int) -> tuple[Sector, ...]:
@@ -163,8 +162,7 @@ def _hyperbolic_sectors(params: SystemParams, dim: int) -> tuple[Sector, ...]:
         energies = params.omega * s - params.mu * s * s
         gauge = _I_POWERS[np.arange(len(k) + 1) % 4]
         sectors.append(Sector(
-            slice(parity, None, 2), _frozen(energies), _frozen(-1j * energies),
-            _frozen(vectors), _frozen(gauge),
+            slice(parity, None, 2), _frozen(-1j * energies), _frozen(vectors), _frozen(gauge)
         ))
     return tuple(sectors)
 

@@ -385,8 +385,7 @@ class TestUnitarityDrift:
 def _per_point_state(rep, v, t):
     """The evolved state as each point formed it before the per-representation caches.
 
-    A fresh prepared state, ``-1j * E`` formed anew, every sector written into
-    one new buffer.
+    A fresh prepared state, every sector written into one new buffer.
     """
 
     def real_matmul(matrix, vec):
@@ -396,7 +395,7 @@ def _per_point_state(rep, v, t):
     out = np.empty(rep.dim, dtype=complex)
     for sector in rep.eigensystem():
         coeffs = v.coeffs[sector.index]
-        phases = np.exp(-1j * sector.energies * (t / rep.hbar))
+        phases = np.exp(sector.rates * (t / rep.hbar))
         if sector.vectors is None:
             out[sector.index] = phases * coeffs
         else:
@@ -540,8 +539,8 @@ class TestStateReuse:
 
         # alternating between two models rebuilds each one, value for value the same
         run(alternating)
-        # one model and one alpha after the other, as every command and
-        # criterion runs: each state is built once
+        # one model and one alpha after the other, as every command and bench
+        # job runs: each state is built once
         fock._model_bases.cache_clear()
         coherent_builds.clear()
         run(sorted(alternating, key=lambda point: point[:2]))

@@ -738,6 +738,16 @@ BEYOND_FLOAT_RANGE = {
         "ell_min = 0\nell_max = 0\n",
         "collapse-scan",
     ),
+    # the same past the first collapse, where cos(8 n mu hbar t) < 0: once a -inf log10
+    # cell, which only an exactly zero average may write
+    "log10-minus-inf-exponent": (
+        lambda: closedform.hyperbolic_xn_log10_magnitude(
+            1, 1e152, make_hyperbolic_params(1.0, 0.05, 0.02), 588.9897176858314, guard=0.0
+        ),
+        "kind = hyperbolic\nmu = 0.05\nhbar = 0.02\nalpha = 1e152\nobservable = x^1\n"
+        "ell_min = 1\nell_max = 1\n",
+        "collapse-scan",
+    ),
     # (xi b)^2 in the x^2 series
     "xn-series-overflow": (
         lambda: closedform.hyperbolic_xn_average(2, HYP_ALPHA_1E200[1], HYP_ALPHA_1E200[0], 1.0),

@@ -222,9 +222,10 @@ def hyperbolic_xn_paths_ref(n, alpha, params, t, guard):
 
 
 def hyperbolic_xn_log10_magnitude_ref(n, alpha, params, t, guard):
-    log10_mag = _ref_log10(n, _ref_guarded(n, alpha, params, t, guard), t)
-    if log10_mag == math.inf:
-        raise FloatRangeError(f"<x^{n}> is beyond float64 at t={t}: its log10 magnitude is inf")
+    pieces = _ref_guarded(n, alpha, params, t, guard)
+    log10_mag = _ref_log10(n, pieces, t)
+    if math.isinf(pieces[0]):
+        raise FloatRangeError(f"<x^{n}> is beyond float64 at t={t}: its exponent is {pieces[0]}")
     return log10_mag
 
 
@@ -370,8 +371,11 @@ def _prepared(n, m, q, alpha, params, guard):
 # |alpha|^2 beyond float64: every call raises it, the build does not
 @example(n=1, m=2, q=1, omega=1.0, mu=0.05, hbar=0.1, re=1e200, im=0.0, spacings=[0.3, 1.7], guard=1e-6)
 @example(n=2, m=2, q=1, omega=1.0, mu=0.05, hbar=0.1, re=1e200, im=0.0, spacings=[0.3, 1.7], guard=1e-6)
-# alpha = 1e152: xi^2 b^2/hbar leaves float64 near the first collapse, a +inf log10 magnitude
+# alpha = 1e152: xi^2 b^2/hbar leaves float64 near the first collapse, a +inf exponent,
+# and near the second, where cos(8 n mu hbar t) < 0, a -inf one
 @example(n=1, m=1, q=0, omega=1.0, mu=0.05, hbar=0.02, re=1e152, im=0.0, spacings=[0.3, 0.4995],
+         guard=0.0)
+@example(n=1, m=1, q=0, omega=1.0, mu=0.05, hbar=0.02, re=1e152, im=0.0, spacings=[1.3, 1.4995],
          guard=0.0)
 # alpha = 0: the odd-n average is exactly 0 and its log10 magnitude -inf
 @example(n=1, m=1, q=0, omega=1.0, mu=0.1, hbar=0.1, re=0.0, im=0.0, spacings=[0.0, 0.49], guard=0.0)
