@@ -19,12 +19,16 @@ form:
   ``k +- 2``: it splits into an even and an odd parity sector, each a real
   symmetric tridiagonal matrix with zero diagonal and off-diagonal
   ``hbar sqrt((k+1)(k+2))``.  Each sector is diagonalised once per
-  representation with ``scipy.linalg.eigh_tridiagonal``, whose default driver
-  for the full spectrum is LAPACK ``stevd`` (divide and conquer) in scipy
-  1.17.1; the energies are ``w s - mu s^2`` for the eigenvalues ``s`` of ``S``.  Inside a sector
-  the gauge reduces to ``i^j`` (a constant sector phase cancels), so it adds
-  no rounding either.  scipy is imported at the first hyperbolic eigensolve,
-  so an elliptic run never loads it.
+  representation by LAPACK ``dstevd`` (divide and conquer), the call
+  ``scipy.linalg.eigh_tridiagonal`` makes for a full spectrum in scipy
+  1.17.1, so the eigenpairs are its bits; the energies are ``w s - mu s^2``
+  for the eigenvalues ``s`` of ``S``.  Inside a sector the gauge reduces to
+  ``i^j`` (a constant sector phase cancels), so it adds no rounding either.
+  ``dstevd`` is taken from scipy's f2py LAPACK extension
+  (``scipy.linalg._flapack``), loaded from its file at the first hyperbolic
+  eigensolve; the top-level ``scipy`` package is imported for its library
+  paths, but ``scipy.linalg`` is not, unless the extension is not found where
+  scipy puts it.  An elliptic run loads no scipy.
 
 Observables ``x^n`` and ``adag^m a^q`` are applied by banded shifts with the
 ladder elements ``sqrt(hbar k)``; no dense operator is formed.
@@ -63,11 +67,14 @@ take ``4 dim^2`` bytes (256 MiB at the cap).
 from __future__ import annotations
 
 import cmath
+import importlib.util
 import math
+import os
 import struct
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from importlib.machinery import PathFinder
 from typing import NamedTuple
 
 import numpy as np
@@ -150,21 +157,47 @@ def _elliptic_sectors(params: SystemParams, dim: int) -> tuple[Sector, ...]:
 
 
 def _hyperbolic_sectors(params: SystemParams, dim: int) -> tuple[Sector, ...]:
-    import scipy.linalg  # here, not at module level: elliptic runs never need it
-
+    dstevd = _dstevd()
     sectors = []
     for parity in (0, 1):
         k = np.arange(parity, dim - 2, 2, dtype=float)
         offdiag = params.hbar * np.sqrt((k + 1.0) * (k + 2.0))
-        s, vectors = scipy.linalg.eigh_tridiagonal(
-            np.zeros(len(k) + 1), offdiag, check_finite=False
-        )
+        s, vectors, info = dstevd(np.zeros(len(k) + 1), offdiag, compute_v=1)
+        if info != 0:
+            raise ConvergenceError(
+                f"LAPACK dstevd failed on the parity-{parity} sector at dim {dim}: info {info}"
+            )
         energies = params.omega * s - params.mu * s * s
         gauge = _I_POWERS[np.arange(len(k) + 1) % 4]
         sectors.append(Sector(
             slice(parity, None, 2), _frozen(-1j * energies), _frozen(vectors), _frozen(gauge)
         ))
     return tuple(sectors)
+
+
+@lru_cache(maxsize=1)
+def _dstevd():
+    """LAPACK ``dstevd`` as scipy's f2py wrapper: ``(d, e, compute_v) -> (vals, vectors, info)``.
+
+    Importing ``scipy`` loads none of its subpackages but sets up the paths to
+    its bundled libraries; the extension module is then run from its file, so
+    the ``scipy.linalg`` package is not imported.  (CPython still registers
+    the extension under its own name, and a later ``import scipy.linalg``
+    reuses it.)  Where the extension is not found, the same function is taken
+    from ``scipy.linalg.lapack``.
+    """
+    import scipy  # here, not at module level: elliptic runs never need it
+
+    spec = PathFinder.find_spec(
+        "scipy.linalg._flapack", [os.path.join(path, "linalg") for path in scipy.__path__]
+    )
+    if spec is None:
+        import scipy.linalg.lapack
+
+        return scipy.linalg.lapack.dstevd
+    flapack = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(flapack)
+    return flapack.dstevd
 
 
 @lru_cache(maxsize=1)

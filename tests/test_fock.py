@@ -27,7 +27,7 @@ from cohevol import (
     oracle_average,
     propagate_expectation,
 )
-from cohevol.cli import main
+from cohevol.cli import EXIT_CONVERGENCE, main
 import cohevol.fock as fock
 from cohevol.fock import DEFAULT_DIM_CAP, DEFAULT_TAIL_TOL, _prepare, _propagate
 
@@ -380,6 +380,44 @@ class TestUnitarityDrift:
         )
         assert main(["compare", "--config", str(cfg)]) == 3
         assert "unitarity" in capsys.readouterr().err
+
+
+class TestTridiagonalSolve:
+    """The direct LAPACK ``dstevd`` call behind each hyperbolic parity sector."""
+
+    @pytest.mark.parametrize("hbar", (0.1, 0.02))
+    @pytest.mark.parametrize("dim", (5, 6, 64, 1024))
+    @pytest.mark.parametrize("parity", (0, 1))
+    def test_bits_equal_eigh_tridiagonal(self, parity, dim, hbar):
+        k = np.arange(parity, dim - 2, 2, dtype=float)
+        diag, offdiag = np.zeros(len(k) + 1), hbar * np.sqrt((k + 1.0) * (k + 2.0))
+        vals, vectors, info = fock._dstevd()(diag, offdiag, compute_v=1)
+        expected = scipy.linalg.eigh_tridiagonal(diag, offdiag, check_finite=False)
+        assert info == 0
+        assert np.array_equal(vals, expected[0])
+        assert np.array_equal(vectors, expected[1])
+
+    @pytest.fixture
+    def failing(self, monkeypatch):
+        # fresh representations whose eigensolve reports a LAPACK failure
+        fock._model_bases.cache_clear()
+        monkeypatch.setattr(fock, "_dstevd", lambda: lambda d, e, compute_v: (d, None, 1))
+        yield
+        fock._model_bases.cache_clear()
+
+    def test_failure_raises_convergence_error(self, failing):
+        with pytest.raises(ConvergenceError, match="parity-0 sector at dim 64: info 1"):
+            oracle_average("hyperbolic", HYP, 0.5 + 0.3j, 1, 0.5)
+
+    def test_cli_maps_failure_to_convergence_exit_code(self, failing, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "kind = hyperbolic\nmu = 0.1\nhbar = 0.1\nalpha = 0.5+0.3j\n"
+            "observable = x^1\nt_min = 0.2\nt_max = 0.4\npoints = 2\n"
+        )
+        assert main(["compare", "--config", str(cfg)]) == EXIT_CONVERGENCE
+        err = capsys.readouterr().err
+        assert "convergence failure" in err and "dstevd" in err
 
 
 def _per_point_state(rep, v, t):

@@ -3,7 +3,7 @@
 Only the truncated-basis oracle (``cohevol.fock``) needs them, so importing
 the package and running the closed-form commands must load neither; an
 elliptic oracle run needs numpy only, and the first hyperbolic eigensolve
-loads scipy.
+loads scipy's LAPACK extension but not the ``scipy.linalg`` package.
 """
 
 import json
@@ -75,7 +75,29 @@ def test_elliptic_oracle_loads_numpy_only(tmp_path):
 
 def test_compare_loads_both(tmp_path):
     runs = [["compare", "--config", str(CONFIGS / "compare.cfg")]]
-    assert _loaded_after(runs, tmp_path) == ["numpy", "scipy", "scipy.linalg"]
+    assert _loaded_after(runs, tmp_path) == ["numpy", "scipy"]
+
+
+def test_compare_without_the_lapack_extension_goes_through_scipy_linalg(tmp_path):
+    # where scipy's f2py LAPACK extension is not found, the eigensolve falls
+    # back to scipy.linalg and writes the same bytes; the extension is hidden
+    # only from lookups made before scipy.linalg is imported, so that scipy.linalg
+    # itself still finds it
+    runs = [["compare", "--config", str(CONFIGS / "compare.cfg")]]
+    hidden = (
+        "import sys\n"
+        "from importlib.machinery import PathFinder\n"
+        "find_spec = PathFinder.find_spec\n"
+        "PathFinder.find_spec = classmethod(lambda cls, name, path=None, target=None: None\n"
+        "    if name == 'scipy.linalg._flapack' and 'scipy.linalg' not in sys.modules\n"
+        "    else find_spec(name, path, target))\n"
+    )
+    fallback = _run_child(hidden + _CHILD, str(tmp_path / "fallback.txt"), json.dumps(runs))
+    assert json.loads(fallback.strip().splitlines()[-1]) == {
+        "codes": [0], "loaded": ["numpy", "scipy", "scipy.linalg"],
+    }
+    assert _loaded_after(runs, tmp_path) == ["numpy", "scipy"]
+    assert (tmp_path / "fallback.txt").read_bytes() == (tmp_path / "out.txt").read_bytes()
 
 
 def test_oracle_names_resolve_on_first_use():
