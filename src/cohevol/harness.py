@@ -86,6 +86,8 @@ class RunConfig:
             span, last = self.t_max - self.t_min, self.points - 1
             if not math.isfinite(self.t_min + last * (span / last)):
                 raise ConfigError(f"time grid is not finite (t_max - t_min = {span!r})")
+        if not self.oracle_tol > 0:  # the doubling could never converge
+            raise ConfigError(f"oracle_tol must be > 0, got {self.oracle_tol!r}")
 
     @cached_property
     def params(self) -> SystemParams:
@@ -368,7 +370,8 @@ class EhrenfestFit:
     ``relative_times`` the relative-deviation crossing.  The log fit is
     ``t* = intercept + slope * ln(1/hbar)``; the power fit is
     ``t* = power_coeff * (1/hbar)^power_exponent`` (fitted in log-log space).
-    Fits are computed only when at least four crossings exist.
+    A fit is None where it is undefined (fewer than four absolute crossings, all
+    at one hbar; for the power fit, a crossing time not > 0) or beyond float64.
     """
 
     hbar_values: tuple[float, ...]
@@ -383,18 +386,22 @@ class EhrenfestFit:
     power_goodness: Optional[float] = None
 
 
-def _linear_fit(xs: list[float], ys: list[float]) -> tuple[float, float, float]:
+def _linear_fit(xs: list[float], ys: list[float]) -> tuple:
+    """``(intercept, slope, goodness)`` of the least-squares line through points whose
+    ``xs`` are not all equal; three Nones where a sum leaves float64."""
     n = len(xs)
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    sxx = sum((x - mean_x) ** 2 for x in xs)
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    slope = sxy / sxx
-    intercept = mean_y - slope * mean_x
-    ss_res = sum((y - (intercept + slope * x)) ** 2 for x, y in zip(xs, ys))
-    ss_tot = sum((y - mean_y) ** 2 for y in ys)
-    goodness = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return intercept, slope, goodness
+    mean_x, mean_y = sum(xs) / n, sum(ys) / n
+    try:
+        sxx = sum((x - mean_x) ** 2 for x in xs)
+        sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+        slope = sxy / sxx
+        intercept = mean_y - slope * mean_x
+        ss_res = sum((y - (intercept + slope * x)) ** 2 for x, y in zip(xs, ys))
+        ss_tot = sum((y - mean_y) ** 2 for y in ys)
+    except OverflowError:
+        return None, None, None
+    fit = (intercept, slope, 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0)
+    return fit if all(map(math.isfinite, fit)) else (None, None, None)
 
 
 def _first_crossings(
@@ -404,10 +411,8 @@ def _first_crossings(
 
     One grid scan, stopped once both gaps have crossed; ``gaps(t)`` returns
     both from one (quantum, classical) pair.  Each crossing is bisected to
-    ``_BISECT_REL`` of its grid interval (a crossing at the first point is that
-    point): the absolute one when found, the relative one after the scan, so
-    the first evaluation to fail is the one an absolute-gap scan followed by a
-    relative-gap scan would meet.
+    ``_BISECT_REL`` of the grid interval where the scan finds it (a crossing
+    at the first point is that point).
     """
 
     def bisect(which: int, lo: Optional[float], hi: float) -> float:
@@ -422,17 +427,17 @@ def _first_crossings(
                 lo = mid
         return hi
 
-    t_abs = rel_bracket = previous_t = None
+    t_abs = t_rel = previous_t = None
     for t in grid:
         abs_gap, rel_gap = gaps(t)
         if t_abs is None and abs_gap >= threshold:
             t_abs = bisect(0, previous_t, t)
-        if rel_bracket is None and rel_gap >= threshold:
-            rel_bracket = (previous_t, t)
-        if t_abs is not None and rel_bracket is not None:
+        if t_rel is None and rel_gap >= threshold:
+            t_rel = bisect(1, previous_t, t)
+        if t_abs is not None and t_rel is not None:
             break
         previous_t = t
-    return t_abs, None if rel_bracket is None else bisect(1, *rel_bracket)
+    return t_abs, t_rel
 
 
 def cmd_ehrenfest(config: RunConfig, hbar_list: "tuple[float, ...] | None" = None) -> tuple[EhrenfestFit, TableResult]:
@@ -444,8 +449,9 @@ def cmd_ehrenfest(config: RunConfig, hbar_list: "tuple[float, ...] | None" = Non
     ``breakdown_threshold`` is refined by bisection (to 1e-4 of the
     bracketing interval), and both crossings are reported; fits of the
     absolute-gap times against ``ln(1/hbar)`` and in log-log space are
-    emitted side by side.  Only the hyperbolic mean position ``x^1`` is
-    measured; any other model or observable is a :class:`ConfigError`.
+    emitted side by side, each ``none`` where :class:`EhrenfestFit` leaves it
+    None.  Only the hyperbolic mean position ``x^1`` is measured; any other
+    model or observable is a :class:`ConfigError`.
     """
     hbars = tuple(hbar_list if hbar_list is not None else config.hbar_list)
     if not hbars:
@@ -472,39 +478,23 @@ def cmd_ehrenfest(config: RunConfig, hbar_list: "tuple[float, ...] | None" = Non
         status = "ok" if t_abs is not None else "breakdown-not-found"
         rows.append((hbar, t_abs, t_rel, status))
 
-    found = [(h, t) for h, t in zip(hbars, abs_times) if t is not None]
-    fit_kwargs: dict = {}
-    if len(found) >= 4:
-        xs = [math.log(1.0 / h) for h, _ in found]
-        ys = [t for _, t in found]
-        intercept, slope, goodness = _linear_fit(xs, ys)
-        log_ys = [math.log(t) for _, t in found]
-        pc, pe, pg = _linear_fit(xs, log_ys)
-        fit_kwargs = dict(
-            intercept=intercept,
-            slope=slope,
-            goodness=goodness,
-            power_coeff=math.exp(pc),
-            power_exponent=pe,
-            power_goodness=pg,
-        )
-    fit = EhrenfestFit(
-        hbar_values=hbars,
-        breakdown_times=tuple(abs_times),
-        relative_times=tuple(rel_times),
-        threshold=threshold,
-        **fit_kwargs,
-    )
-    meta = []
-    for name in ("intercept", "slope", "goodness", "power_coeff", "power_exponent", "power_goodness"):
-        value = getattr(fit, name)
-        meta.append((f"fit_{name}", "none" if value is None else _fmt_float(value)))
-    table = TableResult(
-        columns=("hbar", "t_star_abs", "t_star_rel", "status"),
-        rows=tuple(rows),
-        extra_meta=tuple(meta),
-    )
-    return fit, table
+    xs = [math.log(1.0 / h) for h, t in zip(hbars, abs_times) if t is not None]
+    ys = [t for t in abs_times if t is not None]
+    log_fit = power_fit = (None, None, None)
+    if len(ys) >= 4 and len(set(xs)) > 1:
+        log_fit = _linear_fit(xs, ys)
+        if min(ys) > 0:
+            # log t is bounded, so only the exponential can leave float64
+            pc, pe, pg = _linear_fit(xs, [math.log(t) for t in ys])
+            power_fit = (_value_or_none(OverflowError, math.exp, pc), pe, pg)
+    fits = dict(zip(
+        ("intercept", "slope", "goodness", "power_coeff", "power_exponent", "power_goodness"),
+        (*log_fit, *power_fit),
+    ))
+    fit = EhrenfestFit(hbars, tuple(abs_times), tuple(rel_times), threshold, **fits)
+    meta = tuple((f"fit_{name}", "none" if value is None else _fmt_float(value))
+                 for name, value in fits.items())
+    return fit, TableResult(("hbar", "t_star_abs", "t_star_rel", "status"), tuple(rows), meta)
 
 
 def cmd_dispersion_regimes(config: RunConfig) -> TableResult:

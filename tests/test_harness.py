@@ -1,12 +1,15 @@
 """Config parsing, sweep commands, writers, and CLI exit codes."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cohevol.closedform as closedform
@@ -263,6 +266,38 @@ class TestCollapseScan:
             cmd_collapse_scan(config)
 
 
+def _deferred_first_crossings(gaps, grid, threshold):
+    """The scan as it was: the absolute crossing bisected where it is found, the
+    relative one bracketed and bisected only after the scan."""
+
+    def bisect(which, lo, hi):
+        if lo is None:
+            return hi
+        width0 = hi - lo
+        while (hi - lo) > harness._BISECT_REL * width0:
+            mid = 0.5 * (lo + hi)
+            if gaps(mid)[which] >= threshold:
+                hi = mid
+            else:
+                lo = mid
+        return hi
+
+    t_abs = rel_bracket = previous_t = None
+    for t in grid:
+        abs_gap, rel_gap = gaps(t)
+        if t_abs is None and abs_gap >= threshold:
+            t_abs = bisect(0, previous_t, t)
+        if rel_bracket is None and rel_gap >= threshold:
+            rel_bracket = (previous_t, t)
+        if t_abs is not None and rel_bracket is not None:
+            break
+        previous_t = t
+    return t_abs, None if rel_bracket is None else bisect(1, *rel_bracket)
+
+
+_GAP_VALUES = st.lists(st.floats(0.0, 4.0), min_size=1, max_size=12)
+
+
 class TestEhrenfest:
     @pytest.mark.parametrize(
         "model", ("kind = elliptic\nobservable = mono:1,0\n", "observable = x^2\n")
@@ -305,6 +340,68 @@ class TestEhrenfest:
         assert fit.goodness >= 0.99
         # the open question: the power-law fit is reported alongside
         assert fit.power_goodness is not None
+
+    @staticmethod
+    def _fit_lines(tmp_path, capsys, **keys):
+        keys = {"mu": "0.05", "alpha": "1.0", "t_max": "10.0", "points": "200", **keys}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in keys.items()))
+        assert main(["ehrenfest", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        return dict(line[2:].split("=") for line in out.splitlines() if line.startswith("# fit_"))
+
+    LOG_FIT = ("fit_intercept", "fit_slope", "fit_goodness")
+    POWER_FIT = ("fit_power_coeff", "fit_power_exponent", "fit_power_goodness")
+
+    def test_cli_one_hbar_leaves_both_fits_none(self, tmp_path, capsys):
+        # four crossings, but a line through ln(1/hbar) needs two distinct hbar
+        fits = self._fit_lines(tmp_path, capsys, hbar_list="0.01,0.01,0.01,0.01")
+        assert fits == dict.fromkeys(self.LOG_FIT + self.POWER_FIT, "none")
+
+    def test_cli_zero_threshold_leaves_the_power_fit_none(self, tmp_path, capsys):
+        # every crossing is at t = 0, whose log the power fit would need
+        fits = self._fit_lines(
+            tmp_path, capsys, breakdown_threshold="0.0", hbar_list="1e-2,1e-3,1e-4,1e-5"
+        )
+        assert all(math.isfinite(float(fits[name])) for name in self.LOG_FIT)
+        assert [fits[name] for name in self.POWER_FIT] == ["none"] * 3
+
+    def test_cli_crossings_beyond_1e154_leave_the_log_fit_none(self, tmp_path, capsys):
+        # the log fit's squared crossing times leave float64; the power fit works on their logs
+        fits = self._fit_lines(
+            tmp_path, capsys, omega="1e-160", mu="5e-160", t_max="1e163",
+            hbar_list="1e-2,1e-3,1e-4,1e-5",
+        )
+        assert [fits[name] for name in self.LOG_FIT] == ["none"] * 3
+        assert all(math.isfinite(float(fits[name])) for name in self.POWER_FIT)
+
+    @settings(max_examples=300, deadline=None)
+    @given(abs_values=_GAP_VALUES, rel_values=_GAP_VALUES, threshold=st.floats(0.0, 4.0))
+    @example(abs_values=[2.0, 0.0], rel_values=[0.0, 2.0], threshold=1.0)  # abs at the first point
+    @example(abs_values=[0.0, 2.0, 0.0], rel_values=[0.0, 3.0, 0.0], threshold=1.0)  # one step
+    @example(abs_values=[0.0, 0.5, 2.0], rel_values=[0.0, 0.5, 0.5], threshold=1.0)  # abs only
+    @example(abs_values=[0.0, 0.5], rel_values=[0.5, 3.0], threshold=1.0)  # rel only
+    @example(abs_values=[0.0, 0.5], rel_values=[0.5, 0.5], threshold=1.0)  # neither
+    def test_first_crossings_match_the_deferred_bisection(self, abs_values, rel_values, threshold):
+        # piecewise-linear gaps on a unit grid, with any number of crossings per gap
+        n = min(len(abs_values), len(rel_values))
+        grid = [0.5 + k for k in range(n)]
+
+        def interpolate(values, t):
+            k = min(int(t - 0.5), n - 2) if n > 1 else 0
+            return values[k] + (values[min(k + 1, n - 1)] - values[k]) * (t - grid[k])
+
+        def scan(first_crossings):
+            seen = []
+
+            def gaps(t):
+                seen.append(t)
+                return interpolate(abs_values, t), interpolate(rel_values, t)
+
+            return first_crossings(gaps, grid, threshold), sorted(seen)
+
+        crossings, seen = scan(harness._first_crossings)
+        assert (crossings, seen) == scan(_deferred_first_crossings)
 
 
 class TestDispersionRegimes:
@@ -525,6 +622,23 @@ class TestWritersAndCli:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text)
         self._assert_config_error(capsys, [command, "--config", str(cfg)], message)
+
+    @pytest.mark.parametrize("tol", ("0", "-1"))
+    def test_cli_nonpositive_oracle_tol_refused_before_numpy_loads(self, tmp_path, tol):
+        # the doubling could never converge, so the oracle would build every basis to the cap
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_CFG + f"oracle_tol = {tol}\n")
+        child = (
+            "import sys\nfrom cohevol.cli import main\n"
+            "print(main(['compare', '--config', sys.argv[1]]), 'numpy' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run(
+            [sys.executable, "-c", child, str(cfg)], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert done.stdout.split() == ["2", "False"]
+        assert done.stderr == f"cohevol: config error: oracle_tol must be > 0, got {float(tol)!r}\n"
 
     @staticmethod
     def _table(capsys, argv) -> list[str]:
