@@ -2,11 +2,11 @@
 
 Evaluation strategy
 -------------------
-All growing/decaying factors are combined into a single exponent, and both
-``x^n`` routes form their value through one overflow-safe product
-(``_exp_product``, in log scale where ``exp`` or the product overflows), so
-values near the float range are computed as long as the final value is
-representable.  For collapse scans the log-magnitude evaluator never forms it.
+All growing/decaying factors are combined into a single exponent.  Both
+quantum ``x^n`` routes form their value through ``_exp_product`` (in log
+scale where ``exp`` or the product overflows), and the classical one in log
+scale where ``exp`` alone does, so a representable value is computed.  For
+collapse scans the log-magnitude evaluator never forms it.
 
 Every fractional power of ``cos(8 n mu hbar t)`` is realized through integer
 powers of the tracked branch value (``_tracked_branch``), never via a
@@ -27,17 +27,14 @@ bound ``__call__`` (cheaper than calling the instance on CPython) once.
 
 No evaluator returns ``nan``, and only the log10 magnitude returns an
 infinity: ``-inf`` for an average that is exactly zero.  An ``x^n``
-average whose magnitude is beyond float64 is :class:`CollapseProximity`.  A
-classical, elliptic or dispersion value beyond float64, an ``x^n`` series
-beyond it, an ``x^n`` exponent whose two terms are both beyond it (``nan``,
-as at ``alpha = 1e200``), a log10 magnitude whose exponent alone is beyond
-float64 (``+inf`` before the first collapse at ``alpha = 1e152``, ``-inf``
-after it) and a regime classification of an
-``alpha`` whose ``|alpha|^2`` overflows are :class:`FloatRangeError` (a
-:class:`DomainError` and an ``OverflowError``).  A ``t``-independent
-factor beyond float64 (``|alpha|^2`` at ``alpha = 1e200``, ``hbar^j`` at
-``hbar = 1e200``) is raised by each call, where the per-point formula meets
-it, not by the build.
+average beyond float64 is :class:`CollapseProximity`; any other value,
+series, exponent (``inf - inf``, or a log10 magnitude's alone) or phase
+(``8 n mu hbar t`` or an elliptic one, at ``t = 1e308``) beyond float64 is
+:class:`FloatRangeError` (a :class:`DomainError` and an ``OverflowError``).
+A build never fails on float range: ``_captures_overflow`` stores the
+``OverflowError`` of a ``t``-independent factor (``|alpha|^2``, ``x0^n``,
+``hbar^j``), and ``_FloatChecked.__call__``, ``XnAverage._pieces`` and
+``RegimeSets.holds`` raise it where the point first needs the factor.
 """
 
 from __future__ import annotations
@@ -71,13 +68,30 @@ class FloatRangeError(DomainError, OverflowError):
     """A closed-form value or input that overflows float64 (not a collapse)."""
 
 
+def _captures_overflow(build):
+    """Wrap the ``__init__`` ``build`` so that an ``OverflowError`` in it is stored in ``_overflow``."""
+    @functools.wraps(build)
+    def __init__(self, *args, **kwargs) -> None:
+        self._overflow = None
+        try:
+            build(self, *args, **kwargs)
+        except OverflowError as exc:  # raised again by each call, where the point needs it
+            self._overflow = exc.args
+    return __init__
+
+
 class _FloatChecked:
     """``_value(t)``, or :class:`FloatRangeError` naming the function ``name`` beyond float64."""
 
+    _overflow = None  # the build's captured overflow, if any
+    _beyond = OverflowError  # what ``_value`` raises for a value (or phase) beyond float64
+
     def __call__(self, t: float) -> complex:
         try:
+            if self._overflow is not None:
+                raise OverflowError(*self._overflow)
             value = self._value(t)
-        except OverflowError as exc:
+        except self._beyond as exc:
             raise FloatRangeError(f"{self.name} overflows float64 ({exc})") from None
         if not cmath.isfinite(value):
             raise FloatRangeError(f"{self.name} is not finite (got {value!r})")
@@ -171,23 +185,19 @@ class EllipticAverage(_FloatChecked):
     """Prepared quantum average of ``adag^m a^q`` in the elliptic model."""
 
     name = "elliptic_quantum_average"
+    _beyond = (OverflowError, ValueError)  # cmath.exp of an infinite phase is a ValueError
 
+    @_captures_overflow
     def __init__(self, m: int, q: int, alpha: complex, params: SystemParams) -> None:
         _validate_monomial(m, q)
         a, mu_h = complex(alpha), params.mu * params.hbar
         self._d, self._kerr = m - q, m * (m - 1) - q * (q - 1)
         self._spin, self._shift = 1j * params.omega, 1j * mu_h
-        self._turn = 2j * mu_h * self._d
-        self._hbar, self._overflow = params.hbar, None
-        try:
-            self._mod2, self._start = abs(a) ** 2, a.conjugate() ** m * a**q
-        except OverflowError as exc:
-            self._overflow = exc.args
+        self._turn, self._hbar = 2j * mu_h * self._d, params.hbar
+        self._mod2, self._start = abs(a) ** 2, a.conjugate() ** m * a**q
 
     def _value(self, t: float) -> complex:
         phase = cmath.exp(self._turn * t)
-        if self._overflow is not None:
-            raise OverflowError(*self._overflow)
         exponent = (self._spin * t * self._d + self._shift * t * self._kerr
                     + (phase - 1.0) * self._mod2 / self._hbar)
         return self._start * cmath.exp(exponent)
@@ -197,19 +207,16 @@ class EllipticClassical(_FloatChecked):
     """Prepared transport of ``conj(a)^m a^q`` along the classical elliptic flow."""
 
     name = "elliptic_classical_average"
+    _beyond = EllipticAverage._beyond
 
+    @_captures_overflow
     def __init__(self, m: int, q: int, alpha: complex, params: SystemParams) -> None:
         _validate_monomial(m, q)
         a = complex(alpha)
-        try:
-            self._rate = 1j * (params.omega + 2.0 * params.mu * abs(a) ** 2) * (m - q)
-            self._start, self._overflow = a.conjugate() ** m * a**q, None
-        except OverflowError as exc:
-            self._overflow = exc.args
+        self._rate = 1j * (params.omega + 2.0 * params.mu * abs(a) ** 2) * (m - q)
+        self._start = a.conjugate() ** m * a**q
 
     def _value(self, t: float) -> complex:
-        if self._overflow is not None:
-            raise OverflowError(*self._overflow)
         return self._start * cmath.exp(self._rate * t)
 
 
@@ -289,6 +296,7 @@ class XnAverage:
     __slots__ = ("n", "_guard", "_alpha", "_conj", "_hbar", "_phase", "_base", "_drift", "_shift",
                  "_root2", "_overflow", "_terms")
 
+    @_captures_overflow
     def __init__(
         self, n: int, alpha: complex, params: SystemParams, guard: float = DEFAULT_GUARD
     ) -> None:
@@ -301,28 +309,24 @@ class XnAverage:
         self._phase = 8.0 * n * params.mu * hbar
         self._base = -s_line * s_line / (2.0 * hbar)
         self._drift, self._shift = 2.0 * params.omega * n, 4j * params.mu * hbar
-        self._root2, self._overflow, self._terms = 2.0 ** ((n + 1) / 2.0), None, []
-        try:
-            for coef, j, power in _series_coefficients(n):
-                self._terms.append((coef * hbar**j, power))
-        except OverflowError as exc:  # hbar^j beyond float64: each call's series raises it
-            self._overflow = exc.args
+        self._root2 = 2.0 ** ((n + 1) / 2.0)
+        self._terms = [(coef * hbar**j, power) for coef, j, power in _series_coefficients(n)]
 
     def _pieces(self, t: float, representable: bool = True) -> tuple:
         """``(phi, bsq, mag, k, exponent, series, log10_mag)`` at ``t``, after the guard checks.
 
-        A series beyond float64, or an exponent of ``inf - inf``, is :class:`FloatRangeError`.
+        A phase or series beyond float64, or an exponent of ``inf - inf``, is :class:`FloatRangeError`.
         """
         phi = self._phase * t
-        if self._guard:  # 0.0 where check_collapse_guard checks nothing
-            r = phi / math.pi - 0.5
-            if abs(r - round(r)) < self._guard:
-                raise _near_collapse(self.n, t, self._guard)
-        k, bsq, mag = _tracked_branch(phi)
-        xi = 2.0 * (self._alpha * cmath.exp(0.5j * phi)).real  # real for every alpha
-        exponent = self._base + xi * xi * bsq / self._hbar + self._drift * t
-        xb_mag = xi * mag
         try:
+            if self._guard:  # 0.0 where check_collapse_guard checks nothing
+                r = phi / math.pi - 0.5
+                if abs(r - round(r)) < self._guard:
+                    raise _near_collapse(self.n, t, self._guard)
+            k, bsq, mag = _tracked_branch(phi)
+            xi = 2.0 * (self._alpha * cmath.exp(0.5j * phi)).real  # real for every alpha
+            exponent = self._base + xi * xi * bsq / self._hbar + self._drift * t
+            xb_mag = xi * mag
             if self._overflow is not None:
                 raise OverflowError(*self._overflow)
             series = 0j
@@ -384,20 +388,23 @@ class XnClassical(_FloatChecked):
 
     name = "hyperbolic_classical_xn"
 
+    @_captures_overflow
     def __init__(self, n: int, alpha: complex, params: SystemParams) -> None:
         _check_xn_order(n)
         a = complex(alpha)
         x0, p0 = math.sqrt(2.0) * a.real, math.sqrt(2.0) * a.imag
         self._rate = n * (2.0 * params.omega - 8.0 * params.mu * x0 * p0)
-        try:
-            self._start, self._overflow = x0**n, None
-        except OverflowError as exc:
-            self._overflow = exc.args
+        self._n, self._x0 = n, x0
+        self._start = x0**n
 
     def _value(self, t: float) -> complex:
-        if self._overflow is not None:
-            raise OverflowError(*self._overflow)
-        return complex(self._start * math.exp(self._rate * t))
+        exponent, x0 = self._rate * t, self._x0
+        if exponent <= _LOG_FLOAT_MAX:
+            return complex(self._start * math.exp(exponent))
+        if x0 == 0.0:  # exp alone is beyond float64: form x0^n exp in log scale
+            return 0j
+        mag = math.exp(exponent + self._n * math.log(abs(x0)))  # x0^n may underflow: not its log
+        return complex(-mag if x0 < 0.0 and self._n % 2 else mag)
 
 
 def hyperbolic_xn_average(
@@ -496,15 +503,11 @@ class RegimeSets:
     growth parameter, ``lin`` and ``quad``.
     """
 
+    @_captures_overflow
     def __init__(
         self, alpha: complex, params: SystemParams, ratio: float = 10.0, slack: float = 1.0
     ) -> None:
-        self._overflow = None
-        try:
-            mod2 = abs(complex(alpha)) ** 2
-        except OverflowError as exc:
-            self._overflow, mod2 = exc.args, math.nan
-        eff = ratio / slack
+        eff, mod2 = ratio / slack, abs(complex(alpha)) ** 2
         self._mod2, self._mod = mod2, math.sqrt(mod2)
         self._muh, self._g0 = params.mu * params.hbar, params.mu**2 * params.hbar
         self._eff, self._amp = eff, mod2 >= eff * params.hbar
@@ -556,6 +559,7 @@ class DispersionApprox(RegimeSets, _FloatChecked):
 
     name = "dispersion_approx"
 
+    @_captures_overflow
     def __init__(
         self, alpha: complex, params: SystemParams, regime: DispersionRegime,
         slack: float = 10.0, ratio: float = 10.0,

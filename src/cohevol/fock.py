@@ -374,7 +374,7 @@ def _propagate(rep: FockRepresentation, initial: _Initial, t: float) -> np.ndarr
             phases = np.exp(sector.rates * (t / rep.hbar))
             out[sector.index] = sector.gauge * _real_matmul(sector.vectors, phases * coeffs)
     drift = abs(math.sqrt(np.vdot(out, out).real) - initial.norm)
-    if drift > _UNITARITY_TOL:
+    if not drift <= _UNITARITY_TOL:  # a nan drift fails too
         raise ConvergenceError(f"propagator lost unitarity: norm drift {drift:.3e}")
     return out
 

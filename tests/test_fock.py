@@ -372,6 +372,14 @@ class TestUnitarityDrift:
         with pytest.raises(ConvergenceError, match="unitarity"):
             monomial_expectation(rep, v, 1, 1, 0.5)
 
+    @pytest.mark.parametrize("kind,params", (("hyperbolic", HYP), ("elliptic", ELL)))
+    def test_nan_drift_fails_closed(self, kind, params):
+        # the phases (t / hbar) E at t = 1e308 leave float64, so the state and its drift are nan
+        rep = build_hamiltonian(kind, params, 64)
+        v = coherent_vector(0.5, params.hbar, 64)
+        with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="norm drift nan"):
+            _propagate(rep, _prepare(rep, v), 1e308)
+
     def test_cli_maps_drift_to_convergence_exit_code(self, leaky, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(

@@ -319,6 +319,19 @@ class TestEhrenfest:
         assert fit.goodness is None
         assert all(row[3] == "breakdown-not-found" for row in table.rows)
 
+    def test_classical_exp_overflow_keeps_the_scan_going(self, tmp_path, capsys):
+        # exp(rate t) of the classical x^1 overflows past t ~ 215, x0 exp(rate t) does not
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "kind = hyperbolic\nomega = 1.652\nmu = -0.0583\nalpha = 0\nobservable = x^1\n"
+            "hbar_list = 3.71e-05,8.09e-06,0.00432,7.27e-06,0.000572,5.26e-05\n"
+            "breakdown_threshold = 7.25e-06\nt_max = 268.026\npoints = 2\nguard = 0\n"
+        )
+        assert main(["ehrenfest", "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert len(_csv_rows(captured.out)) == 6
+
     def test_zero_threshold_breaks_immediately(self):
         config = parse_config(
             "kind = hyperbolic\nmu = 0.05\nhbar = 0.1\nalpha = 1.0\nobservable = x^1\n"
@@ -795,6 +808,17 @@ HYP_ALPHA_1E200_CFG = (
     "kind = hyperbolic\nmu = 0.05\nhbar = 0.02\nalpha = 1e200\nobservable = x^{n}\n"
     "t_min = 0.0\nt_max = 2.0\npoints = 3\n"
 )
+# t = 1e308 takes the phase 8 n mu hbar t, or the elliptic phase, beyond float64
+HYP_T_1E308 = (make_hyperbolic_params(1.0, 9.0, 0.1), 0.5)
+HYP_T_1E308_CFG = (
+    "kind = hyperbolic\nomega = 1\nmu = 9\nhbar = 0.1\nalpha = 0.5\nobservable = x^1\n"
+    "t_max = 1e308\npoints = 2\nhbar_list = 0.1,0.05\n"
+)
+ELL_T_1E308 = SystemParams(1.0, 0.5, 0.5)
+ELL_T_1E308_CFG = (
+    "kind = elliptic\nmu = 0.5\nhbar = 0.5\nalpha = 0.5\nobservable = mono:2,0\n"
+    "t_min = {t_min}\nt_max = {t_max}\npoints = {points}\nsources = {sources}\n"
+)
 # case: (library call, config, CLI command)
 BEYOND_FLOAT_RANGE = {
     "classical-xn": (
@@ -868,6 +892,31 @@ BEYOND_FLOAT_RANGE = {
         HYP_ALPHA_1E200_CFG.format(n=2),
         "compare",
     ),
+    # mu^2 in the regime bounds: once a traceback from the build
+    "regime-mu-overflow": (
+        lambda: closedform.classify_dispersion_regime(0.5, make_hyperbolic_params(1.0, 1e155, 1e-160), 0.5),
+        "kind = hyperbolic\nmu = 1e155\nhbar = 1e-160\nalpha = 0.5\nobservable = x^1\n"
+        "t_min = 0.0\nt_max = 1.0\npoints = 3\n",
+        "dispersion-regimes",
+    ),
+    **{
+        f"x1-phase-{command}": (
+            lambda: closedform.hyperbolic_xn_average(1, HYP_T_1E308[1], HYP_T_1E308[0], 1e308),
+            HYP_T_1E308_CFG,
+            command,
+        )
+        for command in ("evolve", "compare", "ehrenfest")
+    },
+    "elliptic-phase": (
+        lambda: elliptic_quantum_average(2, 0, 0.5, ELL_T_1E308, 1e308),
+        ELL_T_1E308_CFG.format(t_min=0.0, t_max=1e308, points=3, sources="closed"),
+        "evolve",
+    ),
+    "elliptic-classical-phase": (
+        lambda: elliptic_classical_average(2, 0, 0.5, ELL_T_1E308, 1e308),
+        ELL_T_1E308_CFG.format(t_min=1e308, t_max=1.5e308, points=2, sources="classical"),
+        "evolve",
+    ),
     # the oracle's |alpha|^2 / hbar, reached where no closed form is evaluated
     "coherent-alpha-overflow": (
         lambda: fock.coherent_vector(1e200, 0.02, 64),
@@ -877,15 +926,15 @@ BEYOND_FLOAT_RANGE = {
 }
 
 
-CLASSICAL_CASES = ("classical-xn", "elliptic-classical-inf-nan")
+CLASSICAL_CASES = ("classical-xn", "elliptic-classical-inf-nan", "elliptic-classical-phase")
 
 
 class TestFloatRange:
     """Averages beyond float64 raise DomainError, never a traceback or a nan cell.
 
-    A quantum average beyond float64, and an input whose ``|alpha|^2`` or
-    ``hbar^j`` is, fail the run (exit 2); a classical one leaves its
-    ``evolve`` cells empty and the run goes on.
+    A quantum average beyond float64, an input whose ``|alpha|^2``, ``hbar^j``
+    or ``mu^2`` is, and a time whose phase is, fail the run (exit 2); a
+    classical one leaves its ``evolve`` cells empty and the run goes on.
     """
 
     @pytest.mark.parametrize("case", sorted(BEYOND_FLOAT_RANGE))

@@ -23,7 +23,16 @@ from cohevol import (
     make_hyperbolic_params,
     scaling_transform_check,
 )
-from cohevol.closedform import FloatRangeError
+from cohevol.closedform import (
+    DispersionApprox,
+    DispersionRegime,
+    EllipticAverage,
+    EllipticClassical,
+    FloatRangeError,
+    RegimeSets,
+    XnAverage,
+    XnClassical,
+)
 
 P = make_hyperbolic_params(1.0, 0.1, 0.05)
 
@@ -219,8 +228,54 @@ class TestFloatRange:
         except (CollapseProximity, FloatRangeError):
             pass
 
+    # each build forms a t-independent factor beyond float64 (|alpha|^2, conj(alpha)^m alpha^q,
+    # x0^n, hbar^j, mu^2); it must build, and each call must raise the same FloatRangeError
+    @pytest.mark.parametrize("build", (
+        lambda: EllipticAverage(2, 1, 1e200, SystemParams(1.0, 0.05, 0.1)).__call__,
+        lambda: EllipticClassical(2, 1, 1e200, SystemParams(1.0, 0.05, 0.1)).__call__,
+        lambda: RegimeSets(1e200, P).classify,
+        lambda: DispersionApprox(1e200, P, DispersionRegime.CROSSOVER).__call__,
+        lambda: XnClassical(2, 1e200, P).__call__,
+        lambda: XnAverage(4, 0.5, make_hyperbolic_params(1.0, 0.0, 1e200)).__call__,
+        lambda: RegimeSets(0.5, make_hyperbolic_params(1.0, 1e155, 1e-160)).classify,
+        lambda: DispersionApprox(0.5, make_hyperbolic_params(1.0, 1e155, 1e-160),
+                                 DispersionRegime.SMALL_CORRECTION).__call__,
+    ), ids=("elliptic", "elliptic-classical", "regimes", "approx", "classical-xn", "xn-hbar",
+            "regimes-mu", "approx-mu"))
+    def test_build_captures_overflow_and_each_call_raises_it(self, build):
+        evaluate = build()
+        messages = []
+        for _ in range(2):
+            with pytest.raises(FloatRangeError, match="overflows float64") as info:
+                evaluate(0.5)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
 
 class TestClassicalFlow:
+    def test_exp_beyond_float64_is_formed_in_log_scale(self):
+        # exp(rate t) alone overflows past t ~ 215; x0 exp(rate t) is 0 at alpha = 0 and
+        # ~5.5e184 at alpha = 1e-200
+        params, t = make_hyperbolic_params(1.652, -0.0583, 0.1), 268.026
+        rate = 2.0 * params.omega
+        assert rate * t > math.log(sys.float_info.max)
+        assert hyperbolic_classical_xn(1, 0j, params, t) == 0j
+        expected = math.exp(math.log(math.sqrt(2.0) * 1e-200) + rate * t)
+        assert hyperbolic_classical_xn(1, 1e-200, params, t) == pytest.approx(expected, rel=1e-12)
+        assert hyperbolic_classical_xn(1, 1e-200, params, t).real == pytest.approx(5.5389e184, rel=1e-4)
+        assert hyperbolic_classical_xn(1, -1e-200, params, t) == -hyperbolic_classical_xn(1, 1e-200, params, t)
+
+    def test_log_scale_keeps_an_underflowed_x0_power(self):
+        # x0^2 = 2e-400 underflows to 0, yet x0^2 exp(rate t) = exp(rate t - 920.4) ~ 3e34 at t = 151.3
+        params, t = make_hyperbolic_params(1.652, -0.0583, 0.1), 151.3
+        x0, rate = math.sqrt(2.0) * 1e-200, 2.0 * 2.0 * params.omega
+        assert x0**2 == 0.0 and rate * t > math.log(sys.float_info.max)
+        expected = math.exp(rate * t + 2.0 * math.log(x0))
+        assert hyperbolic_classical_xn(2, 1e-200, params, t) == pytest.approx(expected, rel=1e-12)
+        assert hyperbolic_classical_xn(2, 1e-200, params, t).real == pytest.approx(3e34, rel=0.1)
+        assert hyperbolic_classical_xn(2, -1e-200, params, t) == hyperbolic_classical_xn(2, 1e-200, params, t)
+        assert hyperbolic_classical_xn(3, -1e-200, params, t) == -hyperbolic_classical_xn(3, 1e-200, params, t)
+
     def test_initial_value(self):
         alpha = 0.6 + 0.2j
         assert hyperbolic_classical_xn(1, alpha, P, 0.0) == pytest.approx(

@@ -1,10 +1,11 @@
 """Prepared closed-form evaluators against the per-call code they replaced, bit for bit.
 
 The ``_ref_*`` functions below are a copy of the closed-form code that ran
-every check and formed every constant at each call, with one later change:
+every check and formed every constant at each call, with two later changes:
 an ``x^n`` series beyond float64, a ``nan`` log10 magnitude, a ``+inf`` one
 from the log10 magnitude functions and a regime classification of an
-``alpha`` whose ``|alpha|^2`` overflows raise :class:`FloatRangeError`.
+``alpha`` whose ``|alpha|^2`` overflows raise :class:`FloatRangeError`; and
+the classical ``x^n`` is formed in log scale where ``exp`` alone overflows.
 Each public function and each evaluator reused across several times must
 give the same ``repr`` of its value, or raise the same exception type with
 the same message.
@@ -236,7 +237,13 @@ def hyperbolic_classical_xn_ref(n, alpha, params, t):
     x0 = math.sqrt(2.0) * a.real
     p0 = math.sqrt(2.0) * a.imag
     rate = 2.0 * params.omega - 8.0 * params.mu * x0 * p0
-    return complex(x0**n * math.exp(n * rate * t))
+    start, exponent = x0**n, n * rate * t
+    if exponent <= _LOG_FLOAT_MAX:
+        return complex(start * math.exp(exponent))
+    if x0 == 0.0:  # exp alone beyond float64: x0^n exp in log scale
+        return 0j
+    mag = math.exp(exponent + n * math.log(abs(x0)))
+    return complex(-mag if x0 < 0.0 and n % 2 else mag)
 
 
 @_ref_float_range
