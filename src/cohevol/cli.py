@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 
 from .core import (
     CollapseProximity,
@@ -62,17 +61,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
     if args.format is not None:
-        config = replace(config, format=args.format)
+        config = config.replace(format=args.format)
     if args.guard is not None:
         if not math.isfinite(args.guard):
             raise ConfigError(f"--guard must be finite, got {args.guard!r}")
-        config = replace(config, guard=args.guard)
+        config = config.replace(guard=args.guard)
     if args.oracle == "on" and "oracle" not in config.sources:
-        config = replace(config, sources=config.sources + ("oracle",))
+        config = config.replace(sources=config.sources + ("oracle",))
     if args.oracle == "off":
-        config = replace(
-            config, sources=tuple(s for s in config.sources if s != "oracle")
-        )
+        config = config.replace(sources=tuple(s for s in config.sources if s != "oracle"))
     return config
 
 

@@ -33,8 +33,9 @@ series, exponent (``inf - inf``, or a log10 magnitude's alone) or phase
 :class:`FloatRangeError` (a :class:`DomainError` and an ``OverflowError``).
 A build never fails on float range: ``_captures_overflow`` stores the
 ``OverflowError`` of a ``t``-independent factor (``|alpha|^2``, ``x0^n``,
-``hbar^j``), and ``_FloatChecked.__call__``, ``XnAverage._pieces`` and
-``RegimeSets.holds`` raise it where the point first needs the factor.
+``hbar^j``, an infinite ``8 n mu hbar``), and ``_FloatChecked.__call__``,
+``XnAverage._pieces`` and ``RegimeSets.holds`` raise it at each point before
+any of the point's arithmetic.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ import functools
 import math
 import sys
 from enum import Enum
-from typing import Optional
 
 from .core import (
     CollapseProximity,
@@ -307,6 +307,8 @@ class XnAverage:
         self.n, self._guard = n, 0.0 if params.mu == 0.0 or guard <= 0.0 else guard
         self._alpha, self._conj, self._hbar = a, a.conjugate(), hbar
         self._phase = 8.0 * n * params.mu * hbar
+        if math.isinf(self._phase):  # |mu| hbar < |omega| still allows it
+            raise OverflowError(f"the phase rate 8 n mu hbar is {self._phase}")
         self._base = -s_line * s_line / (2.0 * hbar)
         self._drift, self._shift = 2.0 * params.omega * n, 4j * params.mu * hbar
         self._root2 = 2.0 ** ((n + 1) / 2.0)
@@ -317,8 +319,10 @@ class XnAverage:
 
         A phase or series beyond float64, or an exponent of ``inf - inf``, is :class:`FloatRangeError`.
         """
-        phi = self._phase * t
         try:
+            if self._overflow is not None:
+                raise OverflowError(*self._overflow)
+            phi = self._phase * t
             if self._guard:  # 0.0 where check_collapse_guard checks nothing
                 r = phi / math.pi - 0.5
                 if abs(r - round(r)) < self._guard:
@@ -327,8 +331,6 @@ class XnAverage:
             xi = 2.0 * (self._alpha * cmath.exp(0.5j * phi)).real  # real for every alpha
             exponent = self._base + xi * xi * bsq / self._hbar + self._drift * t
             xb_mag = xi * mag
-            if self._overflow is not None:
-                raise OverflowError(*self._overflow)
             series = 0j
             for coef, power in self._terms:
                 series += coef * xb_mag**power * _I_POW[(k * power) % 4]
@@ -529,7 +531,7 @@ class RegimeSets:
             common and lin * eff <= 1.0 and 64.0 * quad < self._cap,
         )
 
-    def classify(self, t: float) -> Optional[DispersionRegime]:
+    def classify(self, t: float) -> DispersionRegime | None:
         try:
             sets = self.holds(t)
         except OverflowError as exc:
@@ -539,7 +541,7 @@ class RegimeSets:
 
 def classify_dispersion_regime(
     alpha: complex, params: SystemParams, t: float, ratio: float = 10.0
-) -> Optional[DispersionRegime]:
+) -> DispersionRegime | None:
     """Total classification of a point against the three inequality sets.
 
     ``a << b`` is read as ``a * ratio <= b``; the crossover condition

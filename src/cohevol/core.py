@@ -7,8 +7,6 @@ can be shared freely across threads and cached without copying.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Union
 
 DEFAULT_MAX_DEGREE = 8
 # Largest basis the truncated-basis oracle builds (see ``cohevol.fock``).  It
@@ -57,11 +55,63 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# Frozen records
+# ---------------------------------------------------------------------------
+
+class Record:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields in ``_fields``, in the order of its
+    ``__init__`` parameters, and holds them in ``__slots__``.  Its
+    ``__init__`` checks the values and stores them with :meth:`_init`; after
+    that, assignment is refused.  Equality, hash and repr go over the fields,
+    and :meth:`replace` builds the changed copy through ``__init__``, so the
+    copy is checked as a new record is.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _init(self, values: dict) -> None:
+        """Store each field from ``values`` (a mapping that holds at least the fields)."""
+        for name in self._fields:
+            object.__setattr__(self, name, values[name])
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def replace(self, **changes) -> Record:
+        """A new record with ``changes`` applied, checked by ``__init__``."""
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({shown})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which assignment cannot bypass
+        return type(self), self._values()
+
+
+# ---------------------------------------------------------------------------
 # System parameters
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SystemParams:
+class SystemParams(Record):
     """Oscillator frequency, quartic coupling and effective Planck parameter.
 
     All three are dimensionless.  ``hbar`` must be positive; ``mu = 0`` is the
@@ -69,16 +119,15 @@ class SystemParams:
     empty).
     """
 
-    omega: float
-    mu: float
-    hbar: float
+    __slots__ = _fields = ("omega", "mu", "hbar")
 
-    def __post_init__(self) -> None:
-        for name in ("omega", "mu", "hbar"):
-            value = float(getattr(self, name))
+    def __init__(self, omega: float, mu: float, hbar: float) -> None:
+        values = {}
+        for name, value in zip(self._fields, (omega, mu, hbar)):
+            value = values[name] = float(value)
             if not math.isfinite(value):
                 raise DomainError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+        self._init(values)
         if self.hbar <= 0.0:
             raise DomainError(f"hbar must be > 0, got {self.hbar!r}")
 
@@ -120,40 +169,37 @@ def lyapunov_exponents(params: SystemParams) -> tuple[float, float]:
 # Observables
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class XPower:
+class XPower(Record):
     """Observable x^n; the solved hyperbolic-model case (n >= 1)."""
 
-    n: int
+    __slots__ = _fields = ("n",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise DomainError(f"XPower needs integer n >= 1, got {self.n!r}")
+    def __init__(self, n: int) -> None:
+        if not isinstance(n, int) or n < 1:
+            raise DomainError(f"XPower needs integer n >= 1, got {n!r}")
+        self._init(locals())
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(Record):
     """Normal-ordered observable adag^m a^q; the solved elliptic-model case."""
 
-    m: int
-    q: int
+    __slots__ = _fields = ("m", "q")
 
-    def __post_init__(self) -> None:
-        for name in ("m", "q"):
-            v = getattr(self, name)
+    def __init__(self, m: int, q: int) -> None:
+        for name, v in (("m", m), ("q", q)):
             if not isinstance(v, int) or v < 0:
                 raise DomainError(f"Monomial needs integer {name} >= 0, got {v!r}")
+        self._init(locals())
 
 
-ObservableSpec = Union[XPower, Monomial]
+ObservableSpec = XPower | Monomial
 
 
 # ---------------------------------------------------------------------------
 # Polynomial symbols
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WickPolynomial:
+class WickPolynomial(Record):
     """Sparse coefficient table of a 1-D polynomial phase-space symbol.
 
     Keys are ``(ell, s)`` exponent pairs for ``conj(alpha)^ell * alpha^s``.
@@ -162,18 +208,18 @@ class WickPolynomial:
     not exceed ``DEFAULT_MAX_DEGREE``.
     """
 
-    coeffs: Mapping[tuple[int, int], complex]
+    __slots__ = _fields = ("coeffs",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, coeffs: dict[tuple[int, int], complex]) -> None:
         table: dict[tuple[int, int], complex] = {}
-        for key, value in dict(self.coeffs).items():
+        for key, value in dict(coeffs).items():
             ell, s = key
             if not (isinstance(ell, int) and isinstance(s, int)) or ell < 0 or s < 0:
                 raise DomainError(f"exponents must be nonnegative integers, got {key!r}")
             c = complex(value)
             if c != 0:
                 table[(ell, s)] = c
-        object.__setattr__(self, "coeffs", table)
+        self._init({"coeffs": table})
         if self.degree > DEFAULT_MAX_DEGREE:
             raise DegreeError(
                 f"symbol degree {self.degree} exceeds cap {DEFAULT_MAX_DEGREE}"

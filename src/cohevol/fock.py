@@ -72,18 +72,19 @@ import math
 import os
 import struct
 import sys
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from importlib.machinery import PathFinder
 from typing import NamedTuple
 
 import numpy as np
 
+from .closedform import FloatRangeError
 from .core import (
     DEFAULT_DIM_CAP,
     ConvergenceError,
     DimensionError,
     DomainError,
+    Record,
     SystemParams,
     TailMassError,
 )
@@ -109,25 +110,32 @@ class Sector(NamedTuple):
     gauge: "np.ndarray | None"
 
 
-@dataclass
 class FockRepresentation:
     """One model at one basis size.
 
-    The spectral data (:meth:`eigensystem`) and the ladder are computed lazily
-    exactly once.  ``_prepared`` holds the key of the last ``alpha`` evolved on
-    this basis and its time-invariant data (``None`` if its tail failed); its
-    empty key matches no ``alpha``.
+    The spectral data (:meth:`eigensystem`, kept in ``_eig``) and the ladder
+    are computed lazily exactly once.  ``_prepared`` holds the key of the last
+    ``alpha`` evolved on this basis and its time-invariant data (``None`` if
+    its tail failed); its empty key matches no ``alpha``.
     """
 
-    kind: str
-    params: SystemParams
-    dim: int
-    _eig: "tuple[Sector, ...] | None" = field(default=None, repr=False)
-    _prepared: "tuple[bytes, _Initial | None]" = field(default=(b"", None), init=False, repr=False)
+    def __init__(self, kind: str, params: SystemParams, dim: int) -> None:
+        self.kind, self.params, self.dim = kind, params, dim
+        self._eig: tuple[Sector, ...] | None = None
+        self._prepared: tuple[bytes, _Initial | None] = (b"", None)
 
     @property
     def hbar(self) -> float:
         return self.params.hbar
+
+    @cached_property
+    def _max_scale(self) -> float:
+        """A ``|t / hbar|`` up to which every phase ``exp(-1j E t / hbar)`` is finite.
+
+        Half the exact limit, so that no rounding of ``E t / hbar`` can reach it.
+        """
+        top = max(float(np.abs(sector.rates).max()) for sector in self.eigensystem())
+        return 0.5 * sys.float_info.max / max(top, 1.0)
 
     @cached_property
     def _ladder(self) -> np.ndarray:
@@ -233,15 +241,15 @@ def build_hamiltonian(kind: str, params: SystemParams, dim: int) -> FockRepresen
     return bases[dim]
 
 
-@dataclass(frozen=True)
-class CoherentVector:
+class CoherentVector(Record):
     """Truncated coherent-state coefficients and the mass left beyond them."""
 
-    dim: int
-    hbar: float
-    alpha: complex
-    coeffs: np.ndarray
-    tail_mass: float
+    __slots__ = _fields = ("dim", "hbar", "alpha", "coeffs", "tail_mass")
+
+    def __init__(
+        self, dim: int, hbar: float, alpha: complex, coeffs: np.ndarray, tail_mass: float
+    ) -> None:
+        self._init(locals())
 
 
 def _poisson_tail(nbar: float, dim: int, stop_above: float) -> float:
@@ -365,13 +373,25 @@ def _initial_of(rep: FockRepresentation, v: CoherentVector) -> _Initial:
 
 
 def _propagate(rep: FockRepresentation, initial: _Initial, t: float) -> np.ndarray:
+    """The state at ``t``; a norm that drifted from ``|psi_0|`` is a :class:`ConvergenceError`."""
+    scale = t / rep.hbar
+    if abs(scale) <= rep._max_scale:
+        return _evolve(rep, initial, scale)
+    # A phase beyond float64 is inf or nan, and so is the drift; numpy need not
+    # warn of it before the ConvergenceError.  Entering errstate costs about as
+    # much as an elliptic point's phases, so only such a time enters it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _evolve(rep, initial, scale)
+
+
+def _evolve(rep: FockRepresentation, initial: _Initial, scale: float) -> np.ndarray:
     sectors = rep.eigensystem()
     if sectors[0].vectors is None:  # elliptic: one diagonal sector, the whole basis
-        out = np.exp(sectors[0].rates * (t / rep.hbar)) * initial.coeffs[0]
+        out = np.exp(sectors[0].rates * scale) * initial.coeffs[0]
     else:
         out = np.empty(rep.dim, dtype=complex)
         for sector, coeffs in zip(sectors, initial.coeffs):
-            phases = np.exp(sector.rates * (t / rep.hbar))
+            phases = np.exp(sector.rates * scale)
             out[sector.index] = sector.gauge * _real_matmul(sector.vectors, phases * coeffs)
     drift = abs(math.sqrt(np.vdot(out, out).real) - initial.norm)
     if not drift <= _UNITARITY_TOL:  # a nan drift fails too
@@ -453,7 +473,12 @@ def _observable_scale(params: SystemParams, obs: "int | tuple[int, int]") -> flo
     # convergence metric so identically-zero averages (vacuum x^n by parity)
     # stabilize instead of dividing roundoff by roundoff.
     degree = obs[0] + obs[1] if isinstance(obs, tuple) else obs
-    return params.hbar ** (degree / 2.0)
+    try:
+        return params.hbar ** (degree / 2.0)
+    except OverflowError:
+        raise FloatRangeError(
+            f"the oracle's convergence floor hbar^({degree}/2) overflows float64 at hbar {params.hbar!r}"
+        ) from None
 
 
 def oracle_average(

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
-from typing import Optional
+from functools import partial
 
 from . import closedform
 from .closedform import (  # noqa: F401  the three functions only for bench/spans.py to wrap here
@@ -27,6 +25,7 @@ from .core import (
     DomainError,
     Monomial,
     ObservableSpec,
+    Record,
     SystemParams,
     XPower,
     make_hyperbolic_params,
@@ -42,61 +41,67 @@ _MAX_SCAN_ROWS = 1_000_000  # collapse-scan rows, refused before the scan runs
 # Configuration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RunConfig:
-    kind: str = "hyperbolic"
-    omega: float = 1.0
-    mu: float = 0.1
-    hbar: float = 0.1
-    alpha: complex = 1.0 + 0j
-    observable: ObservableSpec = XPower(1)
-    t_min: float = 0.0
-    t_max: float = 1.0
-    points: int = 21
-    sources: tuple[str, ...] = ("closed", "classical")
-    guard: float = DEFAULT_GUARD
-    format: str = "csv"
-    oracle_tol: float = 1e-6
-    oracle_dim_cap: int = DEFAULT_DIM_CAP
-    ell_min: int = 0
-    ell_max: int = 2
-    hbar_list: tuple[float, ...] = ()
-    breakdown_threshold: float = 1.0
-    raw_items: tuple[tuple[str, str], ...] = field(default=(), repr=False)
+class RunConfig(Record):
+    """One run's settings; ``params`` is its :class:`SystemParams`, built once with it."""
 
-    def __post_init__(self) -> None:
+    _fields = (
+        "kind", "omega", "mu", "hbar", "alpha", "observable", "t_min", "t_max", "points",
+        "sources", "guard", "format", "oracle_tol", "oracle_dim_cap", "ell_min", "ell_max",
+        "hbar_list", "breakdown_threshold", "raw_items",
+    )
+    __slots__ = (*_fields, "params")
+
+    def __init__(
+        self,
+        kind: str = "hyperbolic",
+        omega: float = 1.0,
+        mu: float = 0.1,
+        hbar: float = 0.1,
+        alpha: complex = 1.0 + 0j,
+        observable: ObservableSpec = XPower(1),
+        t_min: float = 0.0,
+        t_max: float = 1.0,
+        points: int = 21,
+        sources: tuple[str, ...] = ("closed", "classical"),
+        guard: float = DEFAULT_GUARD,
+        format: str = "csv",
+        oracle_tol: float = 1e-6,
+        oracle_dim_cap: int = DEFAULT_DIM_CAP,
+        ell_min: int = 0,
+        ell_max: int = 2,
+        hbar_list: tuple[float, ...] = (),
+        breakdown_threshold: float = 1.0,
+        raw_items: tuple[tuple[str, str], ...] = (),
+    ) -> None:
         """Every config, parsed or built, is checked once; the grid is not built here."""
-        if self.kind not in ("hyperbolic", "elliptic"):
-            raise ConfigError(f"kind must be hyperbolic or elliptic, got {self.kind!r}")
-        if self.format not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {self.format!r}")
-        if self.kind == "hyperbolic" and not isinstance(self.observable, XPower):
+        self._init(locals())
+        if kind not in ("hyperbolic", "elliptic"):
+            raise ConfigError(f"kind must be hyperbolic or elliptic, got {kind!r}")
+        if format not in ("csv", "json"):
+            raise ConfigError(f"format must be csv or json, got {format!r}")
+        if kind == "hyperbolic" and not isinstance(observable, XPower):
             raise ConfigError("hyperbolic runs accept the x^N observable only")
-        if self.kind == "elliptic" and not isinstance(self.observable, Monomial):
+        if kind == "elliptic" and not isinstance(observable, Monomial):
             raise ConfigError("elliptic runs accept the mono:M,Q observable only")
-        self.params  # built once and cached; raises DomainError for invalid physics
-        if self.points < 1:
+        # built once here; raises DomainError for invalid physics
+        params = make_hyperbolic_params if kind == "hyperbolic" else SystemParams
+        object.__setattr__(self, "params", params(omega, mu, hbar))
+        if points < 1:
             raise ConfigError("points must be >= 1")
-        if self.points > _MAX_POINTS:
-            raise ConfigError(f"points must be <= {_MAX_POINTS:,}, got {self.points:,}")
-        if self.points > 1:
-            if not self.t_max > self.t_min:
+        if points > _MAX_POINTS:
+            raise ConfigError(f"points must be <= {_MAX_POINTS:,}, got {points:,}")
+        if points > 1:
+            if not t_max > t_min:
                 raise ConfigError("time grid needs t_max > t_min")
             # the grid is monotone from a finite t_min, so its last point decides
-            span, last = self.t_max - self.t_min, self.points - 1
-            if not math.isfinite(self.t_min + last * (span / last)):
+            span, last = t_max - t_min, points - 1
+            if not math.isfinite(t_min + last * (span / last)):
                 raise ConfigError(f"time grid is not finite (t_max - t_min = {span!r})")
-        if not self.oracle_tol > 0:  # the doubling could never converge
-            raise ConfigError(f"oracle_tol must be > 0, got {self.oracle_tol!r}")
-
-    @cached_property
-    def params(self) -> SystemParams:
-        if self.kind == "hyperbolic":
-            return make_hyperbolic_params(self.omega, self.mu, self.hbar)
-        return SystemParams(self.omega, self.mu, self.hbar)
+        if not oracle_tol > 0:  # the doubling could never converge
+            raise ConfigError(f"oracle_tol must be > 0, got {oracle_tol!r}")
 
     def time_grid(self) -> list[float]:
-        """``t_min + k * step`` per point; ``__post_init__`` checked its size and ends."""
+        """``t_min + k * step`` per point; ``__init__`` checked its size and ends."""
         if self.points == 1:
             return [self.t_min]
         step = (self.t_max - self.t_min) / (self.points - 1)
@@ -249,13 +254,16 @@ def _value_or_none(error, evaluate, *args) -> "complex | None":
 # Commands
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TableResult:
+class TableResult(Record):
     """Column names plus row tuples ready for the deterministic writers."""
 
-    columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
-    extra_meta: tuple[tuple[str, str], ...] = ()
+    __slots__ = _fields = ("columns", "rows", "extra_meta")
+
+    def __init__(
+        self, columns: tuple[str, ...], rows: tuple[tuple, ...],
+        extra_meta: tuple[tuple[str, str], ...] = (),
+    ) -> None:
+        self._init(locals())
 
 
 def cmd_evolve(config: RunConfig) -> TableResult:
@@ -361,8 +369,7 @@ def cmd_collapse_scan(config: RunConfig) -> TableResult:
 
 # -- classical/quantum breakdown fits ---------------------------------------
 
-@dataclass(frozen=True)
-class EhrenfestFit:
+class EhrenfestFit(Record):
     """Breakdown times per hbar with log and power-law fits.
 
     ``breakdown_times`` holds the absolute-deviation crossing ``|f - f_cl| >=
@@ -374,16 +381,25 @@ class EhrenfestFit:
     at one hbar; for the power fit, a crossing time not > 0) or beyond float64.
     """
 
-    hbar_values: tuple[float, ...]
-    breakdown_times: tuple["float | None", ...]
-    relative_times: tuple["float | None", ...]
-    threshold: float
-    intercept: Optional[float] = None
-    slope: Optional[float] = None
-    goodness: Optional[float] = None
-    power_coeff: Optional[float] = None
-    power_exponent: Optional[float] = None
-    power_goodness: Optional[float] = None
+    __slots__ = _fields = (
+        "hbar_values", "breakdown_times", "relative_times", "threshold", "intercept", "slope",
+        "goodness", "power_coeff", "power_exponent", "power_goodness",
+    )
+
+    def __init__(
+        self,
+        hbar_values: tuple[float, ...],
+        breakdown_times: tuple[float | None, ...],
+        relative_times: tuple[float | None, ...],
+        threshold: float,
+        intercept: float | None = None,
+        slope: float | None = None,
+        goodness: float | None = None,
+        power_coeff: float | None = None,
+        power_exponent: float | None = None,
+        power_goodness: float | None = None,
+    ) -> None:
+        self._init(locals())
 
 
 def _linear_fit(xs: list[float], ys: list[float]) -> tuple:
@@ -406,7 +422,7 @@ def _linear_fit(xs: list[float], ys: list[float]) -> tuple:
 
 def _first_crossings(
     gaps, grid: list[float], threshold: float
-) -> tuple[Optional[float], Optional[float]]:
+) -> tuple[float | None, float | None]:
     """First times where the absolute and the relative gap reach ``threshold``.
 
     One grid scan, stopped once both gaps have crossed; ``gaps(t)`` returns
@@ -415,7 +431,7 @@ def _first_crossings(
     at the first point is that point).
     """
 
-    def bisect(which: int, lo: Optional[float], hi: float) -> float:
+    def bisect(which: int, lo: float | None, hi: float) -> float:
         if lo is None:
             return hi
         width0 = hi - lo
@@ -460,11 +476,11 @@ def cmd_ehrenfest(config: RunConfig, hbar_list: "tuple[float, ...] | None" = Non
         raise ConfigError("ehrenfest needs kind = hyperbolic and observable = x^1")
     grid = config.time_grid()
     threshold = config.breakdown_threshold
-    abs_times: list[Optional[float]] = []
-    rel_times: list[Optional[float]] = []
+    abs_times: list[float | None] = []
+    rel_times: list[float | None] = []
     rows = []
     for hbar in hbars:
-        evaluate = _evaluators(replace(config, hbar=hbar))
+        evaluate = _evaluators(config.replace(hbar=hbar))
         quantum, classical = evaluate["closed"], evaluate["classical"]
 
         def gaps(t: float) -> tuple[float, float]:

@@ -22,12 +22,11 @@ closed forms, interpolants, and deliberately wrong functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .core import (
     CollapseProximity,
+    Record,
     StencilError,
     WickPolynomial,
 )
@@ -40,8 +39,7 @@ DEFAULT_ACCURACY = 4
 # Operator generation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EvolutionOperator:
+class EvolutionOperator(Record):
     """Sum of polynomial-coefficient derivative terms acting on averages.
 
     ``terms`` maps ``(wrt, order)`` to the coefficient table
@@ -49,7 +47,10 @@ class EvolutionOperator:
     ``d^order/d(wrt)^order``; ``wrt`` is ``"alpha"`` or ``"alpha_star"``.
     """
 
-    terms: dict
+    __slots__ = _fields = ("terms",)
+
+    def __init__(self, terms: dict) -> None:
+        self._init(locals())
 
     def table(self) -> dict:
         """The coefficient tables with an all-zero table dropped."""
@@ -111,6 +112,8 @@ def central_weights(order: int, accuracy: int = DEFAULT_ACCURACY) -> tuple[tuple
     moments; the derivative estimate is ``sum w_j f(x + j h) / h^order`` with
     leading error ``O(h^accuracy)``.
     """
+    from fractions import Fraction  # here, so that importing the package loads no fractions or decimal
+
     if order < 0 or accuracy < 2 or accuracy % 2:
         raise ValueError("derivative order >= 0 and even accuracy >= 2 required")
     if order == 0:

@@ -1,0 +1,129 @@
+"""The CLI started as a program, ``python -m cohevol.cli``, on its edge configs.
+
+Each case runs in a child process, as a user runs it, and checks the exit
+code, stderr (empty, or the one line naming the error class) and stdout.
+These are the configs the workflow's smoke step used to write and grep
+itself, plus three whose tracebacks or numpy warnings were fixed.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# The first line of stderr for each nonzero exit code.
+STDERR = {2: "cohevol: config error: ", 3: "cohevol: convergence failure: "}
+
+# case: (command, config, extra flags, exit code, text stdout must hold)
+CASES = {
+    # alpha = 0 makes every odd-n log10 |f| -inf, which JSON writes as null
+    "zero-average-json": (
+        "collapse-scan",
+        "kind = hyperbolic\nmu = 0.1\nhbar = 0.1\nalpha = 0\nobservable = x^1\nell_min = 0\nell_max = 0\n",
+        ("--format", "json"), 0, "null",
+    ),
+    # alpha = 1e200 puts |alpha|^2 beyond float64
+    "alpha-overflow": (
+        "dispersion-regimes",
+        "kind = hyperbolic\nmu = 0.05\nhbar = 0.02\nalpha = 1e200\nobservable = x^1\npoints = 3\n",
+        (), 2, "",
+    ),
+    # alpha = 1e152 takes log10 |f| to +inf near the first collapse
+    "log10-overflow": (
+        "collapse-scan",
+        "kind = hyperbolic\nmu = 0.05\nhbar = 0.02\nalpha = 1e152\nobservable = x^1\nell_min = 0\nell_max = 0\n",
+        (), 2, "",
+    ),
+    # t = 1e308 takes the phase 8 n mu hbar t beyond float64
+    "phase-overflow": (
+        "evolve",
+        "kind = hyperbolic\nomega = 1\nmu = 9\nhbar = 0.1\nalpha = 0.5\nobservable = x^1\n"
+        "t_max = 1e308\npoints = 2\n",
+        (), 2, "",
+    ),
+    # and the elliptic phase: exit 2 for the quantum value, empty cells for the classical one
+    "elliptic-phase-closed": (
+        "evolve",
+        "kind = elliptic\nmu = 0.5\nhbar = 0.5\nalpha = 0.5\nobservable = mono:2,0\n"
+        "t_max = 1e308\npoints = 3\nsources = closed\n",
+        (), 2, "",
+    ),
+    "elliptic-phase-classical": (
+        "evolve",
+        "kind = elliptic\nmu = 0.5\nhbar = 0.5\nalpha = 0.5\nobservable = mono:2,0\n"
+        "t_max = 1e308\npoints = 3\nsources = classical\n",
+        (), 0, ",,,classical,0\n",
+    ),
+    # exp(rate t) of the classical x^1 overflows where x0 exp(rate t) fits: the scan goes on
+    "classical-exp": (
+        "ehrenfest",
+        "kind = hyperbolic\nomega = 1.652\nmu = -0.0583\nalpha = 0\nobservable = x^1\n"
+        "hbar_list = 3.71e-05,8.09e-06,0.00432,7.27e-06,0.000572,5.26e-05\n"
+        "breakdown_threshold = 7.25e-06\nt_max = 268.026\npoints = 2\nguard = 0\n",
+        (), 0, "",
+    ),
+    # four crossings at one hbar give no line through ln(1/hbar): the fits read none
+    "one-hbar": (
+        "ehrenfest",
+        "kind = hyperbolic\nmu = 0.05\nhbar = 0.01\nalpha = 1.0\nobservable = x^1\nt_max = 10.0\n"
+        "points = 200\nhbar_list = 0.01,0.01,0.01,0.01\n",
+        (), 0, "fit_slope=none",
+    ),
+    # the oracle's doubling can never converge at oracle_tol = 0
+    "zero-tol": (
+        "compare",
+        "kind = hyperbolic\nmu = 0.1\nhbar = 0.1\nobservable = x^1\npoints = 3\noracle_tol = 0\n",
+        (), 2, "",
+    ),
+    # hbar^(5/2), the oracle's convergence floor, beyond float64
+    "oracle-floor-overflow": (
+        "compare",
+        "kind = hyperbolic\nomega = 1.6919\nmu = 0\nhbar = 3.57e131\nalpha = -1.4032-0.63625j\n"
+        "observable = x^5\nt_max = 2.406\npoints = 4\n",
+        (), 2, "",
+    ),
+    # 8 n mu hbar is inf although |mu| hbar < |omega|
+    **{
+        f"phase-rate-{command}": (
+            command,
+            "kind = hyperbolic\nomega = 1.5e307\nmu = 1e307\nhbar = 1\nalpha = 0.5\nobservable = x^3\n",
+            (), 2, "",
+        )
+        for command in ("evolve", "collapse-scan")
+    },
+    # the oracle's phases beyond float64: one stderr line, no numpy warnings before it
+    "oracle-phase": (
+        "evolve",
+        "kind = elliptic\nmu = 0.5\nhbar = 0.5\nalpha = 0.5\nobservable = mono:2,0\n"
+        "t_max = 1e308\npoints = 3\nsources = oracle\n",
+        (), 3, "",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_program_exit_code_and_streams(case, tmp_path):
+    command, text, flags, code, needle = CASES[case]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-m", "cohevol.cli", command, "--config", str(cfg), *flags],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == code, done.stderr
+    if code == 0:
+        assert done.stderr == ""
+        assert needle in done.stdout
+        if "json" in flags:
+            json.loads(done.stdout)  # the hand-rolled writer gives JSON a parser accepts
+    else:
+        assert done.stdout == ""
+        assert done.stderr.startswith(STDERR[code])
+        assert done.stderr.count("\n") == 1

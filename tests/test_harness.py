@@ -4,7 +4,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -225,7 +225,7 @@ class TestCollapseScan:
         config = parse_config(
             "kind = hyperbolic\nmu = 0.1\nhbar = 0.1\nalpha = 1j\nobservable = x^2\n"
         )
-        result = cmd_collapse_scan(replace(config, ell_max=1))
+        result = cmd_collapse_scan(config.replace(ell_max=1))
         by_ell: dict = {}
         for ell, t_ell, k, t, log_mag in result.rows:
             by_ell.setdefault(ell, []).append(log_mag)
@@ -243,19 +243,19 @@ class TestCollapseScan:
         config = parse_config(
             "kind = hyperbolic\nmu = 0.1\nhbar = 0.1\nalpha = 1j\nobservable = x^2\n"
         )
-        rows = cmd_collapse_scan(replace(config, ell_max=0)).rows
+        rows = cmd_collapse_scan(config.replace(ell_max=0)).rows
         assert rows[0][1] == pytest.approx(math.pi / (32.0 * 0.1 * 0.1), rel=1e-13)
         config1 = parse_config(
             "kind = hyperbolic\nmu = 0.1\nhbar = 0.1\nalpha = 1j\nobservable = x^1\n"
         )
-        rows1 = cmd_collapse_scan(replace(config1, ell_max=0)).rows
+        rows1 = cmd_collapse_scan(config1.replace(ell_max=0)).rows
         assert rows1[0][1] == pytest.approx(math.pi / (16.0 * 0.1 * 0.1), rel=1e-13)
 
     def test_negative_ell_enumerated(self):
         config = parse_config(
             "kind = hyperbolic\nmu = 0.1\nhbar = 0.1\nalpha = 1j\nobservable = x^2\n"
         )
-        rows = cmd_collapse_scan(replace(config, ell_min=-1, ell_max=-1)).rows
+        rows = cmd_collapse_scan(config.replace(ell_min=-1, ell_max=-1)).rows
         assert all(row[1] < 0 for row in rows)
 
     def test_quadratic_limit_rejected(self):
@@ -819,6 +819,15 @@ ELL_T_1E308_CFG = (
     "kind = elliptic\nmu = 0.5\nhbar = 0.5\nalpha = 0.5\nobservable = mono:2,0\n"
     "t_min = {t_min}\nt_max = {t_max}\npoints = {points}\nsources = {sources}\n"
 )
+HBAR_1E131 = (make_hyperbolic_params(1.6919, 0.0, 3.57e131), -1.4032 - 0.63625j)
+HBAR_1E131_CFG = (
+    "kind = hyperbolic\nomega = 1.6919\nmu = 0\nhbar = 3.57e131\nalpha = -1.4032-0.63625j\n"
+    "observable = x^5\nt_max = 2.406\npoints = 4\n"
+)
+INF_PHASE_RATE = make_hyperbolic_params(1.5e307, 1e307, 1.0)
+INF_PHASE_RATE_CFG = (
+    "kind = hyperbolic\nomega = 1.5e307\nmu = 1e307\nhbar = 1\nalpha = 0.5\nobservable = x^3\n"
+)
 # case: (library call, config, CLI command)
 BEYOND_FLOAT_RANGE = {
     "classical-xn": (
@@ -923,6 +932,23 @@ BEYOND_FLOAT_RANGE = {
         ELL_CFG.format(m=1, q=0, alpha="1e200", sources="oracle"),
         "evolve",
     ),
+    # hbar^(n/2), the oracle's convergence floor, where the closed form has values: once a
+    # traceback
+    "oracle-floor-overflow": (
+        lambda: fock.oracle_average("hyperbolic", HBAR_1E131[0], HBAR_1E131[1], 5, 0.0),
+        HBAR_1E131_CFG,
+        "compare",
+    ),
+    # an infinite 8 n mu hbar, which |mu| hbar < |omega| allows: once a nan phase at
+    # t = 0 and a traceback
+    **{
+        f"xn-phase-rate-{command}": (
+            lambda: closedform.hyperbolic_xn_average(3, 0.5, INF_PHASE_RATE, 0.0),
+            INF_PHASE_RATE_CFG,
+            command,
+        )
+        for command in ("evolve", "collapse-scan")
+    },
 }
 
 
@@ -964,7 +990,7 @@ class TestFloatRange:
         assert main(["evolve", "--config", str(cfg), "--format", fmt]) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
-        config = replace(parse_config(text), format=fmt)
+        config = parse_config(text).replace(format=fmt)
         result = cmd_evolve(config)
         assert captured.out == render(result, config, "evolve")
         classical, flags = _column(result, "classical")
@@ -987,6 +1013,17 @@ class TestFloatRange:
         params, alpha = OVERFLOW_502
         value = closedform.hyperbolic_xn_average(3, alpha, params, 57.0)
         assert abs(value) == pytest.approx(1.1181356620802342e173, rel=1e-12)
+
+    def test_oracle_phase_beyond_float64_is_one_stderr_line(self, tmp_path, capsys):
+        # numpy warns of the phase overflow; the unitarity check reports it alone
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(ELL_T_1E308_CFG.format(t_min=0.0, t_max=1e308, points=3, sources="oracle"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["evolve", "--config", str(cfg)]) == 3
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.err == "cohevol: convergence failure: propagator lost unitarity: norm drift nan\n"
 
     def test_closed_form_requires_finite_unflagged(self):
         # an unflagged closed row never holds inf or nan: the evaluator raises
@@ -1142,15 +1179,17 @@ class TestEvaluateOnce:
         # the config built its SystemParams once, at parse time
         config = parse_config(BASE_CFG.replace("points = 5", "points = 100"))
         builds = []
-        post_init = core.SystemParams.__post_init__
+        init = core.SystemParams.__init__
 
-        def counted(self):
+        def counted(self, *args):
             builds.append(self)
-            post_init(self)
+            init(self, *args)
 
-        monkeypatch.setattr(core.SystemParams, "__post_init__", counted)
+        monkeypatch.setattr(core.SystemParams, "__init__", counted)
         cmd_evolve(config)
         assert len(builds) == 0
+        parse_config(BASE_CFG)  # the count sees a build: a new config makes one
+        assert len(builds) == 1
 
     def test_grid_built_once(self, monkeypatch):
         # parse checks the grid's size and ends without building it
@@ -1176,7 +1215,7 @@ class TestEvaluateOnce:
         with pytest.raises(ConfigError, match=message):
             harness.RunConfig(**fields)
         with pytest.raises(ConfigError, match=message):
-            replace(parse_config(BASE_CFG), **fields)
+            parse_config(BASE_CFG).replace(**fields)
 
     def test_ehrenfest_one_scan_per_hbar(self, monkeypatch):
         calls = {}

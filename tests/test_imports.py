@@ -1,9 +1,14 @@
-"""Which commands load numpy and scipy, checked in fresh interpreters.
+"""Which commands load numpy, scipy and costly stdlib modules, checked in fresh interpreters.
 
-Only the truncated-basis oracle (``cohevol.fock``) needs them, so importing
-the package and running the closed-form commands must load neither; an
-elliptic oracle run needs numpy only, and the first hyperbolic eigensolve
-loads scipy's LAPACK extension but not the ``scipy.linalg`` package.
+Only the truncated-basis oracle (``cohevol.fock``) needs numpy and scipy, so
+importing the package and running the closed-form commands must load
+neither; an elliptic oracle run needs numpy only, and the first hyperbolic
+eigensolve loads scipy's LAPACK extension but not the ``scipy.linalg``
+package.  No command needs ``dataclasses`` (with ``inspect``), ``typing`` or
+``fractions`` (with ``decimal``): a closed-form run in an interpreter started
+with ``-S``, where ``site`` preloads nothing, loads none of them, and an
+oracle run loads no ``dataclasses`` (numpy itself loads ``inspect`` and
+``typing``).
 """
 
 import json
@@ -26,38 +31,52 @@ FOCK_NAMES = {
     "propagate_expectation",
 }
 
+HEAVY = ("numpy", "scipy", "scipy.linalg")
+STDLIB = ("dataclasses", "inspect", "typing", "fractions", "decimal")
+
 # argv: output path, then one JSON list of CLI argument lists.  Prints the
-# exit codes and which of the heavy modules were loaded.
+# exit codes and which of the watched modules were loaded by the import and
+# after the runs.
 _CHILD = """
 import json, sys
+watched = %r
 import cohevol
 from cohevol import cli
+imported = [name for name in watched if name in sys.modules]
 codes = [cli.main([*args, "--out", sys.argv[1]]) for args in json.loads(sys.argv[2])]
-print(json.dumps({"codes": codes, "loaded": sorted(
-    name for name in ("numpy", "scipy", "scipy.linalg") if name in sys.modules
+print(json.dumps({"codes": codes, "imported": imported, "loaded": sorted(
+    name for name in watched if name in sys.modules
 )}))
-"""
+""" % ((*HEAVY, *STDLIB),)
 
 
-def _run_child(code: str, *argv: str) -> str:
+def _run_child(code: str, *argv: str, flags: tuple = ()) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
     done = subprocess.run(
-        [sys.executable, "-c", code, *argv],
+        [sys.executable, *flags, "-c", code, *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     return done.stdout
 
 
-def _loaded_after(runs: list, tmp_path) -> list:
-    out = _run_child(_CHILD, str(tmp_path / "out.txt"), json.dumps(runs))
+def _child_result(runs: list, tmp_path, flags: tuple = ()) -> dict:
+    out = _run_child(_CHILD, str(tmp_path / "out.txt"), json.dumps(runs), flags=flags)
     result = json.loads(out.strip().splitlines()[-1])
     assert result["codes"] == [0] * len(runs)
-    return result["loaded"]
+    return result
+
+
+def _loaded_after(runs: list, tmp_path) -> list:
+    """The heavy modules loaded by ``runs``; none of them may load ``dataclasses``."""
+    loaded = _child_result(runs, tmp_path)["loaded"]
+    assert "dataclasses" not in loaded
+    return [name for name in loaded if name in HEAVY]
 
 
 def test_closed_form_commands_load_neither(tmp_path):
+    # -S: site imports nothing, so what is loaded is the package's own doing
     runs = [
         ["evolve", "--config", str(CONFIGS / "evolve.cfg")],
         ["evolve", "--config", str(CONFIGS / "elliptic_evolve.cfg"), "--oracle", "off"],
@@ -65,7 +84,9 @@ def test_closed_form_commands_load_neither(tmp_path):
         ["collapse-scan", "--config", str(CONFIGS / "collapse_scan.cfg")],
         ["ehrenfest", "--config", str(CONFIGS / "ehrenfest.cfg")],
     ]
-    assert _loaded_after(runs, tmp_path) == []
+    result = _child_result(runs, tmp_path, flags=("-S",))
+    assert result["imported"] == []
+    assert result["loaded"] == []
 
 
 def test_elliptic_oracle_loads_numpy_only(tmp_path):
@@ -93,9 +114,9 @@ def test_compare_without_the_lapack_extension_goes_through_scipy_linalg(tmp_path
         "    else find_spec(name, path, target))\n"
     )
     fallback = _run_child(hidden + _CHILD, str(tmp_path / "fallback.txt"), json.dumps(runs))
-    assert json.loads(fallback.strip().splitlines()[-1]) == {
-        "codes": [0], "loaded": ["numpy", "scipy", "scipy.linalg"],
-    }
+    result = json.loads(fallback.strip().splitlines()[-1])
+    assert result["codes"] == [0]
+    assert [name for name in result["loaded"] if name in HEAVY] == ["numpy", "scipy", "scipy.linalg"]
     assert _loaded_after(runs, tmp_path) == ["numpy", "scipy"]
     assert (tmp_path / "fallback.txt").read_bytes() == (tmp_path / "out.txt").read_bytes()
 
