@@ -18,17 +18,28 @@ form:
   truncated ``S``, as in the literal build).  ``S`` only couples ``k`` to
   ``k +- 2``: it splits into an even and an odd parity sector, each a real
   symmetric tridiagonal matrix with zero diagonal and off-diagonal
-  ``hbar sqrt((k+1)(k+2))``.  Each sector is diagonalised once per
-  representation by LAPACK ``dstevd`` (divide and conquer), the call
-  ``scipy.linalg.eigh_tridiagonal`` makes for a full spectrum in scipy
-  1.17.1, so the eigenpairs are its bits; the energies are ``w s - mu s^2``
-  for the eigenvalues ``s`` of ``S``.  Inside a sector the gauge reduces to
-  ``i^j`` (a constant sector phase cancels), so it adds no rounding either.
-  ``dstevd`` is taken from scipy's f2py LAPACK extension
-  (``scipy.linalg._flapack``), loaded from its file at the first hyperbolic
-  eigensolve; the top-level ``scipy`` package is imported for its library
-  paths, but ``scipy.linalg`` is not, unless the extension is not found where
-  scipy puts it.  An elliptic run loads no scipy.
+  ``hbar sqrt((k+1)(k+2))``.  Such a matrix is bipartite: its even
+  positions couple only to its odd ones, through a lower bidiagonal block
+  ``B`` (rows the even positions, columns the odd ones) of about half the
+  sector's size.  So its eigenvalues are ``s = -+sigma`` and its
+  eigenvectors ``(u, -+w) / sqrt 2`` for the singular triplets
+  ``B w = sigma u`` (Golub & Kahan 1965).  Each sector's ``B`` is factored
+  once per representation by LAPACK ``dbdsdc`` (divide and conquer; Gu &
+  Eisenstat 1995), which forms only ``sigma`` and the two half-size factors
+  ``U`` and ``W``; the sector's full eigenvector matrix is never formed.  A
+  sector of odd size (``dim`` not a multiple of 4) has one more even
+  position than odd ones; a zero coupling to one more odd position makes
+  ``B`` square and gives it a zero singular value, whose ``u`` is the
+  sector's zero mode (on its even positions) and whose ``w`` is that added
+  position alone, dropped from ``W``.  The energies are ``w s - mu s^2``.
+  The eigenpairs agree with those of ``scipy.linalg.eigh_tridiagonal`` to
+  rounding, not bit for bit.  Inside a sector the gauge reduces to ``i^j``
+  (a constant sector phase cancels), so it adds no rounding.  ``dbdsdc`` is taken from scipy's Cython LAPACK
+  table (``scipy.linalg.cython_lapack``), loaded from its file at the first
+  hyperbolic eigensolve and called through ctypes; the top-level ``scipy``
+  package is imported for its library paths, but ``scipy.linalg`` is not,
+  unless the extension is not found where scipy puts it.  An elliptic run
+  loads no scipy.
 
 Observables ``x^n`` and ``adag^m a^q`` are applied by banded shifts with the
 ladder elements ``sqrt(hbar k)``; no dense operator is formed.
@@ -37,16 +48,18 @@ What does not depend on ``t`` is built once and kept on the representation:
 its eigensystem, whose sectors carry their phase rates ``-1j E``, its ladder,
 and one prepared state, that of the last ``alpha`` asked for: the coherent
 vector with its tail-test verdict, its norm ``|psi_0|`` and its coefficients
-``V^T g^* psi_0`` in each sector's eigenbasis.  Asking for another ``alpha``
+``V^T g^* psi_0`` in each sector's eigenbasis (hyperbolic: ``U^T`` and
+``W^T`` applied to the even and odd entries).  Asking for another ``alpha``
 replaces it.  Each time point then computes only the phases
 ``exp(-1j E * (t / hbar))``, their product with the coefficients
-(hyperbolic: ``g V (phases * coefficients)``), the unitarity check against
-``|psi_0|`` and the observable.
+(hyperbolic: ``g V (phases * coefficients)``, as one product with ``U`` and
+one with ``W``), the unitarity check against ``|psi_0|`` and the
+observable.
 
 The process keeps the representations of one model, the ``(kind, omega, mu,
 hbar)`` that :func:`build_hamiltonian` was last asked for, one per basis
-size.  For a doubling ladder up to the cap their eigenvectors take about
-341 MiB, ``4/3`` of the cap's own 256 MiB.  They live until another model is
+size.  For a doubling ladder up to the cap their factors take about
+171 MiB, ``4/3`` of the cap's own 128 MiB.  They live until another model is
 asked for, which releases them all, so a finished job's bases do not stay
 alive beside the next job's eigensolve.  Alternating between two models
 rebuilds each one every time, and alternating between two ``alpha`` on one
@@ -60,8 +73,10 @@ closed-form commands start without either.
 
 The dense literal matrices, assembled from ladder matrices, live in the
 tests as the reference this module is checked against.  Basis sizes above
-``DEFAULT_DIM_CAP`` are refused: the two hyperbolic sectors' eigenvectors
-take ``4 dim^2`` bytes (256 MiB at the cap).
+``DEFAULT_DIM_CAP`` are refused: the two hyperbolic sectors' factors take
+``2 dim^2`` bytes (128 MiB at the cap), and the largest sector's solve needs
+``3 (dim/4)^2`` more doubles while it runs (96 MiB at the cap).  Energies that
+would leave float64 are refused before any solve (:class:`FloatRangeError`).
 """
 
 from __future__ import annotations
@@ -99,14 +114,19 @@ _TAIL_BLOCK = 64
 class Sector(NamedTuple):
     """One invariant block of the basis, ``H[index, index] = g V diag(E) V^T g^*``.
 
-    The energies ``E`` are held as the phase rates ``rates = -1j E``.
-    ``vectors`` (real, orthonormal columns) and ``gauge`` (unit phases ``g``)
-    are ``None`` for a block on which ``H`` is already diagonal.
+    The energies ``E`` are held as the phase rates ``rates = -1j E``.  On a
+    block where ``H`` is already diagonal, ``even``, ``odd`` and ``gauge`` are
+    ``None`` (``V = 1``).  Otherwise ``g`` (``gauge``) holds unit phases and the
+    real orthonormal ``V`` is never formed: its columns are ``(u, -w) / sqrt 2``
+    with energy ``E(-sigma)``, then ``(u, w) / sqrt 2`` with ``E(+sigma)``, for
+    the columns ``u`` of ``even`` on the block's even positions and ``w`` of
+    ``odd`` on its odd ones.
     """
 
     index: slice
     rates: np.ndarray
-    vectors: "np.ndarray | None"
+    even: "np.ndarray | None"
+    odd: "np.ndarray | None"
     gauge: "np.ndarray | None"
 
 
@@ -158,54 +178,116 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _check_energies(bound: float, params: SystemParams, dim: int) -> None:
+    """:class:`FloatRangeError` unless ``bound`` is finite.
+
+    ``bound`` is the energy formula's terms, with each factor at its largest
+    size in the basis, formed in the formula's order in Python floats (which
+    give ``inf`` or ``nan`` without a warning).  If it is finite, so is every
+    energy and every product formed on the way.
+    """
+    if not math.isfinite(bound):
+        raise FloatRangeError(
+            f"the oracle's energies at dim {dim} leave float64 "
+            f"(omega {params.omega!r}, mu {params.mu!r}, hbar {params.hbar!r})"
+        )
+
+
 def _elliptic_sectors(params: SystemParams, dim: int) -> tuple[Sector, ...]:
+    top = dim - 1.0
+    _check_energies(
+        abs(params.omega) * params.hbar * top + abs(params.mu) * (params.hbar * params.hbar) * top * top,
+        params, dim,
+    )
     k = np.arange(dim, dtype=float)
     energies = params.omega * params.hbar * k + params.mu * params.hbar**2 * k * (k - 1.0)
-    return (Sector(slice(None), _frozen(-1j * energies), None, None),)
+    return (Sector(slice(None), _frozen(-1j * energies), None, None, None),)
 
 
 def _hyperbolic_sectors(params: SystemParams, dim: int) -> tuple[Sector, ...]:
-    dstevd = _dstevd()
+    # The couplings grow with k, so no row sum of S, and no |s|, exceeds twice the last.
+    s_max = 2.0 * params.hbar * math.sqrt((dim - 2.0) * (dim - 1.0))
+    _check_energies(abs(params.omega) * s_max + abs(params.mu) * s_max * s_max, params, dim)
+    dbdsdc = _dbdsdc()
     sectors = []
     for parity in (0, 1):
         k = np.arange(parity, dim - 2, 2, dtype=float)
-        offdiag = params.hbar * np.sqrt((k + 1.0) * (k + 2.0))
-        s, vectors, info = dstevd(np.zeros(len(k) + 1), offdiag, compute_v=1)
+        couplings = params.hbar * np.sqrt((k + 1.0) * (k + 2.0))
+        size = len(k) + 1
+        if size % 2:
+            # a zero coupling to one more odd position squares B; the zero singular
+            # value this adds has that position alone as w, so its row of W is dropped
+            couplings = np.append(couplings, 0.0)
+        sigma, even, odd, info = dbdsdc(couplings[0::2], couplings[1::2])
         if info != 0:
             raise ConvergenceError(
-                f"LAPACK dstevd failed on the parity-{parity} sector at dim {dim}: info {info}"
+                f"LAPACK dbdsdc failed on the parity-{parity} sector at dim {dim}: info {info}"
             )
+        s = np.concatenate((-sigma, sigma))
         energies = params.omega * s - params.mu * s * s
-        gauge = _I_POWERS[np.arange(len(k) + 1) % 4]
+        gauge = _I_POWERS[np.arange(size) % 4]
         sectors.append(Sector(
-            slice(parity, None, 2), _frozen(-1j * energies), _frozen(vectors), _frozen(gauge)
+            slice(parity, None, 2), _frozen(-1j * energies), _frozen(even),
+            _frozen(odd[: size // 2]), _frozen(gauge),
         ))
     return tuple(sectors)
 
 
 @lru_cache(maxsize=1)
-def _dstevd():
-    """LAPACK ``dstevd`` as scipy's f2py wrapper: ``(d, e, compute_v) -> (vals, vectors, info)``.
+def _dbdsdc():
+    """LAPACK ``dbdsdc`` on a lower bidiagonal ``B``: ``(d, e) -> (sigma, U, W, info)``.
 
+    ``d`` is the diagonal and ``e`` the subdiagonal of ``B = U diag(sigma) W^T``
+    (divide and conquer, ``COMPQ = 'I'``); ``sigma`` is descending.  The
+    routine is taken from scipy's Cython LAPACK table
+    (``scipy.linalg.cython_lapack.__pyx_capi__``) and called through ctypes.
     Importing ``scipy`` loads none of its subpackages but sets up the paths to
     its bundled libraries; the extension module is then run from its file, so
     the ``scipy.linalg`` package is not imported.  (CPython still registers
     the extension under its own name, and a later ``import scipy.linalg``
-    reuses it.)  Where the extension is not found, the same function is taken
-    from ``scipy.linalg.lapack``.
+    reuses it.)  Where the extension is not found, it is imported from
+    ``scipy.linalg``.
     """
+    import ctypes
+
     import scipy  # here, not at module level: elliptic runs never need it
 
     spec = PathFinder.find_spec(
-        "scipy.linalg._flapack", [os.path.join(path, "linalg") for path in scipy.__path__]
+        "scipy.linalg.cython_lapack", [os.path.join(path, "linalg") for path in scipy.__path__]
     )
     if spec is None:
-        import scipy.linalg.lapack
+        import scipy.linalg.cython_lapack as lapack
+    else:
+        lapack = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(lapack)
+    capsule, api = lapack.__pyx_capi__["dbdsdc"], ctypes.pythonapi
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))(capsule)
+    address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api)
+    )(capsule, name)
+    # (uplo, compq, n, d, e, u, ldu, vt, ldvt, q, iq, work, iwork, info), all by pointer
+    routine = ctypes.CFUNCTYPE(None, *(ctypes.c_void_p,) * 14)(address)
 
-        return scipy.linalg.lapack.dstevd
-    flapack = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(flapack)
-    return flapack.dstevd
+    def dbdsdc(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        n = len(d)
+        if n < 1 or len(e) != n - 1:
+            raise ValueError(f"dbdsdc needs n >= 1 and n - 1 subdiagonal entries, got {n} and {len(e)}")
+        sigma = np.array(d, dtype=float)  # overwritten with the singular values
+        sub = np.zeros(n)  # destroyed; one entry more, so that n = 1 passes a buffer
+        sub[:-1] = e
+        u, vt = np.empty((n, n), order="F"), np.empty((n, n), order="F")
+        work, iwork = np.empty(3 * n * n + 4 * n), np.empty(8 * n, dtype=np.intc)
+        ints = np.array([n, 0], dtype=np.intc)  # n (also ldu and ldvt), info
+        # q and iq are not referenced for COMPQ = 'I'
+        routine(
+            b"L", b"I", ints.ctypes.data, sigma.ctypes.data, sub.ctypes.data,
+            u.ctypes.data, ints.ctypes.data, vt.ctypes.data, ints.ctypes.data,
+            work.ctypes.data, iwork.ctypes.data, work.ctypes.data, iwork.ctypes.data,
+            ints[1:].ctypes.data,
+        )
+        return sigma, u, vt.T, int(ints[1])
+
+    return dbdsdc
 
 
 @lru_cache(maxsize=1)
@@ -337,8 +419,13 @@ def _prepare(rep: FockRepresentation, vector: CoherentVector) -> _Initial:
     coeffs = []
     for sector in rep.eigensystem():
         part = vector.coeffs[sector.index]
-        if sector.vectors is not None:
-            part = _frozen(_real_matmul(sector.vectors.T, sector.gauge.conj() * part))
+        if sector.even is not None:
+            # V^T g^* psi_0 is (U^T a -+ W^T b) / sqrt 2 for its even entries a and odd
+            # entries b; the 1 / sqrt 2 of V in _evolve is taken here too, as one halving
+            part = sector.gauge.conj() * part
+            even = _real_matmul(sector.even.T, part[0::2])
+            odd = _real_matmul(sector.odd.T, part[1::2])
+            part = _frozen(np.concatenate((even - odd, even + odd)) * 0.5)
         coeffs.append(part)
     return _Initial(vector, float(np.linalg.norm(vector.coeffs)), tuple(coeffs))
 
@@ -386,13 +473,16 @@ def _propagate(rep: FockRepresentation, initial: _Initial, t: float) -> np.ndarr
 
 def _evolve(rep: FockRepresentation, initial: _Initial, scale: float) -> np.ndarray:
     sectors = rep.eigensystem()
-    if sectors[0].vectors is None:  # elliptic: one diagonal sector, the whole basis
+    if sectors[0].even is None:  # elliptic: one diagonal sector, the whole basis
         out = np.exp(sectors[0].rates * scale) * initial.coeffs[0]
     else:
         out = np.empty(rep.dim, dtype=complex)
         for sector, coeffs in zip(sectors, initial.coeffs):
-            phases = np.exp(sector.rates * scale)
-            out[sector.index] = sector.gauge * _real_matmul(sector.vectors, phases * coeffs)
+            lower, upper = np.split(np.exp(sector.rates * scale) * coeffs, 2)  # -sigma, +sigma
+            block = np.empty(len(sector.gauge), dtype=complex)
+            block[0::2] = _real_matmul(sector.even, lower + upper)
+            block[1::2] = _real_matmul(sector.odd, upper - lower)
+            out[sector.index] = sector.gauge * block
     drift = abs(math.sqrt(np.vdot(out, out).real) - initial.norm)
     if not drift <= _UNITARITY_TOL:  # a nan drift fails too
         raise ConvergenceError(f"propagator lost unitarity: norm drift {drift:.3e}")
@@ -513,7 +603,13 @@ def oracle_average(
         value = _expectation(kind, params, alpha, obs, t, dim)
         if value is not None:
             if previous is not None:
-                delta = abs(value - previous) / (abs(value) + floor)
+                scale = abs(value) + floor
+                # a floor that underflows to 0 leaves a zero value no scale: two
+                # equal values have converged, a zero after a nonzero one has not
+                if scale:
+                    delta = abs(value - previous) / scale
+                else:
+                    delta = 0.0 if value == previous else math.inf
                 if delta < tol:
                     return value
             previous, tried = value, dim

@@ -3,7 +3,7 @@
 Each case runs in a child process, as a user runs it, and checks the exit
 code, stderr (empty, or the one line naming the error class) and stdout.
 These are the configs the workflow's smoke step used to write and grep
-itself, plus three whose tracebacks or numpy warnings were fixed.
+itself, plus those whose tracebacks or numpy warnings were fixed.
 """
 
 import json
@@ -96,6 +96,27 @@ CASES = {
         )
         for command in ("evolve", "collapse-scan")
     },
+    # the oracle's convergence floor hbar^5 underflows to 0, and so do two successive values
+    "oracle-zero-values": (
+        "compare",
+        "kind = hyperbolic\nomega = -5.217101331065151\nmu = 0\nhbar = 3.3839760742518185e-91\n"
+        "alpha = 1.6614524269064705e-268\nobservable = x^10\nt_max = 0.025943369591595305\npoints = 5\n",
+        (), 0, "",
+    ),
+    # the oracle's energies beyond float64, refused before any eigensolve: hbar^2 in the
+    # elliptic spectrum, and hyperbolic couplings hbar sqrt((k+1)(k+2)) at dim 128
+    "oracle-elliptic-energies": (
+        "compare",
+        "kind = elliptic\nomega = 1\nmu = 0\nhbar = 1.5307102337409066e+169\n"
+        "alpha = 3.3558966641061695e-277+2.405801690852068j\nobservable = mono:1,0\nt_max = 1\npoints = 2\n",
+        (), 2, "",
+    ),
+    "oracle-hyperbolic-couplings": (
+        "compare",
+        "kind = hyperbolic\nomega = 1\nmu = 0\nhbar = 1e306\nalpha = 0.5\nobservable = x^1\n"
+        "t_max = 1e-300\npoints = 2\n",
+        (), 2, "",
+    ),
     # the oracle's phases beyond float64: one stderr line, no numpy warnings before it
     "oracle-phase": (
         "evolve",

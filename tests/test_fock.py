@@ -298,7 +298,8 @@ def _dense_monomial(rep, state, m, q):
 class TestDenseReference:
     """The structured oracle against ``eigh`` of the literal dense ``H``."""
 
-    @pytest.mark.parametrize("dim", (64, 256, 512))
+    # dims 30 and 31 give hyperbolic sectors of odd size
+    @pytest.mark.parametrize("dim", (30, 31, 64, 256, 512))
     @pytest.mark.parametrize("kind,params", (("hyperbolic", HYP), ("elliptic", ELL)))
     def test_structured_equals_dense(self, kind, params, dim):
         rep = build_hamiltonian(kind, params, dim)
@@ -391,30 +392,65 @@ class TestUnitarityDrift:
 
 
 class TestTridiagonalSolve:
-    """The direct LAPACK ``dstevd`` call behind each hyperbolic parity sector."""
+    """Each hyperbolic parity sector as the half-size bidiagonal SVD (LAPACK ``dbdsdc``)."""
 
+    @staticmethod
+    def sector_spectrum(sector):
+        """The sector's ``V`` (assembled from its factors) and eigenvalues, at ``omega 1, mu 0``.
+
+        The energies are then the eigenvalues ``s`` of ``S`` themselves.  A
+        sector of odd size has one zero mode ``u`` on its even positions,
+        listed twice by the factors; it is taken once, as ``(u, 0)``.
+        """
+        size = len(sector.gauge)
+        s = -sector.rates.imag
+        half = len(s) // 2
+        columns, values = [], []
+        for i in range(half):
+            zero_mode = size % 2 and i == half - 1  # sigma descends, so it is last
+            for sign in (0.0,) if zero_mode else (-1.0, 1.0):
+                column = np.zeros(size)
+                column[0::2] = sector.even[:, i]
+                if sign:
+                    column[1::2] = sign * sector.odd[:, i]
+                    column /= math.sqrt(2.0)
+                columns.append(column)
+                values.append(sign * s[half + i])
+        return np.array(columns).T, np.array(values)
+
+    # named for the solve it checked bit for bit; the SVD agrees to rounding
     @pytest.mark.parametrize("hbar", (0.1, 0.02))
-    @pytest.mark.parametrize("dim", (5, 6, 64, 1024))
+    @pytest.mark.parametrize("dim", (5, 6, 30, 64, 1024))
     @pytest.mark.parametrize("parity", (0, 1))
     def test_bits_equal_eigh_tridiagonal(self, parity, dim, hbar):
+        """Eigenvalues, ``|T V - V diag(s)|`` and ``|V^T V - I|`` against ``eigh_tridiagonal``."""
+        sector = fock._hyperbolic_sectors(SystemParams(1.0, 0.0, hbar), dim)[parity]
         k = np.arange(parity, dim - 2, 2, dtype=float)
         diag, offdiag = np.zeros(len(k) + 1), hbar * np.sqrt((k + 1.0) * (k + 2.0))
-        vals, vectors, info = fock._dstevd()(diag, offdiag, compute_v=1)
-        expected = scipy.linalg.eigh_tridiagonal(diag, offdiag, check_finite=False)
-        assert info == 0
-        assert np.array_equal(vals, expected[0])
-        assert np.array_equal(vectors, expected[1])
+        size = len(diag)
+        assert sector.even.shape == ((size + 1) // 2,) * 2
+        assert sector.odd.shape == (size // 2, (size + 1) // 2)
+        vectors, values = self.sector_spectrum(sector)
+        expected = scipy.linalg.eigh_tridiagonal(diag, offdiag, eigvals_only=True)
+        tridiagonal = np.diag(offdiag, 1) + np.diag(offdiag, -1)
+        scale = size * np.finfo(float).eps * np.abs(expected).max()
+        assert vectors.shape == (size, size)
+        assert np.abs(np.sort(values) - expected).max() <= 4.0 * scale
+        assert np.abs(tridiagonal @ vectors - vectors * values).max() <= 4.0 * scale
+        assert np.abs(vectors.T @ vectors - np.eye(size)).max() <= 4.0 * size * np.finfo(float).eps
+        if size % 2:  # the zero mode leaves nothing on the odd positions
+            assert np.abs(sector.odd[:, -1]).max() <= 4.0 * size * np.finfo(float).eps
 
     @pytest.fixture
     def failing(self, monkeypatch):
         # fresh representations whose eigensolve reports a LAPACK failure
         fock._model_bases.cache_clear()
-        monkeypatch.setattr(fock, "_dstevd", lambda: lambda d, e, compute_v: (d, None, 1))
+        monkeypatch.setattr(fock, "_dbdsdc", lambda: lambda d, e: (d, None, None, 1))
         yield
         fock._model_bases.cache_clear()
 
     def test_failure_raises_convergence_error(self, failing):
-        with pytest.raises(ConvergenceError, match="parity-0 sector at dim 64: info 1"):
+        with pytest.raises(ConvergenceError, match="dbdsdc failed on the parity-0 sector at dim 64: info 1"):
             oracle_average("hyperbolic", HYP, 0.5 + 0.3j, 1, 0.5)
 
     def test_cli_maps_failure_to_convergence_exit_code(self, failing, tmp_path, capsys):
@@ -425,7 +461,7 @@ class TestTridiagonalSolve:
         )
         assert main(["compare", "--config", str(cfg)]) == EXIT_CONVERGENCE
         err = capsys.readouterr().err
-        assert "convergence failure" in err and "dstevd" in err
+        assert "convergence failure" in err and "dbdsdc" in err
 
 
 def _per_point_state(rep, v, t):
@@ -442,11 +478,19 @@ def _per_point_state(rep, v, t):
     for sector in rep.eigensystem():
         coeffs = v.coeffs[sector.index]
         phases = np.exp(sector.rates * (t / rep.hbar))
-        if sector.vectors is None:
+        if sector.even is None:
             out[sector.index] = phases * coeffs
         else:
-            coeffs = real_matmul(sector.vectors.T, sector.gauge.conj() * coeffs)
-            out[sector.index] = sector.gauge * real_matmul(sector.vectors, phases * coeffs)
+            # c-+ = (U^T a -+ W^T b) / 2, then U (c- + c+) on the even positions, W (c+ - c-) on the odd
+            coeffs = sector.gauge.conj() * coeffs
+            even = real_matmul(sector.even.T, coeffs[0::2])
+            odd = real_matmul(sector.odd.T, coeffs[1::2])
+            turned = phases * (np.concatenate((even - odd, even + odd)) * 0.5)
+            lower, upper = turned[: len(turned) // 2], turned[len(turned) // 2:]
+            block = np.empty(len(coeffs), dtype=complex)
+            block[0::2] = real_matmul(sector.even, lower + upper)
+            block[1::2] = real_matmul(sector.odd, upper - lower)
+            out[sector.index] = sector.gauge * block
     return out
 
 

@@ -115,6 +115,10 @@ def _close(expected: list[str], actual: list[str]) -> bool:
     return True
 
 
+def _kind(stdout: str) -> str:
+    return re.search(r"kind(?:=|\":\")(\w+)", stdout).group(1)
+
+
 def _run(argv: list[str], scratch: Path) -> dict:
     """Exit code, stderr and stdout of one CLI run; an inline config is written to ``scratch``."""
     resolved = []
@@ -146,17 +150,18 @@ def test_every_run_exits_as_pinned(runs):
 
 
 def test_elliptic_oracle_output_is_byte_identical(runs):
-    elliptic = [(run, got) for run, got in runs if "compare" not in run["argv"]]
+    elliptic = [(run, got) for run, got in runs if _kind(run["stdout"]) == "elliptic"]
     assert elliptic and all(got["stdout"] == run["stdout"] for run, got in elliptic)
 
 
 def test_hyperbolic_oracle_output_within_tolerance(runs):
-    for run, got in runs:
-        if "compare" in run["argv"]:
-            text, cells = _masked(got["stdout"])
-            want_text, want_cells = _masked(run["stdout"])
-            assert text == want_text, run["argv"]
-            assert len(cells) > 1 and _close(want_cells, cells), run["argv"]
+    hyperbolic = [(run, got) for run, got in runs if _kind(run["stdout"]) == "hyperbolic"]
+    assert len(hyperbolic) == 4
+    for run, got in hyperbolic:
+        text, cells = _masked(got["stdout"])
+        want_text, want_cells = _masked(run["stdout"])
+        assert text == want_text, run["argv"]
+        assert len(cells) > 1 and _close(want_cells, cells), run["argv"]
 
 
 def test_mask_takes_exactly_the_tolerated_cells():

@@ -3,8 +3,9 @@
 Only the truncated-basis oracle (``cohevol.fock``) needs numpy and scipy, so
 importing the package and running the closed-form commands must load
 neither; an elliptic oracle run needs numpy only, and the first hyperbolic
-eigensolve loads scipy's LAPACK extension but not the ``scipy.linalg``
-package.  No command needs ``dataclasses`` (with ``inspect``), ``typing`` or
+eigensolve loads scipy's Cython LAPACK extension but not the ``scipy.linalg``
+package (numpy itself loads ``ctypes``, through which the extension is
+called).  No command needs ``dataclasses`` (with ``inspect``), ``typing`` or
 ``fractions`` (with ``decimal``): a closed-form run in an interpreter started
 with ``-S``, where ``site`` preloads nothing, loads none of them, and an
 oracle run loads no ``dataclasses`` (numpy itself loads ``inspect`` and
@@ -31,7 +32,7 @@ FOCK_NAMES = {
     "propagate_expectation",
 }
 
-HEAVY = ("numpy", "scipy", "scipy.linalg")
+HEAVY = ("numpy", "scipy", "scipy.linalg", "scipy.linalg.cython_lapack")
 STDLIB = ("dataclasses", "inspect", "typing", "fractions", "decimal")
 
 # argv: output path, then one JSON list of CLI argument lists.  Prints the
@@ -96,11 +97,11 @@ def test_elliptic_oracle_loads_numpy_only(tmp_path):
 
 def test_compare_loads_both(tmp_path):
     runs = [["compare", "--config", str(CONFIGS / "compare.cfg")]]
-    assert _loaded_after(runs, tmp_path) == ["numpy", "scipy"]
+    assert _loaded_after(runs, tmp_path) == ["numpy", "scipy", "scipy.linalg.cython_lapack"]
 
 
 def test_compare_without_the_lapack_extension_goes_through_scipy_linalg(tmp_path):
-    # where scipy's f2py LAPACK extension is not found, the eigensolve falls
+    # where scipy's Cython LAPACK extension is not found, the eigensolve falls
     # back to scipy.linalg and writes the same bytes; the extension is hidden
     # only from lookups made before scipy.linalg is imported, so that scipy.linalg
     # itself still finds it
@@ -110,14 +111,14 @@ def test_compare_without_the_lapack_extension_goes_through_scipy_linalg(tmp_path
         "from importlib.machinery import PathFinder\n"
         "find_spec = PathFinder.find_spec\n"
         "PathFinder.find_spec = classmethod(lambda cls, name, path=None, target=None: None\n"
-        "    if name == 'scipy.linalg._flapack' and 'scipy.linalg' not in sys.modules\n"
+        "    if name == 'scipy.linalg.cython_lapack' and 'scipy.linalg' not in sys.modules\n"
         "    else find_spec(name, path, target))\n"
     )
     fallback = _run_child(hidden + _CHILD, str(tmp_path / "fallback.txt"), json.dumps(runs))
     result = json.loads(fallback.strip().splitlines()[-1])
     assert result["codes"] == [0]
-    assert [name for name in result["loaded"] if name in HEAVY] == ["numpy", "scipy", "scipy.linalg"]
-    assert _loaded_after(runs, tmp_path) == ["numpy", "scipy"]
+    assert [name for name in result["loaded"] if name in HEAVY] == list(HEAVY)
+    assert _loaded_after(runs, tmp_path) == ["numpy", "scipy", "scipy.linalg.cython_lapack"]
     assert (tmp_path / "fallback.txt").read_bytes() == (tmp_path / "out.txt").read_bytes()
 
 
