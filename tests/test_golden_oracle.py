@@ -119,12 +119,12 @@ def _kind(stdout: str) -> str:
     return re.search(r"kind(?:=|\":\")(\w+)", stdout).group(1)
 
 
-def _run(argv: list[str], scratch: Path) -> dict:
-    """Exit code, stderr and stdout of one CLI run; an inline config is written to ``scratch``."""
+def _run(argv: list[str], workdir: Path) -> dict:
+    """Exit code, stderr and stdout of one CLI run; an inline config is written to ``workdir``."""
     resolved = []
     for arg in argv:
         if arg in INLINE:
-            path = scratch / f"{arg}.cfg"
+            path = workdir / f"{arg}.cfg"
             path.write_text(INLINE[arg], encoding="utf-8")
             arg = str(path)
         elif arg.startswith("configs/"):
@@ -140,8 +140,8 @@ def _run(argv: list[str], scratch: Path) -> dict:
 def runs(tmp_path_factory):
     expected = json.loads(MANIFEST.read_text(encoding="utf-8"))["runs"]
     assert [run["argv"] for run in expected] == [list(argv) for argv in ARGVS]
-    scratch = tmp_path_factory.mktemp("golden_oracle")
-    return [(run, _run(run["argv"], scratch)) for run in expected]
+    workdir = tmp_path_factory.mktemp("golden_oracle")
+    return [(run, _run(run["argv"], workdir)) for run in expected]
 
 
 def test_every_run_exits_as_pinned(runs):
@@ -180,7 +180,7 @@ def test_mask_takes_exactly_the_tolerated_cells():
 
 
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as scratch:
-        written = [_run(list(argv), Path(scratch)) for argv in ARGVS]
+    with tempfile.TemporaryDirectory() as workdir:
+        written = [_run(list(argv), Path(workdir)) for argv in ARGVS]
     MANIFEST.write_text(json.dumps({"runs": written}, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(written)} runs to {MANIFEST.relative_to(ROOT)}")
