@@ -2,18 +2,15 @@
 
 Evaluation strategy
 -------------------
-All growing/decaying factors are combined into a single exponent.  Both
-quantum ``x^n`` routes form their value through ``_exp_product`` (in log
-scale where ``exp`` or the product overflows), and the classical one in log
-scale where ``exp`` alone does, so a representable value is computed.  For
-collapse scans the log-magnitude evaluator never forms it.
-
-Every fractional power of ``cos(8 n mu hbar t)`` is realized through integer
-powers of the tracked branch value (``_tracked_branch``), never via a
-principal power of a negative real.  The independent cross-check path
-evaluates the pre-integral Gaussian representation with principal square
-roots (its argument has positive real part away from collapse, so no tracking
-is needed there) and a scaled three-term moment recursion.
+All growing/decaying factors are combined into a single exponent, and every
+fractional power of ``cos(8 n mu hbar t)`` is an integer power of the tracked
+branch value (``_tracked_branch``), never a principal power of a negative
+real.  A quantum ``x^n`` point is one log form, where ``XnAverage._pieces``
+decides float range: an exponent, a normal or zero series (one that would
+underflow is summed in log scale) and their log10 magnitude, from which
+``_formed`` makes either route's value.  The cross-check route takes the
+pre-integral Gaussian form with principal square roots (its argument has
+positive real part away from collapse) and a scaled three-term recursion.
 
 Prepared evaluators
 -------------------
@@ -25,17 +22,13 @@ rest in the same order, so values are bit-identical.  An evaluator never
 changes after its build.  Each public function builds one and calls its
 bound ``__call__`` (cheaper than calling the instance on CPython) once.
 
-No evaluator returns ``nan``, and only the log10 magnitude returns an
-infinity: ``-inf`` for an average that is exactly zero.  An ``x^n``
-average beyond float64 is :class:`CollapseProximity`; any other value,
-series, exponent (``inf - inf``, or a log10 magnitude's alone) or phase
-(``8 n mu hbar t`` or an elliptic one, at ``t = 1e308``) beyond float64 is
-:class:`FloatRangeError` (a :class:`DomainError` and an ``OverflowError``).
-A build never fails on float range: ``_captures_overflow`` stores the
-``OverflowError`` of a ``t``-independent factor (``|alpha|^2``, ``x0^n``,
-``hbar^j``, an infinite ``8 n mu hbar``), and ``_FloatChecked.__call__``,
-``XnAverage._pieces`` and ``RegimeSets.holds`` raise it at each point before
-any of the point's arithmetic.
+Apart from the cross-check half of ``XnAverage.paths``, no evaluator returns
+``nan``, and only the log10 magnitude returns an infinity: ``-inf`` for an
+average that is exactly zero.  An ``x^n`` average beyond float64 is
+:class:`CollapseProximity`; any other value, series, exponent or phase beyond
+it is :class:`FloatRangeError` (a :class:`DomainError` and ``OverflowError``),
+as is a ``t``-independent factor beyond it (``|alpha|^2``, ``x0^n``, ``hbar^j``):
+``_captures_overflow`` keeps it for each point to raise before any arithmetic.
 """
 
 from __future__ import annotations
@@ -59,7 +52,10 @@ DEFAULT_GUARD = 1e-6
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
 
 _MAX_XN_ORDER = 20
+_FLOAT_MIN = sys.float_info.min  # the smallest normal float
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_LOG_FLOAT_MIN = math.log(_FLOAT_MIN)
+_LOG10_TINY = math.log10(math.ulp(0.0))  # the smallest subnormal
 _LN10 = math.log(10.0)
 _HALF_LOG10_2 = 0.5 * math.log10(2.0)
 
@@ -238,9 +234,7 @@ def _check_xn_order(n: int) -> None:
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"observable power must be an integer >= 1, got {n!r}")
     if n > _MAX_XN_ORDER:
-        raise DomainError(
-            f"n={n} exceeds the exact-factorial cap {_MAX_XN_ORDER}"
-        )
+        raise DomainError(f"n={n} exceeds the exact-factorial cap {_MAX_XN_ORDER}")
 
 
 @functools.cache  # one entry per checked order, at most _MAX_XN_ORDER
@@ -252,23 +246,18 @@ def _series_coefficients(n: int) -> tuple[tuple[float, int, int], ...]:
     )
 
 
-def _exp_product(exponent: complex, a: complex, b: complex) -> complex:
-    """``a * exp(exponent) * b``, in log scale where ``exp`` or the product overflows."""
-    if exponent.real <= _LOG_FLOAT_MAX:
+def _formed(exponent: complex, a: complex, b: complex, log10_mag: float) -> complex:
+    """``a * exp(exponent) * b`` of log10 magnitude ``log10_mag`` (``b`` normal or 0): direct where ``exp`` is
+    normal or the value underflows (always at ``-inf``) and the product finite, else in log scale."""
+    if exponent.real <= _LOG_FLOAT_MAX and (exponent.real >= _LOG_FLOAT_MIN or log10_mag < _LOG10_TINY):
         value = a * cmath.exp(exponent) * b
         if cmath.isfinite(value):
             return value
-    # a * exp(exponent) overflows although the product with a small b is
-    # representable: combine the factors in log scale instead.
     scaled = a * b
-    if scaled == 0:
-        return 0j
-    return cmath.exp(exponent + cmath.log(scaled))
+    return cmath.exp(exponent + cmath.log(scaled)) if scaled else 0j
 
 
-def gaussian_moment_ratios(
-    j_max: int, w: complex, b: complex, hbar: float
-) -> list[complex]:
+def gaussian_moment_ratios(j_max: int, w: complex, b: complex, hbar: float) -> list[complex]:
     """Scaled moments ``M_j / M_0`` of ``exp(-(w x^2 - 2 sqrt(2) b x)/(2 hbar))``.
 
     Three-term recursion from integration by parts,
@@ -277,29 +266,24 @@ def gaussian_moment_ratios(
     """
     if w.real <= 0.0:
         raise DomainError(f"moment recursion needs Re(w) > 0, got {w!r}")
-    ratios = [1 + 0j]
-    prev2, prev1 = 0j, 1 + 0j
+    ratios = [0j, 1 + 0j]  # from M_-1 = 0
     for j in range(1, j_max + 1):
-        current = (hbar * (j - 1) * prev2 + math.sqrt(2.0) * b * prev1) / w
-        ratios.append(current)
-        prev2, prev1 = prev1, current
-    return ratios
+        ratios.append((hbar * (j - 1) * ratios[-2] + math.sqrt(2.0) * b * ratios[-1]) / w)
+    return ratios[1:]
 
 
 class XnAverage:
     """Prepared coherent-state average of ``x^n`` in the hyperbolic model.
 
-    The branch-tracked value is ``exp(exponent) 2^((n+1)/2) mag^(n+1) i^(k(n+1)) series``;
-    where ``cos(8 n mu hbar t) < 0`` (the sign of ``b^2``) the pre-integral route gives it.
+    The branch-tracked value is ``exp(exponent) 2^((n+1)/2) mag^(n+1) i^(k(n+1)) series``; where
+    ``cos(8 n mu hbar t) < 0`` (the sign of ``b^2``) the pre-integral route gives it, if float64 holds it.
     """
 
     __slots__ = ("n", "_guard", "_alpha", "_conj", "_hbar", "_phase", "_base", "_drift", "_shift",
                  "_root2", "_overflow", "_terms")
 
     @_captures_overflow
-    def __init__(
-        self, n: int, alpha: complex, params: SystemParams, guard: float = DEFAULT_GUARD
-    ) -> None:
+    def __init__(self, n: int, alpha: complex, params: SystemParams, guard: float = DEFAULT_GUARD) -> None:
         _check_xn_order(n)
         params.require_hyperbolic()
         a, hbar = complex(alpha), params.hbar
@@ -315,9 +299,12 @@ class XnAverage:
         self._terms = [(coef * hbar**j, power) for coef, j, power in _series_coefficients(n)]
 
     def _pieces(self, t: float, representable: bool = True) -> tuple:
-        """``(phi, bsq, mag, k, exponent, series, log10_mag)`` at ``t``, after the guard checks.
+        """``(phi, bsq, exponent, prefactor, series, log10_mag)``: the log form at ``t``, after the guard.
 
-        A phase or series beyond float64, or an exponent of ``inf - inf``, is :class:`FloatRangeError`.
+        A series below the normal range is summed in log scale over its largest term, with ``xi`` from
+        ``alpha`` scaled by a power of two (a subnormal ``alpha`` keeps its digits).  A phase or series
+        beyond float64, an ``inf - inf`` exponent, or an infinite one for the log10 magnitude alone, is
+        :class:`FloatRangeError`; a value above 1e307, long before the guard band, :class:`CollapseProximity`.
         """
         try:
             if self._overflow is not None:
@@ -336,53 +323,66 @@ class XnAverage:
                 series += coef * xb_mag**power * _I_POW[(k * power) % 4]
         except OverflowError as exc:
             raise FloatRangeError(f"<x^{self.n}> overflows float64 at t={t} ({exc})") from None
+        if (size := abs(series)) < _FLOAT_MIN:  # terms in log scale, over the largest; xi mag = m 2^(lift+e)
+            a = self._alpha
+            lift = math.frexp(max(abs(a.real), abs(a.imag)))[1]
+            m, e = math.frexp(2.0 * (complex(math.ldexp(a.real, -lift), math.ldexp(a.imag, -lift))
+                                     * cmath.exp(0.5j * phi)).real * mag)
+            log_x, logs = (lift + e) * math.log(2.0) + math.log(abs(m)) if m else -math.inf, []
+            for coef, j, power in _series_coefficients(self.n):
+                logs.append(math.log(coef) + j * math.log(self._hbar) + (power and power * log_x))
+            top = max(logs)
+            if top > -math.inf:  # else xi is exactly 0, and so is the odd-n average
+                series = 0j
+                for log_term, power in zip(logs, range(self.n, -1, -2)):
+                    series += math.exp(log_term - top) * _I_POW[((k + 2 * (m < 0)) * power) % 4]  # m^p's sign
+                exponent, size = exponent + top, abs(series)
         log10_mag = -math.inf if series == 0 else (
-            exponent / _LN10
-            + (self.n + 1) * (_HALF_LOG10_2 + math.log10(mag))
-            + math.log10(abs(series))
+            exponent / _LN10 + (self.n + 1) * (_HALF_LOG10_2 + math.log10(mag)) + math.log10(size)
         )
         if math.isnan(log10_mag):  # inf - inf: -s^2/(2 hbar) and xi^2 b^2/hbar beyond float64
             raise FloatRangeError(f"<x^{self.n}> is beyond float64 at t={t}: its log10 magnitude is nan")
-        # The magnitude blows up double-exponentially on the approach to a
-        # collapse time and leaves float64 range long before the guard band;
-        # treat that overflow zone as collapse proximity (log-scale evaluation
-        # stays available arbitrarily close).
-        if representable and log10_mag > 307.0:
-            raise CollapseProximity(
-                f"|<x^{self.n}>| ~ 1e{log10_mag:.0f} exceeds float64 range at t={t}; "
-                "use hyperbolic_xn_log10_magnitude for near-collapse scans"
-            )
-        return phi, bsq, mag, k, exponent, series, log10_mag
+        if not representable:
+            if math.isinf(exponent):  # xi^2 b^2/hbar (of either sign) or -s^2/(2 hbar) beyond float64
+                raise FloatRangeError(f"<x^{self.n}> is beyond float64 at t={t}: its exponent is {exponent}")
+        elif log10_mag > 307.0:
+            raise CollapseProximity(f"|<x^{self.n}>| ~ 1e{log10_mag:.0f} exceeds float64 range at t={t}; "
+                                    "use hyperbolic_xn_log10_magnitude for near-collapse scans")
+        n1 = self.n + 1
+        return phi, bsq, exponent, self._root2 * mag**n1 * _I_POW[(k * n1) % 4], series, log10_mag
 
-    def _integral_value(self, phi: float, t: float) -> complex:
-        """Pre-integral Gaussian route with principal square roots throughout."""
+    def _integral(self, phi: float, t: float) -> tuple[complex, bool]:
+        """The pre-integral value (principal square roots; the direct product wherever finite, as
+        ``bench/digest.json`` records it) and whether float64 holds its exponent and ``M_n``'s moments."""
         n, hbar = self.n, self._hbar
         w = 1.0 + cmath.exp(2j * phi)
         b = self._conj + self._alpha * cmath.exp(1j * phi)
         exponent = self._base + b * b / (hbar * w) + self._drift * t + self._shift * t * n * (n + 1)
-        ratios = gaussian_moment_ratios(n, w, b, hbar)
-        return _exp_product(exponent, cmath.sqrt(2.0 / w), ratios[n])
+        moments = gaussian_moment_ratios(n, w, b, hbar)[n % 2::2]
+        held = min(map(abs, moments)) >= _FLOAT_MIN and not cmath.isnan(exponent)
+        return _formed(exponent, cmath.sqrt(2.0 / w), moments[-1], -math.inf), held
 
     def __call__(self, t: float) -> complex:
-        phi, bsq, mag, k, exponent, series, _ = self._pieces(t)
-        if bsq > 0.0:  # cos(8 n mu hbar t) > 0: the branch-tracked route
-            n1 = self.n + 1
-            return _exp_product(exponent, self._root2 * mag**n1 * _I_POW[(k * n1) % 4], series)
-        return self._integral_value(phi, t)
+        phi, bsq, exponent, prefactor, series, log10_mag = self._pieces(t)
+        if bsq < 0.0:  # cos(8 n mu hbar t) < 0: the pre-integral route, where float64 holds it
+            value, held = self._integral(phi, t)
+            if held or series == 0:
+                return value
+        return _formed(exponent, prefactor, series, log10_mag)
 
     def paths(self, t: float) -> tuple[complex, complex]:
-        phi, _, mag, k, exponent, series, _ = self._pieces(t)
-        n1 = self.n + 1
-        closed = _exp_product(exponent, self._root2 * mag**n1 * _I_POW[(k * n1) % 4], series)
-        return closed, self._integral_value(phi, t)
+        """Both routes' values ``(branch-tracked, pre-integral)`` at ``t``, each from its own arithmetic.
+
+        The branch-tracked value is exact wherever float64 holds the average.  The pre-integral one is
+        formed directly wherever finite, so a subnormal ``exp(exponent)`` costs it digits; at a tiny
+        ``alpha`` its odd moments (of ``n``'s parity, which build ``M_n``) underflow and it loses digits or
+        is ``0``; an ``inf - inf`` exponent makes it ``nan``.  :meth:`__call__` does not take it there.
+        """
+        phi, _, *form = self._pieces(t)
+        return _formed(*form), self._integral(phi, t)[0]
 
     def log10_magnitude(self, t: float) -> float:
-        *_, exponent, _, log10_mag = self._pieces(t, representable=False)
-        if math.isinf(exponent):  # xi^2 b^2/hbar (of either sign) or -s^2/(2 hbar) beyond float64
-            raise FloatRangeError(
-                f"<x^{self.n}> is beyond float64 at t={t}: its exponent is {exponent}"
-            )
-        return log10_mag
+        return self._pieces(t, representable=False)[-1]
 
 
 class XnClassical(_FloatChecked):
@@ -416,8 +416,8 @@ def hyperbolic_xn_average(
 
     Valid on every open interval between collapse times; on intervals where
     ``cos(8 n mu hbar t) < 0`` the pre-integral route (whose square-root
-    branch is unambiguous) is authoritative.  Both routes agree to float
-    precision everywhere; see :func:`hyperbolic_xn_paths`.
+    branch is unambiguous) is authoritative where float64 holds its moments,
+    and there both routes agree to float precision (:func:`hyperbolic_xn_paths`).
 
     Raises
     ------
@@ -442,10 +442,9 @@ def hyperbolic_xn_log10_magnitude(
     """``log10 |<x^n>(t)|`` without forming the value (collapse-scan safe).
 
     Near a collapse time the magnitude overflows float64 although its
-    logarithm is perfectly representable; approach sequences are therefore
-    reported in log scale.  A logarithm beyond float64 (an exponent of
+    logarithm is representable.  A logarithm beyond float64 (an exponent of
     ``+inf`` or ``-inf``) is :class:`FloatRangeError`; ``-inf`` is returned
-    only for an average that is exactly zero.
+    only for an exactly zero average: a series that would underflow is factored.
     """
     return XnAverage(n, alpha, params, guard).log10_magnitude(t)
 

@@ -117,6 +117,15 @@ CASES = {
         "t_max = 1e-300\npoints = 2\n",
         (), 2, "",
     ),
+    # past the first collapse, -s^2/(2 hbar) and xi^2 b^2/hbar are both -inf: the pre-integral
+    # exponent is inf - inf, and the closed cell is 0 (the average underflows), not nan
+    "nan-integral-exponent": (
+        "evolve",
+        "kind = hyperbolic\nomega = 1.4975634430323286\nmu = -0.15861691893290647\n"
+        "hbar = 0.05320775225274737\nalpha = 1.347247430024863e+158\nobservable = x^1\n"
+        "t_min = 24.77643850363027\nt_max = 24.77643850363027\npoints = 1\nguard = 0\n",
+        (), 0, ",0.0000000000000000e+00,0.0000000000000000e+00,closed,0\n",
+    ),
     # the oracle's phases beyond float64: one stderr line, no numpy warnings before it
     "oracle-phase": (
         "evolve",
@@ -127,17 +136,21 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_program_exit_code_and_streams(case, tmp_path):
-    command, text, flags, code, needle = CASES[case]
+def _run(tmp_path, command, text, flags=()):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "cohevol.cli", command, "--config", str(cfg), *flags],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_program_exit_code_and_streams(case, tmp_path):
+    command, text, flags, code, needle = CASES[case]
+    done = _run(tmp_path, command, text, flags)
     assert done.returncode == code, done.stderr
     if code == 0:
         assert done.stderr == ""
@@ -148,3 +161,21 @@ def test_program_exit_code_and_streams(case, tmp_path):
         assert done.stdout == ""
         assert done.stderr.startswith(STDERR[code])
         assert done.stderr.count("\n") == 1
+
+
+def test_subnormal_alpha_gives_values_and_flagged_rows(tmp_path):
+    # alpha = 2.088e-320: every power of xi in the x^11 series underflows unless the series is
+    # summed in log scale; the expected values come from 60-digit mpmath
+    done = _run(tmp_path, "evolve", (
+        "kind = hyperbolic\nomega = 1.2332\nmu = -0.18218\nhbar = 0.023434\nalpha = 2.088e-320\n"
+        "observable = x^11\nt_max = 71.97\npoints = 5\n"
+    ))
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    rows = [line.split(",") for line in done.stdout.splitlines() if ",closed," in line]
+    assert [float(row[0]) for row in rows] == [0.0, 17.9925, 35.985, 53.9775, 71.97]
+    assert float(rows[0][1]) == 0.0  # 6.8e-326, below the smallest subnormal
+    for row, expected in zip(rows[1:3], (1.412843632e-113, 2.07439547e+100)):
+        assert row[4] == "0"
+        assert float(row[1]) == pytest.approx(expected, rel=1e-9)
+    assert [row[4] for row in rows[3:]] == ["1", "1"]  # 1.7e+316 and 5.3e+525

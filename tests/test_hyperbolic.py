@@ -252,6 +252,69 @@ class TestFloatRange:
         assert messages[0] == messages[1]
 
 
+def _mp_xn(mp, n, alpha, params, t):
+    """``(log10 |<x^n>|, <x^n>)`` of the branch-tracked closed form at 50 digits, from exact float inputs.
+
+    The phase ``8 n mu hbar t`` is taken as float64 forms it: where ``xi`` nearly cancels
+    (``alpha exp(i phi/2)`` nearly imaginary), its last bit moves the value by more than 1e-9.
+    """
+    with mp.workdps(50):
+        a, hbar = mp.mpc(alpha.real, alpha.imag), mp.mpf(params.hbar)
+        phi = mp.mpf(8.0 * n * params.mu * params.hbar * t)
+        k = int(mp.floor(0.5 + phi / mp.pi))
+        b = mp.sqrt(abs(1 / (2 * mp.cos(phi)))) * (1, 1j, -1, -1j)[k % 4]  # the tracked root of 1/(2 cos phi)
+        xi = 2 * mp.re(a * mp.exp(0.5j * phi))
+        exponent = -(2 * mp.re(a)) ** 2 / (2 * hbar) + xi**2 * b**2 / hbar + 2 * params.omega * n * mp.mpf(t)
+        series = sum(
+            mp.factorial(n) / (4**j * mp.factorial(j) * mp.factorial(n - 2 * j))
+            * hbar**j * (xi * b) ** (n - 2 * j) for j in range(n // 2 + 1)
+        )
+        value = mp.exp(exponent) * (mp.sqrt(2) * b) ** (n + 1) * series
+        return float(mp.log10(abs(value))), value
+
+
+class TestTinyAlpha:
+    """A subnormal alpha: the series, which would underflow, is summed in log scale."""
+
+    def test_log10_magnitude_on_the_subnormal_alpha_grid(self):
+        # 60-digit mpmath values; the unfactored series read -inf at every t
+        evaluator = XnAverage(11, 2.088e-320, make_hyperbolic_params(1.2332, -0.18218, 0.023434), 0.0)
+        expected = (-325.168864209, -112.849905902, 100.316891555, 316.232411406, 525.727759527)
+        for i, log10_mag in enumerate(expected):
+            assert evaluator.log10_magnitude(71.97 * i / 4) == pytest.approx(log10_mag, abs=1e-8)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=20),
+        decades=st.tuples(st.floats(min_value=-323.0, max_value=-300.0),
+                          st.floats(min_value=-323.0, max_value=-300.0)),
+        signs=st.tuples(st.sampled_from((-1.0, 1.0)), st.sampled_from((-1.0, 1.0))),
+        omega=st.floats(min_value=0.5, max_value=2.0),
+        mu=st.floats(min_value=0.01, max_value=0.2),
+        mu_sign=st.sampled_from((-1.0, 1.0)),
+        hbar=st.floats(min_value=0.005, max_value=0.2),
+        interval=st.integers(min_value=0, max_value=4),
+        offset=st.floats(min_value=-1.0, max_value=1.0),
+    )
+    @example(n=3, decades=(-318.0, -323.0), signs=(1.0, 1.0), omega=1.0, mu=0.05, mu_sign=1.0, hbar=0.1,
+             interval=0, offset=0.0)  # t = 0, Im alpha at the smallest subnormal
+    def test_against_mpmath(self, n, decades, signs, omega, mu, mu_sign, hbar, interval, offset):
+        mp = pytest.importorskip("mpmath")
+        alpha = complex(signs[0] * 10.0 ** decades[0], signs[1] * 10.0 ** decades[1])
+        params = make_hyperbolic_params(omega, mu_sign * mu, hbar)
+        # |cos(8 n mu hbar t)| >= 0.05, of the sign (-1)^interval
+        t = abs(interval * math.pi + offset * math.acos(0.05)) / (8.0 * n * mu * hbar)
+        evaluator = XnAverage(n, alpha, params, 0.0)
+        log10_mag, value = _mp_xn(mp, n, alpha, params, t)
+        assert evaluator.log10_magnitude(t) == pytest.approx(log10_mag, abs=1e-8)
+        if log10_mag > 307.0 + 1e-6:
+            with pytest.raises(CollapseProximity):
+                evaluator(t)
+        elif log10_mag < 307.0 - 1e-6:
+            with mp.workdps(50):
+                assert abs(mp.mpc(evaluator(t)) - value) <= 1e-9 * abs(value) + 5e-324
+
+
 class TestClassicalFlow:
     def test_exp_beyond_float64_is_formed_in_log_scale(self):
         # exp(rate t) alone overflows past t ~ 215; x0 exp(rate t) is 0 at alpha = 0 and

@@ -1,11 +1,19 @@
 """Prepared closed-form evaluators against the per-call code they replaced, bit for bit.
 
 The ``_ref_*`` functions below are a copy of the closed-form code that ran
-every check and formed every constant at each call, with two later changes:
+every check and formed every constant at each call, with three later changes:
 an ``x^n`` series beyond float64, a ``nan`` log10 magnitude, a ``+inf`` one
 from the log10 magnitude functions and a regime classification of an
-``alpha`` whose ``|alpha|^2`` overflows raise :class:`FloatRangeError`; and
-the classical ``x^n`` is formed in log scale where ``exp`` alone overflows.
+``alpha`` whose ``|alpha|^2`` overflows raise :class:`FloatRangeError`; the
+classical ``x^n`` is formed in log scale where ``exp`` alone overflows; and
+the quantum ``x^n`` keeps one log form: a series below float64's normal
+range is formed in log scale over its largest term, whose log joins the
+exponent (``xi`` formed from ``alpha`` scaled by a power of two), the
+branch-tracked value is formed in log scale also where ``exp(exponent)`` is
+below the normal range and the value is not below the smallest subnormal,
+and ``cos(8 n mu hbar t) < 0`` takes the branch-tracked value where the
+pre-integral exponent is ``nan`` or a moment of ``n``'s parity is below the
+normal range.
 Each public function and each evaluator reused across several times must
 give the same ``repr`` of its value, or raise the same exception type with
 the same message.
@@ -138,6 +146,23 @@ def _ref_pieces(n, alpha, params, t):
             series += coef * params.hbar**j * xb_mag**power * _I_POW[(k * power) % 4]
     except OverflowError as exc:
         raise FloatRangeError(f"<x^{n}> overflows float64 at t={t} ({exc})") from None
+    if abs(series) < sys.float_info.min:
+        # each term in log scale, over the largest: xi mag = m 2^(lift + e), xi from alpha / 2^lift
+        lift = math.frexp(max(abs(a.real), abs(a.imag)))[1]
+        lifted = complex(math.ldexp(a.real, -lift), math.ldexp(a.imag, -lift))
+        m, e = math.frexp(2.0 * (lifted * cmath.exp(0.5j * phi)).real * mag)
+        log_x = (lift + e) * math.log(2.0) + math.log(abs(m)) if m else -math.inf
+        logs = []
+        for j in range(n // 2 + 1):
+            coef = math.factorial(n) / (4.0**j * math.factorial(j) * math.factorial(n - 2 * j))
+            power = n - 2 * j
+            logs.append((math.log(coef) + j * math.log(params.hbar) + (power and power * log_x), power))
+        top = max(log for log, _ in logs)
+        if top > -math.inf:
+            series = 0j
+            for log, power in logs:
+                series += math.exp(log - top) * _I_POW[((k + 2 * (m < 0)) * power) % 4]
+            exponent += top
     return exponent, mag, k, series, bsq > 0.0
 
 
@@ -155,8 +180,9 @@ def _ref_log10(n, pieces, t):
     return log10_mag
 
 
-def _ref_exp_product(exponent, a, b):
-    if exponent.real <= _LOG_FLOAT_MAX:
+def _ref_exp_product(exponent, a, b, log10_mag):
+    normal = exponent.real >= math.log(sys.float_info.min) or log10_mag < math.log10(5e-324)
+    if exponent.real <= _LOG_FLOAT_MAX and normal:
         value = a * cmath.exp(exponent) * b
         if cmath.isfinite(value):
             return value
@@ -166,13 +192,13 @@ def _ref_exp_product(exponent, a, b):
     return cmath.exp(exponent + cmath.log(scaled))
 
 
-def _ref_closed_value(n, pieces):
+def _ref_closed_value(n, pieces, log10_mag):
     exponent, mag, k, series, _ = pieces
     prefactor = 2.0 ** ((n + 1) / 2.0) * mag ** (n + 1) * _I_POW[(k * (n + 1)) % 4]
-    return _ref_exp_product(exponent, prefactor, series)
+    return _ref_exp_product(exponent, prefactor, series, log10_mag)
 
 
-def _ref_integral_value(n, alpha, params, t):
+def _ref_integral_factors(n, alpha, params, t):
     a = complex(alpha)
     theta = 8.0 * n * params.mu * params.hbar * t
     w = 1.0 + cmath.exp(2j * theta)
@@ -186,10 +212,10 @@ def _ref_integral_value(n, alpha, params, t):
     )
     if w.real <= 0.0:
         raise DomainError(f"moment recursion needs Re(w) > 0, got {w!r}")
-    prev2, prev1 = 0j, 1 + 0j
+    moments = [0j, 1 + 0j]  # M_-1 and M_0, over M_0
     for j in range(1, n + 1):
-        prev2, prev1 = prev1, (params.hbar * (j - 1) * prev2 + math.sqrt(2.0) * b * prev1) / w
-    return _ref_exp_product(exponent, cmath.sqrt(2.0 / w), prev1)
+        moments.append((params.hbar * (j - 1) * moments[-2] + math.sqrt(2.0) * b * moments[-1]) / w)
+    return exponent, cmath.sqrt(2.0 / w), moments[1:]
 
 
 def _ref_guarded(n, alpha, params, t, guard):
@@ -207,19 +233,25 @@ def _ref_representable(n, alpha, params, t, guard):
             f"|<x^{n}>| ~ 1e{log10_mag:.0f} exceeds float64 range at t={t}; "
             "use hyperbolic_xn_log10_magnitude for near-collapse scans"
         )
-    return pieces
+    return pieces, log10_mag
 
 
 def hyperbolic_xn_average_ref(n, alpha, params, t, guard):
-    pieces = _ref_representable(n, alpha, params, t, guard)
+    pieces, log10_mag = _ref_representable(n, alpha, params, t, guard)
     if pieces[-1]:
-        return _ref_closed_value(n, pieces)
-    return _ref_integral_value(n, alpha, params, t)
+        return _ref_closed_value(n, pieces, log10_mag)
+    exponent, root, moments = _ref_integral_factors(n, alpha, params, t)
+    held = all(abs(moment) >= sys.float_info.min for moment in moments[n % 2::2])
+    if (held and not cmath.isnan(exponent)) or pieces[3] == 0:
+        return _ref_exp_product(exponent, root, moments[n], -math.inf)
+    return _ref_closed_value(n, pieces, log10_mag)
 
 
 def hyperbolic_xn_paths_ref(n, alpha, params, t, guard):
-    pieces = _ref_representable(n, alpha, params, t, guard)
-    return _ref_closed_value(n, pieces), _ref_integral_value(n, alpha, params, t)
+    pieces, log10_mag = _ref_representable(n, alpha, params, t, guard)
+    exponent, root, moments = _ref_integral_factors(n, alpha, params, t)
+    integral = _ref_exp_product(exponent, root, moments[n], -math.inf)
+    return _ref_closed_value(n, pieces, log10_mag), integral
 
 
 def hyperbolic_xn_log10_magnitude_ref(n, alpha, params, t, guard):
@@ -386,6 +418,9 @@ def _prepared(n, m, q, alpha, params, guard):
          guard=0.0)
 # alpha = 0: the odd-n average is exactly 0 and its log10 magnitude -inf
 @example(n=1, m=1, q=0, omega=1.0, mu=0.1, hbar=0.1, re=0.0, im=0.0, spacings=[0.0, 0.49], guard=0.0)
+# alpha = 1e-318: the x^3 series is below the normal range and formed in log scale, at t = 0,
+# where cos(8 n mu hbar t) > 0 and where it is < 0
+@example(n=3, m=1, q=0, omega=1.0, mu=0.05, hbar=0.1, re=1e-318, im=0.0, spacings=[0.0, 0.3, 1.2], guard=0.0)
 # right on the first collapse time and just past it
 @example(n=3, m=0, q=2, omega=1.0, mu=0.1, hbar=0.1, re=0.7, im=-0.4, spacings=[0.5, 0.5000001], guard=0.0)
 def test_prepared_equals_per_call(n, m, q, omega, mu, hbar, re, im, spacings, guard):
