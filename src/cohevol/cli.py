@@ -6,16 +6,7 @@ import argparse
 import math
 import sys
 
-from .core import (
-    CollapseProximity,
-    ConfigError,
-    ConvergenceError,
-    DegreeError,
-    DimensionError,
-    DomainError,
-    StencilError,
-    TailMassError,
-)
+from .core import ConfigError, ConvergenceError, DimensionError, DomainError
 from .harness import (
     RunConfig,
     cmd_collapse_scan,
@@ -30,11 +21,6 @@ from .harness import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CONVERGENCE = 3
-EXIT_GUARD = 4
-
-_CONFIG_ERRORS = (ConfigError, DomainError, DegreeError, DimensionError, OSError)
-_CONVERGENCE_ERRORS = (ConvergenceError, TailMassError)
-_GUARD_ERRORS = (CollapseProximity, StencilError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -95,15 +81,12 @@ def main(argv: "list[str] | None" = None) -> int:
         if args.out is not None:
             with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
                 handle.write(text)
-    except _CONFIG_ERRORS as exc:
+    except (ConfigError, DomainError, DimensionError, OSError) as exc:
         print(f"cohevol: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _CONVERGENCE_ERRORS as exc:
+    except ConvergenceError as exc:
         print(f"cohevol: convergence failure: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except _GUARD_ERRORS as exc:
-        print(f"cohevol: guard violation: {exc}", file=sys.stderr)
-        return EXIT_GUARD
     if args.out is None:
         sys.stdout.write(text)
     return EXIT_OK

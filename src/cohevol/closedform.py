@@ -119,8 +119,7 @@ def collapse_times(
     t_lo, t_hi = window
     if t_hi < t_lo:
         raise DomainError("window must satisfy t_min <= t_max")
-    base = math.pi / (16.0 * params.mu * n * params.hbar)
-    spacing = 2.0 * base  # signed: negative when mu < 0
+    base, spacing = _collapse_lattice(n, params)
     lo = (t_lo - base) / spacing
     hi = (t_hi - base) / spacing
     if lo > hi:
@@ -128,6 +127,12 @@ def collapse_times(
     ells = range(math.ceil(lo - 1e-12), math.floor(hi + 1e-12) + 1)
     times = [base + ell * spacing for ell in ells]
     return sorted(t for t in times if t_lo - 1e-12 <= t <= t_hi + 1e-12)
+
+
+def _collapse_lattice(n: int, params: SystemParams) -> tuple[float, float]:
+    """``(base, spacing)`` of the collapse times ``base + l spacing`` (``mu != 0``); signed like ``mu``."""
+    base = math.pi / (16.0 * params.mu * n * params.hbar)
+    return base, 2.0 * base
 
 
 def check_collapse_guard(
@@ -140,15 +145,17 @@ def check_collapse_guard(
     """
     if params.mu == 0.0 or guard <= 0.0:
         return
-    r = 8.0 * n * params.mu * params.hbar * t / math.pi - 0.5
+    _check_guard(n, 8.0 * n * params.mu * params.hbar * t, t, guard)
+
+
+def _check_guard(n: int, phi: float, t: float, guard: float) -> None:
+    """Raise :class:`CollapseProximity` where the phase ``phi = 8 n mu hbar t`` is within ``guard`` (> 0)
+    of a collapse, in units of the spacing."""
+    r = phi / math.pi - 0.5
     if abs(r - round(r)) < guard:
-        raise _near_collapse(n, t, guard)
-
-
-def _near_collapse(n: int, t: float, guard: float) -> CollapseProximity:
-    return CollapseProximity(
-        f"t={t} is within {guard:g} of a collapse time for n={n} (shrink the guard to scan closer)"
-    )
+        raise CollapseProximity(
+            f"t={t} is within {guard:g} of a collapse time for n={n} (shrink the guard to scan closer)"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +318,7 @@ class XnAverage:
                 raise OverflowError(*self._overflow)
             phi = self._phase * t
             if self._guard:  # 0.0 where check_collapse_guard checks nothing
-                r = phi / math.pi - 0.5
-                if abs(r - round(r)) < self._guard:
-                    raise _near_collapse(self.n, t, self._guard)
+                _check_guard(self.n, phi, t, self._guard)
             k, bsq, mag = _tracked_branch(phi)
             xi = 2.0 * (self._alpha * cmath.exp(0.5j * phi)).real  # real for every alpha
             exponent = self._base + xi * xi * bsq / self._hbar + self._drift * t
@@ -401,11 +406,11 @@ class XnClassical(_FloatChecked):
 
     def _value(self, t: float) -> complex:
         exponent, x0 = self._rate * t, self._x0
-        if exponent <= _LOG_FLOAT_MAX:
+        if exponent <= _LOG_FLOAT_MAX and (abs(self._start) >= _FLOAT_MIN or x0 == 0.0):
             return complex(self._start * math.exp(exponent))
-        if x0 == 0.0:  # exp alone is beyond float64: form x0^n exp in log scale
+        if x0 == 0.0:  # exp alone is beyond float64
             return 0j
-        mag = math.exp(exponent + self._n * math.log(abs(x0)))  # x0^n may underflow: not its log
+        mag = math.exp(exponent + self._n * math.log(abs(x0)))  # exp overflows or x0^n is not normal
         return complex(-mag if x0 < 0.0 and self._n % 2 else mag)
 
 

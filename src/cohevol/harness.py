@@ -352,8 +352,7 @@ def cmd_collapse_scan(config: RunConfig) -> TableResult:
     n_rows = len(APPROACH_EXPONENTS) * (hi - lo + 1)
     if n_rows > _MAX_SCAN_ROWS:
         raise ConfigError(f"collapse-scan is limited to {_MAX_SCAN_ROWS:,} rows, got {n_rows:,}")
-    base = math.pi / (16.0 * params.mu * obs.n * params.hbar)
-    spacing = 2.0 * base
+    base, spacing = closedform._collapse_lattice(obs.n, params)
     log10_magnitude = closedform.XnAverage(obs.n, config.alpha, params, guard=0.0).log10_magnitude
     rows = []
     for ell in range(lo, hi + 1):
@@ -425,10 +424,10 @@ def _first_crossings(
 ) -> tuple[float | None, float | None]:
     """First times where the absolute and the relative gap reach ``threshold``.
 
-    One grid scan, stopped once both gaps have crossed; ``gaps(t)`` returns
-    both from one (quantum, classical) pair.  Each crossing is bisected to
-    ``_BISECT_REL`` of the grid interval where the scan finds it (a crossing
-    at the first point is that point).
+    One grid scan, stopped once both gaps have crossed or where ``gaps(t)`` (both from one
+    (quantum, classical) pair) raises :class:`CollapseProximity`; a gap not crossed by then is None.
+    Each crossing is bisected to ``_BISECT_REL`` of the grid interval where the scan finds it (a
+    crossing at the first point is that point); a midpoint that raises ends it at the bracket's upper end.
     """
 
     def bisect(which: int, lo: float | None, hi: float) -> float:
@@ -437,7 +436,11 @@ def _first_crossings(
         width0 = hi - lo
         while (hi - lo) > _BISECT_REL * width0:
             mid = 0.5 * (lo + hi)
-            if gaps(mid)[which] >= threshold:
+            try:
+                crossed = gaps(mid)[which] >= threshold
+            except CollapseProximity:
+                break
+            if crossed:
                 hi = mid
             else:
                 lo = mid
@@ -445,7 +448,10 @@ def _first_crossings(
 
     t_abs = t_rel = previous_t = None
     for t in grid:
-        abs_gap, rel_gap = gaps(t)
+        try:
+            abs_gap, rel_gap = gaps(t)
+        except CollapseProximity:
+            break
         if t_abs is None and abs_gap >= threshold:
             t_abs = bisect(0, previous_t, t)
         if t_rel is None and rel_gap >= threshold:
@@ -463,7 +469,9 @@ def cmd_ehrenfest(config: RunConfig, hbar_list: "tuple[float, ...] | None" = Non
     classical mean position once per point and takes both the absolute and
     the relative gap from that pair.  The first time each gap reaches
     ``breakdown_threshold`` is refined by bisection (to 1e-4 of the
-    bracketing interval), and both crossings are reported; fits of the
+    bracketing interval), and both crossings are reported, None where not
+    found before the first point without a closed-form value (the collapse
+    guard band, or ``|<x>|`` above 1e307), where the scan ends.  Fits of the
     absolute-gap times against ``ln(1/hbar)`` and in log-log space are
     emitted side by side, each ``none`` where :class:`EhrenfestFit` leaves it
     None.  Only the hyperbolic mean position ``x^1`` is measured; any other

@@ -67,6 +67,13 @@ CASES = {
         "breakdown_threshold = 7.25e-06\nt_max = 268.026\npoints = 2\nguard = 0\n",
         (), 0, "",
     ),
+    # x0^2 = 2e-340 underflows where exp(rate t) fits: formed in log scale (mpmath 1.9178897465698863e-53)
+    "classical-tiny-alpha": (
+        "evolve",
+        "kind = hyperbolic\nomega = 1.652\nmu = -0.0583\nhbar = 0.1\nalpha = 1e-170\nobservable = x^2\n"
+        "t_min = 100\nt_max = 100\npoints = 1\nsources = classical\n",
+        (), 0, "1.0000000000000000e+02,1.91788974656988",
+    ),
     # four crossings at one hbar give no line through ln(1/hbar): the fits read none
     "one-hbar": (
         "ehrenfest",
@@ -179,3 +186,19 @@ def test_subnormal_alpha_gives_values_and_flagged_rows(tmp_path):
         assert row[4] == "0"
         assert float(row[1]) == pytest.approx(expected, rel=1e-9)
     assert [row[4] for row in rows[3:]] == ["1", "1"]  # 1.7e+316 and 5.3e+525
+
+
+def test_ehrenfest_scan_ends_where_the_closed_form_gives_no_value(tmp_path):
+    # the shipped config on t in [0, 400]: at hbar 1e-5 and 1e-6 the relative gap has not crossed
+    # when |<x>| passes 1e307 (t = 353.88, long before the first collapse), so the scan ends there
+    text = (ROOT / "configs" / "ehrenfest.cfg").read_text()
+    text = text.replace("t_max = 10.0", "t_max = 400").replace("points = 200", "points = 400")
+    done = _run(tmp_path, "ehrenfest", text)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    rows = [line.split(",") for line in done.stdout.splitlines()[-5:]]
+    assert [row[3] for row in rows] == ["ok"] * 5
+    assert all(row[1] for row in rows)
+    assert [row[2] for row in rows] == [
+        "2.9170460330513784e+01", "9.2997569607612789e+01", "2.9432565789473682e+02", "", "",
+    ]

@@ -1,9 +1,10 @@
-"""The README documents exactly the config keys and CLI flags the code accepts."""
+"""The README documents exactly the config keys, CLI flags and exit codes the code has."""
 
 import argparse
 import re
 from pathlib import Path
 
+from cohevol import cli
 from cohevol.cli import _build_parser
 from cohevol.harness import _KEY_PARSERS, RunConfig
 
@@ -20,6 +21,11 @@ def _readme_common_flags() -> set:
     start = README.index("Common flags:")
     paragraph = README[start:README.index("\n\n", start)]
     return set(re.findall(r"`(--[a-z-]+)", paragraph))
+
+
+def _readme_exit_codes() -> set:
+    listing = re.search(r"\(exit codes: ([^)]*)\)", README).group(1)
+    return {int(code) for code in re.findall(r"(?:^|, )(\d+) ", listing)}
 
 
 def _parser_flags() -> set:
@@ -44,3 +50,8 @@ def test_every_config_field_is_its_key():
 
 def test_common_flags_match_the_cli():
     assert _readme_common_flags() == _parser_flags()
+
+
+def test_exit_code_list_matches_the_cli():
+    codes = {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+    assert _readme_exit_codes() == codes

@@ -416,6 +416,29 @@ class TestEhrenfest:
         crossings, seen = scan(harness._first_crossings)
         assert (crossings, seen) == scan(_deferred_first_crossings)
 
+    def test_first_crossings_stop_where_the_closed_form_gives_no_value(self):
+        # the absolute gap crosses between t = 1 and 2; at t = 3 the closed form has no value
+        seen = []
+
+        def gaps(t):
+            seen.append(t)
+            if t >= 3.0:
+                raise core.CollapseProximity(f"t={t}")
+            return t, 0.0
+
+        t_abs, t_rel = harness._first_crossings(gaps, [0.0, 1.0, 2.0, 3.0, 4.0], 1.5)
+        assert 1.5 <= t_abs <= 1.5 + harness._BISECT_REL and t_rel is None
+        assert max(seen) == 3.0
+
+    def test_first_crossings_end_a_bisection_at_a_midpoint_without_value(self):
+        # midpoints 0.5 (crossed), 0.25, 0.375 (crossed), 0.3125 (crossed), then 0.28125 raises
+        def gaps(t):
+            if 0.26 < t < 0.29:
+                raise core.CollapseProximity(f"t={t}")
+            return t, 0.0
+
+        assert harness._first_crossings(gaps, [0.0, 1.0], 0.3) == (0.3125, None)
+
 
 class TestDispersionRegimes:
     def test_start_is_small_correction(self):
@@ -521,8 +544,8 @@ class TestWritersAndCli:
         )
         assert main(["evolve", "--config", str(cfg)]) == 3
 
-    def test_cli_guard_violation_exit_code(self, tmp_path):
-        # ehrenfest scan driven into the collapse band with a huge threshold
+    def test_cli_scan_into_the_guard_band_ends_the_scan(self, tmp_path, capsys):
+        # ehrenfest scan driven into the collapse band with a huge threshold: the scan stops there
         t0 = math.pi / (16.0 * 0.2 * 0.2)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -530,7 +553,12 @@ class TestWritersAndCli:
             f"t_min = 0.0\nt_max = {2.0 * t0}\npoints = 400\nguard = 0.05\n"
             "breakdown_threshold = 1e280\nhbar_list = 0.2\n"
         )
-        assert main(["ehrenfest", "--config", str(cfg)]) == 4
+        assert main(["ehrenfest", "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert _csv_rows(captured.out) == [["2.0000000000000001e-01", "", "", "breakdown-not-found"]]
+        fits = [line for line in captured.out.splitlines() if line.startswith("# fit_")]
+        assert len(fits) == 6 and all(line.endswith("=none") for line in fits)
 
     def test_cli_oracle_flag_adds_source(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -339,6 +339,45 @@ class TestClassicalFlow:
         assert hyperbolic_classical_xn(2, -1e-200, params, t) == hyperbolic_classical_xn(2, 1e-200, params, t)
         assert hyperbolic_classical_xn(3, -1e-200, params, t) == -hyperbolic_classical_xn(3, 1e-200, params, t)
 
+    def test_x0_power_below_the_normal_range_is_formed_in_log_scale(self):
+        # 40-digit mpmath; x0^2 underflows to 0 and x0^3 to one subnormal step, where exp(rate t) fits
+        params = make_hyperbolic_params(1.652, -0.0583, 0.1)
+        for n, alpha, t, expected in ((2, 1e-170, 100.0, 1.9178897465698863e-53),
+                                      (3, 1e-108, 70.0, 6.0593817876141879e-23)):
+            assert hyperbolic_classical_xn(n, alpha, params, t) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=20),
+        decade=st.floats(min_value=-320.0, max_value=-100.0),
+        sign=st.sampled_from((-1.0, 1.0)),
+        imag=st.floats(min_value=-2.0, max_value=2.0),
+        omega=st.floats(min_value=0.5, max_value=2.0),
+        mu=st.floats(min_value=-0.2, max_value=0.2),
+        log_size=st.floats(min_value=-760.0, max_value=720.0),
+    )
+    def test_tiny_alpha_against_mpmath(self, n, decade, sign, imag, omega, mu, log_size):
+        mp = pytest.importorskip("mpmath")
+        alpha = complex(sign * 10.0**decade, imag)
+        x0, p0 = math.sqrt(2.0) * alpha.real, math.sqrt(2.0) * alpha.imag
+        rate = n * (2.0 * omega - 8.0 * mu * x0 * p0)  # as float64 forms x0 and the rate
+        # the time at which |x0^n exp(rate t)| is about e^log_size, around float64's range
+        t = max(0.0, (log_size - n * math.log(abs(x0))) / rate)
+        with mp.workdps(40):
+            expected = mp.mpf(x0) ** n * mp.exp(mp.mpf(rate) * mp.mpf(t))
+            log_expected = float(mp.log(abs(expected)))
+        evaluate = XnClassical(n, alpha, make_hyperbolic_params(omega, mu, 0.1))
+        if log_expected > math.log(sys.float_info.max) + 1e-9:
+            with pytest.raises(FloatRangeError):
+                evaluate(t)
+        elif log_expected < math.log(sys.float_info.max) - 1e-9:
+            value = evaluate(t)
+            # the log form's own rounding: its exponent's terms, each to a few ulps
+            rel = 2e-15 * (1.0 + abs(rate * t) + n * abs(math.log(abs(x0))))
+            assert value.imag == 0.0
+            with mp.workdps(40):
+                assert abs(mp.mpf(value.real) - expected) <= rel * abs(expected) + 5e-324
+
     def test_initial_value(self):
         alpha = 0.6 + 0.2j
         assert hyperbolic_classical_xn(1, alpha, P, 0.0) == pytest.approx(
