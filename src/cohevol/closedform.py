@@ -406,11 +406,13 @@ class XnClassical(_FloatChecked):
 
     def _value(self, t: float) -> complex:
         exponent, x0 = self._rate * t, self._x0
-        if exponent <= _LOG_FLOAT_MAX and (abs(self._start) >= _FLOAT_MIN or x0 == 0.0):
+        if exponent <= _LOG_FLOAT_MAX and (
+            x0 == 0.0 or abs(self._start) >= _FLOAT_MIN and exponent >= _LOG_FLOAT_MIN
+        ):
             return complex(self._start * math.exp(exponent))
         if x0 == 0.0:  # exp alone is beyond float64
             return 0j
-        mag = math.exp(exponent + self._n * math.log(abs(x0)))  # exp overflows or x0^n is not normal
+        mag = math.exp(exponent + self._n * math.log(abs(x0)))  # exp or x0^n is not a normal float
         return complex(-mag if x0 < 0.0 and self._n % 2 else mag)
 
 

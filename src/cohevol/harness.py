@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from functools import partial
+from itertools import chain, groupby
 
 from . import closedform
 from .closedform import (  # noqa: F401  the three functions only for bench/spans.py to wrap here
@@ -603,38 +604,32 @@ _JSON_ESCAPES.update({ord("\\"): "\\\\", ord('"'): '\\"'})
 
 
 def _row_lines(rows, slots: dict, cell, as_json: bool = False) -> list[str]:
-    """Each row's cells joined by ``,``, through one ``%`` template per row type signature.
+    """The text of each run of rows with one type signature, rows joined as the writer joins lines.
 
-    A row holding a type with no slot (``bool``, a numpy scalar) goes through
-    ``cell`` one cell at a time instead.  With ``as_json`` each line is a bracketed array,
-    and a row also goes cell by cell where a string cell needs an escape (decided once per
-    distinct string) or a float prints as ``inf`` or ``nan``.
+    A run is formatted with one ``%`` on its row template repeated.  A run whose signature
+    holds a type with no slot (``bool``, a numpy scalar) goes through ``cell`` one cell at a
+    time instead.  With ``as_json`` each row is a bracketed array, and a whole run also goes
+    cell by cell where its text holds ``inf`` or ``nan`` or one of its distinct strings needs
+    an escape.
     """
-    form = "[%s]" if as_json else "%s"
-    templates: dict = {}
-    plain: dict = {}  # string cell -> it needs no JSON escape
-
-    def unescaped(text: str) -> bool:
-        if text not in plain:
-            plain[text] = text.translate(_JSON_ESCAPES) == text
-        return plain[text]
-
-    lines = []
-    for row in rows:
-        types = tuple(map(type, row))
-        entry = templates.get(types)
-        if entry is None:  # template "" for a type without a slot
-            parts = [slots.get(kind, "") for kind in types]
-            strings = [i for i, kind in enumerate(types) if kind is str and as_json]
-            entry = templates[types] = (form % ",".join(parts) if all(parts) else "", strings)
-        template, strings = entry
-        line = template % row if template else ""
-        if not template or as_json and (
-            "inf" in line or "nan" in line or not all(map(unescaped, map(row.__getitem__, strings)))
-        ):
-            line = form % ",".join([cell(value) for value in row])
-        lines.append(line)
-    return lines
+    form, sep = ("[%s]", ",") if as_json else ("%s", "\n")
+    texts = []
+    for types, run in groupby(rows, lambda row: tuple(map(type, row))):
+        run = list(run)
+        parts = [slots.get(kind) for kind in types]
+        text = None
+        if all(parts):
+            cells = tuple(chain.from_iterable(run))
+            text = sep.join([form % ",".join(parts)] * len(run)) % cells
+            if as_json and ("inf" in text or "nan" in text or any(
+                s.translate(_JSON_ESCAPES) != s
+                for s in set().union(*[cells[i::len(types)] for i, kind in enumerate(types) if kind is str])
+            )):
+                text = None
+        if text is None:
+            text = sep.join([form % ",".join([cell(value) for value in row]) for row in run])
+        texts.append(text)
+    return texts
 
 
 def render_csv(result: TableResult, meta: list[tuple[str, str]]) -> str:

@@ -1,5 +1,6 @@
 """Config parsing, sweep commands, writers, and CLI exit codes."""
 
+import json
 import math
 import os
 import subprocess
@@ -115,6 +116,39 @@ def _per_cell_json(result, meta):
         "[" + ",".join(_per_cell_json_value(cell) for cell in row) + "]" for row in result.rows
     )
     return '{"meta":{' + meta_items + '},"columns":[' + columns + '],"rows":[' + rows + "]}\n"
+
+
+def _assert_writers_match_the_per_cell_path(rows):
+    """Both writers give the per-cell references' bytes, and the JSON parses back to the rows."""
+    result, meta = TableResult(columns=("a", "b"), rows=tuple(rows)), [("command", "evolve")]
+    assert render_csv(result, meta) == _per_cell_csv(result, meta)
+    text = render_json(result, meta)
+    assert text == _per_cell_json(result, meta)
+    assert json.loads(text)["rows"] == [
+        [None if isinstance(cell, float) and not math.isfinite(cell) else cell for cell in row]
+        for row in result.rows
+    ]
+
+
+def _parsed_csv(text):
+    """Metadata, columns and rows of a CSV output, each cell as its JSON twin would parse.
+
+    An empty cell and ``inf``/``nan`` read as None, a bare integer as int, another number as
+    float; any other cell is a string.
+    """
+    meta = dict(line[2:].split("=", 1) for line in text.splitlines() if line.startswith("# "))
+    header, *lines = [line for line in text.splitlines() if not line.startswith("# ")]
+
+    def cell(field):
+        if field.lstrip("-").isdigit():
+            return int(field)
+        try:
+            value = float(field)
+        except ValueError:
+            return field or None
+        return value if math.isfinite(value) else None
+
+    return {"meta": meta, "columns": header.split(","), "rows": [[cell(f) for f in line.split(",")] for line in lines]}
 
 
 class TestConfigParsing:
@@ -781,6 +815,56 @@ class TestWritersAndCli:
             return None if isinstance(cell, float) and not math.isfinite(cell) else cell
 
         assert parsed["rows"] == [[parsed_cell(cell) for cell in row] for row in rows]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        runs=st.integers(min_value=0, max_value=4).flatmap(
+            lambda width: st.lists(
+                st.tuples(st.tuples(*[_CELLS] * width), st.integers(min_value=1, max_value=50)), max_size=6
+            )
+        ),
+    )
+    def test_writers_match_the_per_cell_path_on_runs(self, runs):
+        # each drawn row repeated: runs of one type signature up to 300 rows long
+        _assert_writers_match_the_per_cell_path([row for row, repeat in runs for _ in range(repeat)])
+
+    def test_one_inf_in_a_long_float_run(self):
+        rows = [(0.5 * i, -1.0 / (i + 1)) for i in range(10_000)]
+        rows[5_000] = (math.inf, rows[5_000][1])
+        _assert_writers_match_the_per_cell_path(rows)
+        assert render_csv(TableResult(("a", "b"), tuple(rows)), []).splitlines()[5_001].startswith("inf,")
+
+    def test_signature_changes_on_every_row(self):
+        signatures = (
+            (1.5, "closed"), ("closed", 1.5), (None, 7), (7, None), (True, 0.25), (np.float64(0.5), "x"),
+            (math.nan, 'a"b'), (-0.0, -3),
+        )
+        _assert_writers_match_the_per_cell_path([signatures[i % len(signatures)] for i in range(100)])
+
+    def test_one_escaped_string_in_a_long_json_run(self):
+        rows = [(0.1 * i, "oracle" if i % 2 else "closed") for i in range(5_000)]
+        rows[2_500] = (rows[2_500][0], "back\\slash")
+        _assert_writers_match_the_per_cell_path(rows)
+        assert json.loads(render_json(TableResult(("a", "b"), tuple(rows)), []))["rows"][2_500][1] == "back\\slash"
+
+    def test_empty_table(self):
+        _assert_writers_match_the_per_cell_path([])
+        assert render_csv(TableResult(("a", "b"), ()), []) == "a,b\n"
+        assert render_json(TableResult(("a", "b"), ()), []) == '{"meta":{},"columns":["a","b"],"rows":[]}\n'
+
+    @pytest.mark.parametrize("config", sorted(path.name for path in CONFIGS.glob("*.cfg")))
+    def test_csv_and_json_outputs_hold_the_same_cells(self, config, capsys):
+        for command in COMMANDS:
+            argv = [command, "--config", str(CONFIGS / config)]
+            code = main(argv)
+            csv_out, csv_err = capsys.readouterr()
+            assert main([*argv, "--format", "json"]) == code
+            json_out, json_err = capsys.readouterr()
+            assert json_err == csv_err
+            if code == 0:
+                assert json.loads(json_out) == _parsed_csv(csv_out), command
+            else:
+                assert json_out == csv_out == ""
 
     def test_cli_json_zero_average_is_valid_json(self, tmp_path, capsys):
         import json

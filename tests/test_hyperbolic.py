@@ -2,11 +2,12 @@
 
 import cmath
 import math
+import random
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -377,6 +378,58 @@ class TestClassicalFlow:
             assert value.imag == 0.0
             with mp.workdps(40):
                 assert abs(mp.mpf(value.real) - expected) <= rel * abs(expected) + 5e-324
+
+    def test_exp_below_the_normal_range_is_formed_in_log_scale(self):
+        # exp(rate t) = e^-780 underflows to 0, yet x0^20 exp(rate t) = 1e103 e^-780 ~ 1.8e-236;
+        # 40-digit mpmath with x0 and the rate as float64 forms them
+        params = make_hyperbolic_params(1.0, 0.05, 0.1)
+        value = hyperbolic_classical_xn(20, 1e5 + 1e-3j, params, 0.5)
+        assert value == pytest.approx(1.822233691515875504683434829816993714933e-236, rel=1e-12, abs=0.0)
+        assert hyperbolic_classical_xn(19, -1e5 - 1e-3j, params, 0.5).real < 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=20),
+        log_start=st.floats(min_value=math.log(sys.float_info.min), max_value=math.log(sys.float_info.max) - 1.0),
+        sign=st.sampled_from((-1.0, 1.0)),
+        omega=st.floats(min_value=0.5, max_value=2.0),
+        mu=st.floats(min_value=0.01, max_value=0.2),
+        excess=st.floats(min_value=0.1, max_value=100.0),
+        exponent=st.floats(min_value=-1500.0, max_value=-708.4, exclude_max=True),
+    )
+    def test_exp_below_the_normal_range_against_mpmath(self, n, log_start, sign, omega, mu, excess, exponent):
+        mp = pytest.importorskip("mpmath")
+        x0 = sign * math.exp(log_start / n)  # |x0^n| normal, short of overflow after rounding
+        p0 = (2.0 * omega + excess) / (8.0 * mu * x0)  # so the rate is negative
+        alpha = complex(x0, p0) / math.sqrt(2.0)
+        x0, p0 = math.sqrt(2.0) * alpha.real, math.sqrt(2.0) * alpha.imag
+        rate = n * (2.0 * omega - 8.0 * mu * x0 * p0)  # as float64 forms x0 and the rate
+        t = exponent / rate
+        assume(abs(x0**n) >= sys.float_info.min and rate * t < math.log(sys.float_info.min))
+        value = XnClassical(n, alpha, make_hyperbolic_params(omega, mu, 0.1))(t)
+        with mp.workdps(40):
+            expected = mp.mpf(x0) ** n * mp.exp(mp.mpf(rate) * mp.mpf(t))
+            # a subnormal value holds fewer digits; both below the smallest subnormal read 0
+            assert value.imag == 0.0
+            assert abs(mp.mpf(value.real) - expected) <= 1e-12 * abs(expected) + 5e-324
+
+    def test_normal_exp_and_x0_power_keep_the_direct_product(self):
+        # bit for bit x0^n exp(rate t) wherever both factors are normal floats
+        rng = random.Random(25)
+        params = make_hyperbolic_params(1.0, 0.05, 0.1)
+        calls = 0
+        while calls < 20_000:
+            n = rng.randint(1, 20)
+            alpha = complex(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-15.0, 15.0), rng.uniform(-2.0, 2.0))
+            x0, p0 = math.sqrt(2.0) * alpha.real, math.sqrt(2.0) * alpha.imag
+            rate = n * (2.0 * params.omega - 8.0 * params.mu * x0 * p0)
+            t = rng.uniform(0.0, 700.0) / abs(rate)
+            start, factor = x0**n, math.exp(rate * t)
+            if not (abs(start) >= sys.float_info.min and factor >= sys.float_info.min
+                    and math.isfinite(start * factor)):
+                continue
+            calls += 1
+            assert repr(hyperbolic_classical_xn(n, alpha, params, t)) == repr(complex(start * factor))
 
     def test_initial_value(self):
         alpha = 0.6 + 0.2j

@@ -5,8 +5,8 @@ every check and formed every constant at each call, with three later changes:
 an ``x^n`` series beyond float64, a ``nan`` log10 magnitude, a ``+inf`` one
 from the log10 magnitude functions and a regime classification of an
 ``alpha`` whose ``|alpha|^2`` overflows raise :class:`FloatRangeError`; the
-classical ``x^n`` is formed in log scale where ``exp`` alone overflows or
-``x0^n`` is below float64's normal range; and
+classical ``x^n`` is formed in log scale where ``exp`` alone is not a normal
+float or ``x0^n`` is below float64's normal range; and
 the quantum ``x^n`` keeps one log form: a series below float64's normal
 range is formed in log scale over its largest term, whose log joins the
 exponent (``xi`` formed from ``alpha`` scaled by a power of two), the
@@ -271,7 +271,9 @@ def hyperbolic_classical_xn_ref(n, alpha, params, t):
     p0 = math.sqrt(2.0) * a.imag
     rate = 2.0 * params.omega - 8.0 * params.mu * x0 * p0
     start, exponent = x0**n, n * rate * t
-    if exponent <= _LOG_FLOAT_MAX and (abs(start) >= sys.float_info.min or x0 == 0.0):
+    if exponent <= _LOG_FLOAT_MAX and (
+        x0 == 0.0 or abs(start) >= sys.float_info.min and exponent >= math.log(sys.float_info.min)
+    ):
         return complex(start * math.exp(exponent))
     if x0 == 0.0:  # exp alone beyond float64; else it or x0^n is not normal: x0^n exp in log scale
         return 0j
@@ -425,6 +427,8 @@ def _prepared(n, m, q, alpha, params, guard):
 # x0^4 underflows to 0: the classical x^4 (4.2e-293 at t = 10) is formed in log scale
 @example(n=4, m=0, q=0, omega=1.0, mu=0.0, hbar=0.125, re=1.172784275366023e-82, im=0.0, spacings=[1.0],
          guard=0.0)
+# exp(rate t) = e^-721 is below the normal range: the classical x^4 (2.9e-305) is formed in log scale
+@example(n=4, m=0, q=0, omega=1.0, mu=0.05, hbar=0.1, re=100.0, im=1.0, spacings=[0.1177], guard=0.0)
 # right on the first collapse time and just past it
 @example(n=3, m=0, q=2, omega=1.0, mu=0.1, hbar=0.1, re=0.7, im=-0.4, spacings=[0.5, 0.5000001], guard=0.0)
 def test_prepared_equals_per_call(n, m, q, omega, mu, hbar, re, im, spacings, guard):
