@@ -37,9 +37,7 @@ from .core import (
 )
 from .closedform import (
     DispersionRegime,
-    check_collapse_guard,
     classify_dispersion_regime,
-    collapse_spacing,
     collapse_times,
     dispersion_approx,
     dispersion_exact,

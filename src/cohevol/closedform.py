@@ -95,15 +95,8 @@ class _FloatChecked:
 
 
 # ---------------------------------------------------------------------------
-# Collapse times and guards
+# Collapse times
 # ---------------------------------------------------------------------------
-
-def collapse_spacing(n: int, params: SystemParams) -> float:
-    """Gap between consecutive collapse times; ``inf`` in the quadratic limit."""
-    if params.mu == 0.0:
-        return math.inf
-    return math.pi / (8.0 * abs(params.mu) * n * params.hbar)
-
 
 def collapse_times(
     n: int, params: SystemParams, window: tuple[float, float]
@@ -130,32 +123,15 @@ def collapse_times(
 
 
 def _collapse_lattice(n: int, params: SystemParams) -> tuple[float, float]:
-    """``(base, spacing)`` of the collapse times ``base + l spacing`` (``mu != 0``); signed like ``mu``."""
-    base = math.pi / (16.0 * params.mu * n * params.hbar)
-    return base, 2.0 * base
+    """``(base, spacing)`` of the collapse times ``base + l spacing`` (``mu != 0``); signed like ``mu``.
 
-
-def check_collapse_guard(
-    n: int, params: SystemParams, t: float, guard: float = DEFAULT_GUARD
-) -> None:
-    """Raise :class:`CollapseProximity` within ``guard`` * spacing of a collapse.
-
-    ``guard`` is relative to the collapse-time spacing; shrink it (or pass 0)
-    to opt into near-collapse scans.
+    A lattice whose base is 0 or whose spacing is beyond float64 is :class:`FloatRangeError`.
     """
-    if params.mu == 0.0 or guard <= 0.0:
-        return
-    _check_guard(n, 8.0 * n * params.mu * params.hbar * t, t, guard)
-
-
-def _check_guard(n: int, phi: float, t: float, guard: float) -> None:
-    """Raise :class:`CollapseProximity` where the phase ``phi = 8 n mu hbar t`` is within ``guard`` (> 0)
-    of a collapse, in units of the spacing."""
-    r = phi / math.pi - 0.5
-    if abs(r - round(r)) < guard:
-        raise CollapseProximity(
-            f"t={t} is within {guard:g} of a collapse time for n={n} (shrink the guard to scan closer)"
-        )
+    rate = 16.0 * params.mu * n * params.hbar
+    base = math.pi / rate if rate else math.inf
+    if not (base and math.isfinite(2.0 * base)):
+        raise FloatRangeError(f"the collapse times of x^{n} are beyond float64 (pi/(16 n mu hbar) = {base!r})")
+    return base, 2.0 * base
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +293,11 @@ class XnAverage:
             if self._overflow is not None:
                 raise OverflowError(*self._overflow)
             phi = self._phase * t
-            if self._guard:  # 0.0 where check_collapse_guard checks nothing
-                _check_guard(self.n, phi, t, self._guard)
+            if self._guard:  # 0.0 where mu = 0 or guard <= 0: no guard band
+                r = phi / math.pi - 0.5  # a collapse at each whole r, one spacing apart
+                if abs(r - round(r)) < self._guard:
+                    raise CollapseProximity(f"t={t} is within {self._guard:g} of a collapse time for n={self.n} "
+                                            "(shrink the guard to scan closer)")
             k, bsq, mag = _tracked_branch(phi)
             xi = 2.0 * (self._alpha * cmath.exp(0.5j * phi)).real  # real for every alpha
             exponent = self._base + xi * xi * bsq / self._hbar + self._drift * t

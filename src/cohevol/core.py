@@ -7,6 +7,7 @@ can be shared freely across threads and cached without copying.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 DEFAULT_MAX_DEGREE = 8
 # Largest basis the truncated-basis oracle builds (see ``cohevol.fock``).  It
@@ -61,8 +62,8 @@ class ConfigError(ValueError):
 class Record:
     """Base of the package's immutable value types.
 
-    A subclass names its fields in ``_fields``, in the order of its
-    ``__init__`` parameters, and holds them in ``__slots__``.  Its
+    A subclass names its fields in ``_fields``, each an ``__init__`` keyword,
+    and holds them in ``__slots__``.  Its
     ``__init__`` checks the values and stores them with :meth:`_init`; after
     that, assignment is refused.  Equality, hash and repr go over the fields,
     and :meth:`replace` builds the changed copy through ``__init__``, so the
@@ -104,7 +105,7 @@ class Record:
 
     def __reduce__(self):
         # copy and pickle rebuild through __init__, which assignment cannot bypass
-        return type(self), self._values()
+        return partial(type(self), **dict(zip(self._fields, self._values()))), ()
 
 
 # ---------------------------------------------------------------------------

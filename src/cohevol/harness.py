@@ -42,78 +42,6 @@ _MAX_SCAN_ROWS = 1_000_000  # collapse-scan rows, refused before the scan runs
 # Configuration
 # ---------------------------------------------------------------------------
 
-class RunConfig(Record):
-    """One run's settings; ``params`` is its :class:`SystemParams`, built once with it."""
-
-    _fields = (
-        "kind", "omega", "mu", "hbar", "alpha", "observable", "t_min", "t_max", "points",
-        "sources", "guard", "format", "oracle_tol", "oracle_dim_cap", "ell_min", "ell_max",
-        "hbar_list", "breakdown_threshold", "raw_items",
-    )
-    __slots__ = (*_fields, "params")
-
-    def __init__(
-        self,
-        kind: str = "hyperbolic",
-        omega: float = 1.0,
-        mu: float = 0.1,
-        hbar: float = 0.1,
-        alpha: complex = 1.0 + 0j,
-        observable: ObservableSpec = XPower(1),
-        t_min: float = 0.0,
-        t_max: float = 1.0,
-        points: int = 21,
-        sources: tuple[str, ...] = ("closed", "classical"),
-        guard: float = DEFAULT_GUARD,
-        format: str = "csv",
-        oracle_tol: float = 1e-6,
-        oracle_dim_cap: int = DEFAULT_DIM_CAP,
-        ell_min: int = 0,
-        ell_max: int = 2,
-        hbar_list: tuple[float, ...] = (),
-        breakdown_threshold: float = 1.0,
-        raw_items: tuple[tuple[str, str], ...] = (),
-    ) -> None:
-        """Every config, parsed or built, is checked once; the grid is not built here."""
-        self._init(locals())
-        if kind not in ("hyperbolic", "elliptic"):
-            raise ConfigError(f"kind must be hyperbolic or elliptic, got {kind!r}")
-        if format not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {format!r}")
-        if kind == "hyperbolic" and not isinstance(observable, XPower):
-            raise ConfigError("hyperbolic runs accept the x^N observable only")
-        if kind == "elliptic" and not isinstance(observable, Monomial):
-            raise ConfigError("elliptic runs accept the mono:M,Q observable only")
-        # built once here; raises DomainError for invalid physics
-        params = make_hyperbolic_params if kind == "hyperbolic" else SystemParams
-        object.__setattr__(self, "params", params(omega, mu, hbar))
-        if points < 1:
-            raise ConfigError("points must be >= 1")
-        if points > _MAX_POINTS:
-            raise ConfigError(f"points must be <= {_MAX_POINTS:,}, got {points:,}")
-        if points > 1:
-            if not t_max > t_min:
-                raise ConfigError("time grid needs t_max > t_min")
-            # the grid is monotone from a finite t_min, so its last point decides
-            span, last = t_max - t_min, points - 1
-            if not math.isfinite(t_min + last * (span / last)):
-                raise ConfigError(f"time grid is not finite (t_max - t_min = {span!r})")
-        if not oracle_tol > 0:  # the doubling could never converge
-            raise ConfigError(f"oracle_tol must be > 0, got {oracle_tol!r}")
-
-    def time_grid(self) -> list[float]:
-        """``t_min + k * step`` per point; ``__init__`` checked its size and ends."""
-        if self.points == 1:
-            return [self.t_min]
-        step = (self.t_max - self.t_min) / (self.points - 1)
-        return [self.t_min + k * step for k in range(self.points)]
-
-    def metadata(self, command: str) -> list[tuple[str, str]]:
-        items = [("command", command)]
-        items += [(k, v) for k, v in self.raw_items]
-        return items
-
-
 def _parse_observable(text: str) -> ObservableSpec:
     text = text.strip()
     if text.startswith("x^"):
@@ -152,26 +80,80 @@ def _parse_sources(text: str) -> tuple[str, ...]:
     return names
 
 
-_KEY_PARSERS = {
-    "kind": str,
-    "omega": _parse_float,
-    "mu": _parse_float,
-    "hbar": _parse_float,
-    "alpha": _parse_alpha,
-    "observable": _parse_observable,
-    "t_min": _parse_float,
-    "t_max": _parse_float,
-    "points": int,
-    "sources": _parse_sources,
-    "guard": _parse_float,
-    "format": str,
-    "oracle_tol": _parse_float,
-    "oracle_dim_cap": int,
-    "ell_min": int,
-    "ell_max": int,
-    "hbar_list": lambda s: tuple(_parse_float(x) for x in s.split(",")),
-    "breakdown_threshold": _parse_float,
+# Every config key, in field order: its parser and its default.
+_KEYS = {
+    "kind": (str, "hyperbolic"),
+    "omega": (_parse_float, 1.0),
+    "mu": (_parse_float, 0.1),
+    "hbar": (_parse_float, 0.1),
+    "alpha": (_parse_alpha, 1.0 + 0j),
+    "observable": (_parse_observable, XPower(1)),
+    "t_min": (_parse_float, 0.0),
+    "t_max": (_parse_float, 1.0),
+    "points": (int, 21),
+    "sources": (_parse_sources, ("closed", "classical")),
+    "guard": (_parse_float, DEFAULT_GUARD),
+    "format": (str, "csv"),
+    "oracle_tol": (_parse_float, 1e-6),
+    "oracle_dim_cap": (int, DEFAULT_DIM_CAP),
+    "ell_min": (int, 0),
+    "ell_max": (int, 2),
+    "hbar_list": (lambda s: tuple(_parse_float(x) for x in s.split(",")), ()),
+    "breakdown_threshold": (_parse_float, 1.0),
 }
+
+
+class RunConfig(Record):
+    """One run's settings, a keyword for each key of ``_KEYS`` plus the parsed ``raw_items``;
+    ``params`` is its :class:`SystemParams`, built once with it."""
+
+    _fields = (*_KEYS, "raw_items")
+    __slots__ = (*_fields, "params")
+    _defaults = {**{key: default for key, (_, default) in _KEYS.items()}, "raw_items": ()}
+
+    def __init__(self, **values) -> None:
+        """Every config, parsed or built, is checked once; the grid is not built here."""
+        unknown = values.keys() - self._defaults.keys()
+        if unknown:
+            raise TypeError(f"RunConfig() got an unexpected keyword argument {min(unknown)!r}")
+        self._init({**self._defaults, **values})
+        kind, observable, points, t_min, t_max = self.kind, self.observable, self.points, self.t_min, self.t_max
+        if kind not in ("hyperbolic", "elliptic"):
+            raise ConfigError(f"kind must be hyperbolic or elliptic, got {kind!r}")
+        if self.format not in ("csv", "json"):
+            raise ConfigError(f"format must be csv or json, got {self.format!r}")
+        if kind == "hyperbolic" and not isinstance(observable, XPower):
+            raise ConfigError("hyperbolic runs accept the x^N observable only")
+        if kind == "elliptic" and not isinstance(observable, Monomial):
+            raise ConfigError("elliptic runs accept the mono:M,Q observable only")
+        # built once here; raises DomainError for invalid physics
+        params = make_hyperbolic_params if kind == "hyperbolic" else SystemParams
+        object.__setattr__(self, "params", params(self.omega, self.mu, self.hbar))
+        if points < 1:
+            raise ConfigError("points must be >= 1")
+        if points > _MAX_POINTS:
+            raise ConfigError(f"points must be <= {_MAX_POINTS:,}, got {points:,}")
+        if points > 1:
+            if not t_max > t_min:
+                raise ConfigError("time grid needs t_max > t_min")
+            # the grid is monotone from a finite t_min, so its last point decides
+            span, last = t_max - t_min, points - 1
+            if not math.isfinite(t_min + last * (span / last)):
+                raise ConfigError(f"time grid is not finite (t_max - t_min = {span!r})")
+        if not self.oracle_tol > 0:  # the doubling could never converge
+            raise ConfigError(f"oracle_tol must be > 0, got {self.oracle_tol!r}")
+
+    def time_grid(self) -> list[float]:
+        """``t_min + k * step`` per point; ``__init__`` checked its size and ends."""
+        if self.points == 1:
+            return [self.t_min]
+        step = (self.t_max - self.t_min) / (self.points - 1)
+        return [self.t_min + k * step for k in range(self.points)]
+
+    def metadata(self, command: str) -> list[tuple[str, str]]:
+        items = [("command", command)]
+        items += [(k, v) for k, v in self.raw_items]
+        return items
 
 
 def parse_config(text: str) -> RunConfig:
@@ -191,12 +173,12 @@ def parse_config(text: str) -> RunConfig:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _KEY_PARSERS:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in fields:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            fields[key] = _KEY_PARSERS[key](value)
+            fields[key] = _KEYS[key][0](value)
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
         raw.append((key, value))
@@ -337,9 +319,15 @@ def cmd_compare(config: RunConfig) -> TableResult:
 def cmd_collapse_scan(config: RunConfig) -> TableResult:
     """Log-magnitude approach sequences for each collapse time in the range.
 
-    Magnitudes this close to collapse overflow float64, so the table reports
-    ``log10 |f|`` on distances ``|t_ell| * 10^-k`` left of each ``t_ell``;
-    monotone growth along each sequence demonstrates the blow-up.
+    Magnitudes this close to collapse leave float64, so the table reports
+    ``log10 |f|`` at distances ``|t_ell| * 10^-k`` left of each ``t_ell``.
+    Along a sequence ``|log10 |f||`` grows about tenfold per step, with the
+    sign of the Gaussian exponent ``xi^2 b^2 / hbar`` on that side of the
+    collapse: the average blows up where ``b^2 -> +inf`` and vanishes where
+    ``b^2 -> -inf`` (on ``configs/collapse_scan.cfg`` ``l = 0`` and ``2`` rise
+    to about 2.8e6 and 5.5e5, and ``l = 1`` falls from -42.5 to -9.2e5).
+    A lattice or an ``l`` range whose ``t_ell`` leaves float64 is
+    :class:`FloatRangeError`.
     """
     obs = config.observable
     if not isinstance(obs, XPower):
@@ -354,6 +342,12 @@ def cmd_collapse_scan(config: RunConfig) -> TableResult:
     if n_rows > _MAX_SCAN_ROWS:
         raise ConfigError(f"collapse-scan is limited to {_MAX_SCAN_ROWS:,} rows, got {n_rows:,}")
     base, spacing = closedform._collapse_lattice(obs.n, params)
+    try:  # t_ell is monotone in ell, so the ends of the range decide
+        finite = all(math.isfinite(base + ell * spacing) for ell in (lo, hi))
+    except OverflowError:  # an ell beyond float64
+        finite = False
+    if not finite:
+        raise FloatRangeError(f"t_ell leaves float64 in the range ell = {lo}..{hi}")
     log10_magnitude = closedform.XnAverage(obs.n, config.alpha, params, guard=0.0).log10_magnitude
     rows = []
     for ell in range(lo, hi + 1):
@@ -427,8 +421,9 @@ def _first_crossings(
 
     One grid scan, stopped once both gaps have crossed or where ``gaps(t)`` (both from one
     (quantum, classical) pair) raises :class:`CollapseProximity`; a gap not crossed by then is None.
-    Each crossing is bisected to ``_BISECT_REL`` of the grid interval where the scan finds it (a
-    crossing at the first point is that point); a midpoint that raises ends it at the bracket's upper end.
+    Each crossing is bisected to ``_BISECT_REL`` of the grid interval where the scan finds it, or until
+    its bracket holds two adjacent floats (a crossing at the first point is that point); a midpoint that
+    raises ends it at the bracket's upper end.
     """
 
     def bisect(which: int, lo: float | None, hi: float) -> float:
@@ -437,6 +432,8 @@ def _first_crossings(
         width0 = hi - lo
         while (hi - lo) > _BISECT_REL * width0:
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:  # lo and hi are adjacent floats: the bracket cannot shrink
+                break
             try:
                 crossed = gaps(mid)[which] >= threshold
             except CollapseProximity:

@@ -9,19 +9,23 @@ from hypothesis import strategies as st
 from cohevol import (
     CollapseProximity,
     SystemParams,
-    check_collapse_guard,
-    collapse_spacing,
     collapse_times,
+    hyperbolic_xn_average,
     make_hyperbolic_params,
 )
 from cohevol.closedform import _I_POW, DEFAULT_GUARD, _tracked_branch
 
 P = make_hyperbolic_params(1.0, 0.1, 0.1)
+SPACING_1 = math.pi / (8.0 * P.mu * P.hbar)  # between the n = 1 collapse times
 
 
 def branch(n, params, t, guard=DEFAULT_GUARD):
-    """Guarded ``(k, bsq, magnitude, value)`` of the tracked ``1/sqrt(2 cos(8 mu n hbar t))``."""
-    check_collapse_guard(n, params, t, guard)
+    """Guarded ``(k, bsq, magnitude, value)`` of the tracked ``1/sqrt(2 cos(8 mu n hbar t))``.
+
+    The guard is the closed form's: ``<x^n>`` at ``alpha = 0`` raises :class:`CollapseProximity`
+    inside the guard band.
+    """
+    hyperbolic_xn_average(n, 0j, params, t, guard)
     k, bsq, magnitude = _tracked_branch(8.0 * n * params.mu * params.hbar * t)
     return k, bsq, magnitude, magnitude * _I_POW[k % 4]
 
@@ -96,11 +100,10 @@ class TestCollapseTimes:
         assert times[1] == pytest.approx(3.0 * t0, rel=1e-14)
 
     def test_negative_ell_enumerated(self):
-        spacing = collapse_spacing(1, P)
         base = math.pi / (16.0 * P.mu * P.hbar)
-        times = collapse_times(1, P, (-2.0 * spacing, 0.0))
+        times = collapse_times(1, P, (-2.0 * SPACING_1, 0.0))
         assert times
-        assert times[-1] == pytest.approx(base - spacing, rel=1e-14)
+        assert times[-1] == pytest.approx(base - SPACING_1, rel=1e-14)
         assert all(t < 0 for t in times)
 
     def test_sorted_and_spaced(self):
@@ -108,14 +111,15 @@ class TestCollapseTimes:
         gaps = [b - a for a, b in zip(times, times[1:])]
         assert all(g > 0 for g in gaps)
         for g in gaps:
-            assert g == pytest.approx(collapse_spacing(2, P), rel=1e-12)
+            assert g == pytest.approx(math.pi / (16.0 * P.mu * P.hbar), rel=1e-12)
 
     def test_quadratic_limit_empty(self):
         assert collapse_times(1, SystemParams(1.0, 0.0, 0.1), (0.0, 1e6)) == []
 
     def test_guard_scales_with_spacing(self):
-        t_first = math.pi / (16.0 * P.mu * P.hbar)
-        spacing = collapse_spacing(1, P)
-        check_collapse_guard(1, P, t_first + 0.01 * spacing, guard=1e-6)
+        # the spacing read off the enumerated times; the closed form's guard is relative to it
+        t_first, t_second = collapse_times(1, P, (0.0, 1.5 * SPACING_1))
+        t = t_first + 0.01 * (t_second - t_first)
+        hyperbolic_xn_average(1, 0.5, P, t, guard=1e-6)
         with pytest.raises(CollapseProximity):
-            check_collapse_guard(1, P, t_first + 0.01 * spacing, guard=0.1)
+            hyperbolic_xn_average(1, 0.5, P, t, guard=0.1)

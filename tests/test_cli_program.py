@@ -3,24 +3,59 @@
 Each case runs in a child process, as a user runs it, and checks the exit
 code, stderr (empty, or the one line naming the error class) and stdout.
 These are the configs the workflow's smoke step used to write and grep
-itself, plus those whose tracebacks or numpy warnings were fixed.
+itself, plus those whose tracebacks or numpy warnings were fixed.  A
+hypothesis property runs ``cli.main`` in-process on extreme parameters.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from cohevol import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
 # The first line of stderr for each nonzero exit code.
 STDERR = {2: "cohevol: config error: ", 3: "cohevol: convergence failure: "}
 
+# Collapse lattices beyond float64: 16 n mu hbar underflows to 0, pi/(16 n mu hbar)
+# overflows to inf, and t_ell overflows at ell ~ 9.
+LATTICES = {
+    case: {"kind": "hyperbolic", "alpha": 1.0, "ell_min": 0, **keys}
+    for case, keys in (
+        ("lattice-zero-rate", {"mu": 1e-20, "hbar": 1e-320, "observable": "x^3", "ell_max": 0}),
+        ("lattice-infinite-base", {"mu": 1e-320, "hbar": 0.001, "observable": "x^1", "ell_max": 0}),
+        ("lattice-infinite-t-ell",
+         {"omega": 1e-300, "mu": 2e-305, "hbar": 0.001, "observable": "x^1", "ell_max": 20}),
+    )
+}
+
+
+def _config_text(config: dict) -> str:
+    return "".join(f"{key} = {value}\n" for key, value in config.items())
+
+
 # case: (command, config, extra flags, exit code, text stdout must hold)
 CASES = {
+    **{
+        case: ("collapse-scan", _config_text(config), (), 2, "")
+        for case, config in LATTICES.items()
+    },
+    # an ell beyond float64 gives no t_ell
+    "ell-beyond-float64": (
+        "collapse-scan",
+        f"kind = hyperbolic\nobservable = x^1\nell_min = {10**400}\nell_max = {10**400}\n",
+        (), 2, "",
+    ),
     # alpha = 0 makes every odd-n log10 |f| -inf, which JSON writes as null
     "zero-average-json": (
         "collapse-scan",
@@ -73,6 +108,13 @@ CASES = {
         "kind = hyperbolic\nomega = 1.652\nmu = -0.0583\nhbar = 0.1\nalpha = 1e-170\nobservable = x^2\n"
         "t_min = 100\nt_max = 100\npoints = 1\nsources = classical\n",
         (), 0, "1.0000000000000000e+02,1.91788974656988",
+    ),
+    # the relative gap crosses between two adjacent floats, so bisection cannot shrink its bracket
+    "adjacent-float-bracket": (
+        "ehrenfest",
+        "kind = hyperbolic\nomega = 1e-5\nmu = 1e-7\nalpha = 1\nobservable = x^1\nhbar_list = 0.1\n"
+        "t_min = 1e6\nt_max = 1000000.0000000001\npoints = 2\nbreakdown_threshold = 0.03674963837310425\n",
+        (), 0, "1.0000000000000000e+06,1.0000000000000001e+06,ok",
     ),
     # four crossings at one hbar give no line through ln(1/hbar): the fits read none
     "one-hbar": (
@@ -202,3 +244,50 @@ def test_ehrenfest_scan_ends_where_the_closed_form_gives_no_value(tmp_path):
     assert [row[2] for row in rows] == [
         "2.9170460330513784e+01", "9.2997569607612789e+01", "2.9432565789473682e+02", "", "",
     ]
+
+
+_MAGNITUDE = st.floats(-320.0, 300.0).map(lambda e: 10.0**e)  # log-uniform in [1e-320, 1e300]
+_SIGNED = st.builds(lambda sign, size: sign * size, st.sampled_from((1.0, -1.0)), _MAGNITUDE)
+
+
+@st.composite
+def _extreme_configs(draw) -> dict:
+    ell_min = draw(st.integers(-25, 25))
+    return {
+        "kind": "hyperbolic",
+        "omega": draw(_SIGNED),
+        "mu": draw(_SIGNED),
+        "hbar": draw(_MAGNITUDE),
+        "alpha": complex(draw(_SIGNED), draw(_SIGNED)),
+        "observable": f"x^{draw(st.integers(1, 8))}",
+        "t_max": draw(_MAGNITUDE),
+        "points": draw(st.integers(1, 20)),
+        "ell_min": ell_min,
+        "ell_max": ell_min + draw(st.integers(0, 49)),
+        "hbar_list": ",".join(map(repr, draw(st.lists(_MAGNITUDE, min_size=1, max_size=5)))),
+    }
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    config=_extreme_configs(),
+    command=st.sampled_from(("evolve", "collapse-scan", "ehrenfest", "dispersion-regimes")),
+    form=st.sampled_from(("csv", "json")),
+)
+@example(config=LATTICES["lattice-zero-rate"], command="collapse-scan", form="csv")
+@example(config=LATTICES["lattice-infinite-base"], command="collapse-scan", form="json")
+@example(config=LATTICES["lattice-infinite-t-ell"], command="collapse-scan", form="csv")
+def test_no_closed_form_command_ends_in_a_traceback(config, command, form):
+    # cli.main in-process on extreme parameters: a table (exit 0) or one config-error line (exit 2)
+    if command == "ehrenfest":
+        config = {**config, "observable": "x^1"}  # the only observable it measures
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "run.cfg"
+        path.write_text(_config_text(config))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, "--config", str(path), "--format", form, "--oracle", "off"])
+    assert code in (0, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith(STDERR[2]) and err.getvalue().count("\n") == 1

@@ -6,15 +6,17 @@ from pathlib import Path
 
 from cohevol import cli
 from cohevol.cli import _build_parser
-from cohevol.harness import _KEY_PARSERS, RunConfig
+from cohevol.harness import _KEYS, RunConfig
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
 
-def _readme_config_keys() -> set:
+def _readme_config_rows() -> list:
+    """``(keys, defaults)`` per row of the README key table, each the row's backquoted texts."""
     table = README[README.index("### Config keys"):README.index("### Output")]
-    rows = [line for line in table.splitlines() if line.startswith("| `")]
-    return {key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])}
+    rows = [line.split("|") for line in table.splitlines() if line.startswith("| `")]
+    # the defaults are the last cell: a meaning may hold a `|`
+    return [(re.findall(r"`([^`]+)`", row[1]), re.findall(r"`([^`]+)`", row[-2])) for row in rows]
 
 
 def _readme_common_flags() -> set:
@@ -40,12 +42,18 @@ def _parser_flags() -> set:
 
 
 def test_config_key_table_matches_the_parser():
-    assert _readme_config_keys() == set(_KEY_PARSERS)
+    rows = _readme_config_rows()
+    assert [key for keys, _ in rows for key in keys] == list(_KEYS)
+    for keys, defaults in rows:
+        for key, text in zip(keys, defaults or [None] * len(keys)):
+            parse, default = _KEYS[key]
+            # a default the README leaves out (`—`) is the empty one
+            assert (parse(text) if text is not None else ()) == default, key
 
 
 def test_every_config_field_is_its_key():
-    fields = set(RunConfig._fields) - {"raw_items"}
-    assert fields == set(_KEY_PARSERS)
+    assert RunConfig._fields == (*_KEYS, "raw_items")
+    assert RunConfig() == RunConfig(**{key: default for key, (_, default) in _KEYS.items()})
 
 
 def test_common_flags_match_the_cli():

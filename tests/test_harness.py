@@ -1329,6 +1329,12 @@ class TestEvaluateOnce:
         with pytest.raises(ConfigError, match=message):
             parse_config(BASE_CFG).replace(**fields)
 
+    def test_built_config_takes_its_keys_as_keywords_only(self):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'hbar_lst'"):
+            harness.RunConfig(hbar_lst=(0.1,))
+        with pytest.raises(TypeError):
+            harness.RunConfig("hyperbolic")
+
     def test_ehrenfest_one_scan_per_hbar(self, monkeypatch):
         calls = {}
         self._count(monkeypatch, closedform.XnAverage, "__call__", calls)

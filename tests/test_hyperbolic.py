@@ -15,7 +15,7 @@ from cohevol import (
     CollapseProximity,
     DomainError,
     SystemParams,
-    collapse_spacing,
+    collapse_times,
     dispersion_exact,
     hyperbolic_classical_xn,
     hyperbolic_xn_average,
@@ -166,7 +166,8 @@ class TestDualRoutes:
 class TestRealityAndPositivity:
     def test_reality_on_positive_cos_intervals(self):
         rng = np.random.default_rng(7)
-        spacing = collapse_spacing(1, P)
+        t_first, t_second = collapse_times(1, P, (0.0, 1.5 * math.pi / (8.0 * P.mu * P.hbar)))
+        spacing = t_second - t_first
         count = 0
         while count < 200:
             alpha = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
@@ -489,8 +490,6 @@ class TestParameterCorners:
         assert abs(closed - orc) / abs(orc) <= 1e-6
 
     def test_negative_coupling_collapse_times_mirrored(self):
-        from cohevol import collapse_times
-
         p = make_hyperbolic_params(1.0, -0.1, 0.05)
         times = collapse_times(1, p, (-50.0, 50.0))
         assert times == sorted(times)
