@@ -6,7 +6,7 @@ import argparse
 import math
 import sys
 
-from .core import ConfigError, ConvergenceError, DimensionError, DomainError
+from .core import ConfigError, ConvergenceError, DomainError
 from .harness import (
     RunConfig,
     cmd_collapse_scan,
@@ -81,7 +81,7 @@ def main(argv: "list[str] | None" = None) -> int:
         if args.out is not None:
             with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
                 handle.write(text)
-    except (ConfigError, DomainError, DimensionError, OSError) as exc:
+    except (ConfigError, DomainError, OSError) as exc:
         print(f"cohevol: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ConvergenceError as exc:

@@ -42,6 +42,7 @@ from enum import Enum
 from .core import (
     CollapseProximity,
     DomainError,
+    FloatRangeError,
     RegimeMismatch,
     SystemParams,
 )
@@ -58,10 +59,6 @@ _LOG_FLOAT_MIN = math.log(_FLOAT_MIN)
 _LOG10_TINY = math.log10(math.ulp(0.0))  # the smallest subnormal
 _LN10 = math.log(10.0)
 _HALF_LOG10_2 = 0.5 * math.log10(2.0)
-
-
-class FloatRangeError(DomainError, OverflowError):
-    """A closed-form value or input that overflows float64 (not a collapse)."""
 
 
 def _captures_overflow(build):

@@ -35,8 +35,12 @@ class RegimeMismatch(ValueError):
     """Inputs violate the inequality set of the requested dispersion regime."""
 
 
-class DimensionError(ValueError):
-    """Requested basis size cannot represent the operator couplings."""
+class FloatRangeError(DomainError, OverflowError):
+    """A closed-form value or input that overflows float64 (not a collapse)."""
+
+
+class DimensionError(DomainError):
+    """A basis size outside the range the truncated-basis oracle can build."""
 
 
 class TailMassError(RuntimeError):
@@ -62,21 +66,32 @@ class ConfigError(ValueError):
 class Record:
     """Base of the package's immutable value types.
 
-    A subclass names its fields in ``_fields``, each an ``__init__`` keyword,
-    and holds them in ``__slots__``.  Its
-    ``__init__`` checks the values and stores them with :meth:`_init`; after
-    that, assignment is refused.  Equality, hash and repr go over the fields,
-    and :meth:`replace` builds the changed copy through ``__init__``, so the
-    copy is checked as a new record is.
+    A subclass names its fields in ``_fields`` and holds them in ``__slots__``.
+    The base constructor takes each field by keyword, with ``_defaults``
+    filling the ones left out; a positional argument, an unknown name or a
+    missing field is a ``TypeError`` that names the class.  A record that
+    checks or converts its values defines its own ``__init__``, which passes
+    them to the base one.  After that, assignment is refused.  Equality,
+    hash and repr go over the fields, and :meth:`replace` builds the changed
+    copy through ``__init__``, so the copy is checked as a new record is.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
 
-    def _init(self, values: dict) -> None:
-        """Store each field from ``values`` (a mapping that holds at least the fields)."""
-        for name in self._fields:
-            object.__setattr__(self, name, values[name])
+    def __init__(self, *args, **values) -> None:
+        name = type(self).__name__
+        if args:
+            raise TypeError(f"{name}() takes its fields by keyword only, got {len(args)} positional")
+        unknown = values.keys() - self._fields
+        if unknown:
+            raise TypeError(f"{name}() got an unexpected keyword argument {min(unknown)!r}")
+        values = {**self._defaults, **values}
+        for field in self._fields:
+            if field not in values:
+                raise TypeError(f"{name}() missing keyword argument {field!r}")
+            object.__setattr__(self, field, values[field])
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -128,7 +143,7 @@ class SystemParams(Record):
             value = values[name] = float(value)
             if not math.isfinite(value):
                 raise DomainError(f"{name} must be finite, got {value!r}")
-        self._init(values)
+        super().__init__(**values)
         if self.hbar <= 0.0:
             raise DomainError(f"hbar must be > 0, got {self.hbar!r}")
 
@@ -178,7 +193,7 @@ class XPower(Record):
     def __init__(self, n: int) -> None:
         if not isinstance(n, int) or n < 1:
             raise DomainError(f"XPower needs integer n >= 1, got {n!r}")
-        self._init(locals())
+        super().__init__(n=n)
 
 
 class Monomial(Record):
@@ -190,7 +205,7 @@ class Monomial(Record):
         for name, v in (("m", m), ("q", q)):
             if not isinstance(v, int) or v < 0:
                 raise DomainError(f"Monomial needs integer {name} >= 0, got {v!r}")
-        self._init(locals())
+        super().__init__(m=m, q=q)
 
 
 ObservableSpec = XPower | Monomial
@@ -220,7 +235,7 @@ class WickPolynomial(Record):
             c = complex(value)
             if c != 0:
                 table[(ell, s)] = c
-        self._init({"coeffs": table})
+        super().__init__(coeffs=table)
         if self.degree > DEFAULT_MAX_DEGREE:
             raise DegreeError(
                 f"symbol degree {self.degree} exceeds cap {DEFAULT_MAX_DEGREE}"

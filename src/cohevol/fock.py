@@ -89,16 +89,15 @@ import struct
 import sys
 from functools import cached_property, lru_cache
 from importlib.machinery import PathFinder
-from typing import NamedTuple
 
 import numpy as np
 
-from .closedform import FloatRangeError
 from .core import (
     DEFAULT_DIM_CAP,
     ConvergenceError,
     DimensionError,
     DomainError,
+    FloatRangeError,
     Record,
     SystemParams,
     TailMassError,
@@ -111,7 +110,7 @@ _I_POWERS = np.array([1, 1j, -1, -1j])
 _TAIL_BLOCK = 64
 
 
-class Sector(NamedTuple):
+class Sector(Record):
     """One invariant block of the basis, ``H[index, index] = g V diag(E) V^T g^*``.
 
     The energies ``E`` are held as the phase rates ``rates = -1j E``.  On a
@@ -123,11 +122,7 @@ class Sector(NamedTuple):
     ``odd`` on its odd ones.
     """
 
-    index: slice
-    rates: np.ndarray
-    even: "np.ndarray | None"
-    odd: "np.ndarray | None"
-    gauge: "np.ndarray | None"
+    __slots__ = _fields = ("index", "rates", "even", "odd", "gauge")
 
 
 class FockRepresentation:
@@ -201,7 +196,7 @@ def _elliptic_sectors(params: SystemParams, dim: int) -> tuple[Sector, ...]:
     )
     k = np.arange(dim, dtype=float)
     energies = params.omega * params.hbar * k + params.mu * params.hbar**2 * k * (k - 1.0)
-    return (Sector(slice(None), _frozen(-1j * energies), None, None, None),)
+    return (Sector(index=slice(None), rates=_frozen(-1j * energies), even=None, odd=None, gauge=None),)
 
 
 def _hyperbolic_sectors(params: SystemParams, dim: int) -> tuple[Sector, ...]:
@@ -227,8 +222,8 @@ def _hyperbolic_sectors(params: SystemParams, dim: int) -> tuple[Sector, ...]:
         energies = params.omega * s - params.mu * s * s
         gauge = _I_POWERS[np.arange(size) % 4]
         sectors.append(Sector(
-            slice(parity, None, 2), _frozen(-1j * energies), _frozen(even),
-            _frozen(odd[: size // 2]), _frozen(gauge),
+            index=slice(parity, None, 2), rates=_frozen(-1j * energies), even=_frozen(even),
+            odd=_frozen(odd[: size // 2]), gauge=_frozen(gauge),
         ))
     return tuple(sectors)
 
@@ -328,11 +323,6 @@ class CoherentVector(Record):
 
     __slots__ = _fields = ("dim", "hbar", "alpha", "coeffs", "tail_mass")
 
-    def __init__(
-        self, dim: int, hbar: float, alpha: complex, coeffs: np.ndarray, tail_mass: float
-    ) -> None:
-        self._init(locals())
-
 
 def _poisson_tail(nbar: float, dim: int, stop_above: float) -> float:
     """``sum_{k >= dim} p_k`` for the Poisson weights ``p_k = e^-nbar nbar^k / k!``.
@@ -407,12 +397,10 @@ def _real_matmul(matrix: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return out[:, 0] + 1j * out[:, 1]
 
 
-class _Initial(NamedTuple):
+class _Initial(Record):
     """Time-invariant data of one initial state on one representation."""
 
-    vector: CoherentVector
-    norm: float
-    coeffs: tuple[np.ndarray, ...]  # per sector, the state in its eigenbasis
+    __slots__ = _fields = ("vector", "norm", "coeffs")  # coeffs: per sector, the state in its eigenbasis
 
 
 def _prepare(rep: FockRepresentation, vector: CoherentVector) -> _Initial:
@@ -427,7 +415,7 @@ def _prepare(rep: FockRepresentation, vector: CoherentVector) -> _Initial:
             odd = _real_matmul(sector.odd.T, part[1::2])
             part = _frozen(np.concatenate((even - odd, even + odd)) * 0.5)
         coeffs.append(part)
-    return _Initial(vector, float(np.linalg.norm(vector.coeffs)), tuple(coeffs))
+    return _Initial(vector=vector, norm=float(np.linalg.norm(vector.coeffs)), coeffs=tuple(coeffs))
 
 
 def _state_key(alpha: complex) -> bytes:
@@ -590,6 +578,8 @@ def oracle_average(
 
     Raises
     ------
+    DimensionError
+        If ``dim_cap`` is below ``DEFAULT_START_DIM``, so that no basis is built.
     ConvergenceError
         If the doubling schedule reaches ``dim_cap`` without stabilizing
         (expected near collapse times, where no truncation suffices).  The
@@ -597,6 +587,8 @@ def oracle_average(
         relative change.
     """
     dim = DEFAULT_START_DIM
+    if dim_cap < dim:
+        raise DimensionError(f"dim_cap {dim_cap} is below the oracle's first basis size {dim}")
     previous = delta = tried = None
     floor = _observable_scale(params, obs)
     while dim <= dim_cap:

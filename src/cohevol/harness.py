@@ -16,7 +16,7 @@ from itertools import chain, groupby
 
 from . import closedform
 from .closedform import (  # noqa: F401  the three functions only for bench/spans.py to wrap here
-    DEFAULT_GUARD, FloatRangeError, elliptic_quantum_average, hyperbolic_xn_average,
+    DEFAULT_GUARD, elliptic_quantum_average, hyperbolic_xn_average,
     hyperbolic_xn_log10_magnitude,
 )
 from .core import (
@@ -24,6 +24,7 @@ from .core import (
     CollapseProximity,
     ConfigError,
     DomainError,
+    FloatRangeError,
     Monomial,
     ObservableSpec,
     Record,
@@ -113,10 +114,7 @@ class RunConfig(Record):
 
     def __init__(self, **values) -> None:
         """Every config, parsed or built, is checked once; the grid is not built here."""
-        unknown = values.keys() - self._defaults.keys()
-        if unknown:
-            raise TypeError(f"RunConfig() got an unexpected keyword argument {min(unknown)!r}")
-        self._init({**self._defaults, **values})
+        super().__init__(**values)
         kind, observable, points, t_min, t_max = self.kind, self.observable, self.points, self.t_min, self.t_max
         if kind not in ("hyperbolic", "elliptic"):
             raise ConfigError(f"kind must be hyperbolic or elliptic, got {kind!r}")
@@ -241,12 +239,7 @@ class TableResult(Record):
     """Column names plus row tuples ready for the deterministic writers."""
 
     __slots__ = _fields = ("columns", "rows", "extra_meta")
-
-    def __init__(
-        self, columns: tuple[str, ...], rows: tuple[tuple, ...],
-        extra_meta: tuple[tuple[str, str], ...] = (),
-    ) -> None:
-        self._init(locals())
+    _defaults = {"extra_meta": ()}
 
 
 def cmd_evolve(config: RunConfig) -> TableResult:
@@ -379,21 +372,7 @@ class EhrenfestFit(Record):
         "hbar_values", "breakdown_times", "relative_times", "threshold", "intercept", "slope",
         "goodness", "power_coeff", "power_exponent", "power_goodness",
     )
-
-    def __init__(
-        self,
-        hbar_values: tuple[float, ...],
-        breakdown_times: tuple[float | None, ...],
-        relative_times: tuple[float | None, ...],
-        threshold: float,
-        intercept: float | None = None,
-        slope: float | None = None,
-        goodness: float | None = None,
-        power_coeff: float | None = None,
-        power_exponent: float | None = None,
-        power_goodness: float | None = None,
-    ) -> None:
-        self._init(locals())
+    _defaults = dict.fromkeys(_fields[4:])  # the six fits
 
 
 def _linear_fit(xs: list[float], ys: list[float]) -> tuple:
@@ -509,14 +488,16 @@ def cmd_ehrenfest(config: RunConfig, hbar_list: "tuple[float, ...] | None" = Non
             # log t is bounded, so only the exponential can leave float64
             pc, pe, pg = _linear_fit(xs, [math.log(t) for t in ys])
             power_fit = (_value_or_none(OverflowError, math.exp, pc), pe, pg)
-    fits = dict(zip(
-        ("intercept", "slope", "goodness", "power_coeff", "power_exponent", "power_goodness"),
-        (*log_fit, *power_fit),
-    ))
-    fit = EhrenfestFit(hbars, tuple(abs_times), tuple(rel_times), threshold, **fits)
+    fits = dict(zip(EhrenfestFit._defaults, (*log_fit, *power_fit)))
+    fit = EhrenfestFit(
+        hbar_values=hbars, breakdown_times=tuple(abs_times), relative_times=tuple(rel_times),
+        threshold=threshold, **fits,
+    )
     meta = tuple((f"fit_{name}", "none" if value is None else _fmt_float(value))
                  for name, value in fits.items())
-    return fit, TableResult(("hbar", "t_star_abs", "t_star_rel", "status"), tuple(rows), meta)
+    return fit, TableResult(
+        columns=("hbar", "t_star_abs", "t_star_rel", "status"), rows=tuple(rows), extra_meta=meta,
+    )
 
 
 def cmd_dispersion_regimes(config: RunConfig) -> TableResult:

@@ -49,9 +49,6 @@ class EvolutionOperator(Record):
 
     __slots__ = _fields = ("terms",)
 
-    def __init__(self, terms: dict) -> None:
-        self._init(locals())
-
     def table(self) -> dict:
         """The coefficient tables with an all-zero table dropped."""
         return {key: tab for key, tab in self.terms.items() if any(tab.values())}
@@ -87,7 +84,7 @@ def generate_operator(symbol: WickPolynomial, hbar: float) -> EvolutionOperator:
         minus = _shifted_table(symbol.coeffs, r, "alpha_star")
         if minus:
             terms[("alpha", r)] = {key: -scale * c for key, c in minus.items()}
-    return EvolutionOperator(terms)
+    return EvolutionOperator(terms=terms)
 
 
 def liouville_operator(symbol: WickPolynomial) -> EvolutionOperator:
@@ -97,7 +94,7 @@ def liouville_operator(symbol: WickPolynomial) -> EvolutionOperator:
     any ``hbar`` gives them exactly.
     """
     full = generate_operator(symbol, 1.0)
-    return EvolutionOperator({key: tab for key, tab in full.terms.items() if key[1] == 1})
+    return EvolutionOperator(terms={key: tab for key, tab in full.terms.items() if key[1] == 1})
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,12 @@ CASES = {
         "kind = hyperbolic\nmu = 0.1\nhbar = 0.1\nobservable = x^1\npoints = 3\noracle_tol = 0\n",
         (), 2, "",
     ),
+    # the doubling starts at dim 64, so a cap below it builds and tests no basis
+    "oracle-cap-below-first-basis": (
+        "compare",
+        "kind = hyperbolic\nmu = 0.1\nhbar = 0.1\nobservable = x^1\npoints = 3\noracle_dim_cap = 32\n",
+        (), 2, "",
+    ),
     # hbar^(5/2), the oracle's convergence floor, beyond float64
     "oracle-floor-overflow": (
         "compare",

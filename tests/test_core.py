@@ -1,7 +1,10 @@
 """Domain types and parameter validation."""
 
+import copy
 import math
+import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +20,8 @@ from cohevol import (
     lyapunov_exponents,
     make_hyperbolic_params,
 )
+from cohevol import fock
+from cohevol.core import Record
 
 
 class TestSystemParams:
@@ -116,3 +121,49 @@ class TestWickPolynomial:
         base[(2, 0)] = base[(2, 0)] + perturbation
         with pytest.raises(DomainError):
             WickPolynomial(base)
+
+
+def _record_types(cls=Record) -> set:
+    subs = set(cls.__subclasses__())
+    return subs.union(*map(_record_types, subs))
+
+
+# the records built by the base constructor, each from sample values of its fields
+PLAIN_RECORDS = sorted((cls for cls in _record_types() if "__init__" not in vars(cls)), key=lambda c: c.__name__)
+_ARRAY = np.array([0.5, 0.25j])
+_VECTOR = {"dim": 2, "hbar": 0.1, "alpha": 0.5j, "coeffs": _ARRAY, "tail_mass": 0.0}
+SAMPLES = {
+    "TableResult": {"columns": ("t", "f"), "rows": ((0.0, None),)},
+    "EhrenfestFit": {"hbar_values": (0.1,), "breakdown_times": (2.0,), "relative_times": (None,), "threshold": 1.0},
+    "EvolutionOperator": {"terms": {("alpha", 1): {(1, 0): 2j}}},
+    "CoherentVector": _VECTOR,
+    "Sector": {"index": slice(None), "rates": _ARRAY, "even": None, "odd": None, "gauge": None},
+    "_Initial": {"vector": fock.CoherentVector(**_VECTOR), "norm": 1.0, "coeffs": (_ARRAY,)},
+}
+# an array field compares elementwise, so a pickled copy of these cannot be compared with ==
+HOLDS_ARRAYS = {"CoherentVector", "Sector", "_Initial"}
+
+
+def test_plain_records_are_the_sampled_ones():
+    assert [cls.__name__ for cls in PLAIN_RECORDS] == sorted(SAMPLES)
+
+
+@pytest.mark.parametrize("cls", PLAIN_RECORDS, ids=lambda cls: cls.__name__)
+def test_record_contract(cls):
+    values = SAMPLES[cls.__name__]
+    record = cls(**values)
+    copied = record.replace()
+    assert copied is not record and copied == record
+    if cls.__name__ not in HOLDS_ARRAYS:
+        assert copy.copy(record) == record
+        assert pickle.loads(pickle.dumps(record)) == record
+    with pytest.raises(AttributeError):
+        setattr(record, cls._fields[0], None)
+    required = next(name for name in cls._fields if name not in cls._defaults)
+    for build in (
+        lambda: cls(*values.values()),
+        lambda: cls(**values, unknown=1),
+        lambda: cls(**{name: value for name, value in values.items() if name != required}),
+    ):
+        with pytest.raises(TypeError, match=rf"^{cls.__name__}\(\)"):
+            build()

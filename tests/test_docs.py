@@ -4,8 +4,9 @@ import argparse
 import re
 from pathlib import Path
 
-from cohevol import cli
+from cohevol import cli, fock  # noqa: F401  fock's records join Record's subclasses
 from cohevol.cli import _build_parser
+from cohevol.core import Record
 from cohevol.harness import _KEYS, RunConfig
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -28,6 +29,16 @@ def _readme_common_flags() -> set:
 def _readme_exit_codes() -> set:
     listing = re.search(r"\(exit codes: ([^)]*)\)", README).group(1)
     return {int(code) for code in re.findall(r"(?:^|, )(\d+) ", listing)}
+
+
+def _readme_value_types() -> set:
+    listing = re.search(r"value types \(([^)]*)\)", README).group(1)
+    return set(re.findall(r"`(\w+)`", listing))
+
+
+def _record_types(cls=Record) -> set:
+    subs = set(cls.__subclasses__())
+    return subs.union(*map(_record_types, subs))
 
 
 def _parser_flags() -> set:
@@ -63,3 +74,7 @@ def test_common_flags_match_the_cli():
 def test_exit_code_list_matches_the_cli():
     codes = {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
     assert _readme_exit_codes() == codes
+
+
+def test_value_type_list_matches_the_records():
+    assert _readme_value_types() == {cls.__name__ for cls in _record_types() if not cls.__name__.startswith("_")}

@@ -360,7 +360,7 @@ class TestUnitarityDrift:
         exact = FockRepresentation.eigensystem
 
         def leaky_eigensystem(rep):
-            return tuple(s._replace(rates=s.rates - 1e-6) for s in exact(rep))
+            return tuple(s.replace(rates=s.rates - 1e-6) for s in exact(rep))
 
         monkeypatch.setattr(FockRepresentation, "eigensystem", leaky_eigensystem)
 
@@ -553,7 +553,7 @@ class TestPerPointPath:
 
         def corrupted(rep, v):
             initial = prepare(rep, v)
-            return initial._replace(norm=initial.norm + 1e-9)
+            return initial.replace(norm=initial.norm + 1e-9)
 
         monkeypatch.setattr(fock, "_prepare", corrupted)
         yield
@@ -680,6 +680,10 @@ class TestConvergenceMessage:
     def test_single_basis_has_no_delta(self):
         with pytest.raises(ConvergenceError, match="only dim 64 passed the tail test"):
             oracle_average("hyperbolic", self.PARAMS, 1j, 2, self.T, dim_cap=64)
+
+    def test_cap_below_the_first_basis_size_builds_no_basis(self):
+        with pytest.raises(DimensionError, match="dim_cap 32 is below the oracle's first basis size 64"):
+            oracle_average("hyperbolic", self.PARAMS, 1j, 2, self.T, dim_cap=32)
 
     def test_no_basis_passes_the_tail_test(self):
         with pytest.raises(ConvergenceError, match="no basis size up to dim_cap 128 passed"):

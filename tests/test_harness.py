@@ -832,7 +832,7 @@ class TestWritersAndCli:
         rows = [(0.5 * i, -1.0 / (i + 1)) for i in range(10_000)]
         rows[5_000] = (math.inf, rows[5_000][1])
         _assert_writers_match_the_per_cell_path(rows)
-        assert render_csv(TableResult(("a", "b"), tuple(rows)), []).splitlines()[5_001].startswith("inf,")
+        assert render_csv(TableResult(columns=("a", "b"), rows=tuple(rows)), []).splitlines()[5_001].startswith("inf,")
 
     def test_signature_changes_on_every_row(self):
         signatures = (
@@ -845,12 +845,12 @@ class TestWritersAndCli:
         rows = [(0.1 * i, "oracle" if i % 2 else "closed") for i in range(5_000)]
         rows[2_500] = (rows[2_500][0], "back\\slash")
         _assert_writers_match_the_per_cell_path(rows)
-        assert json.loads(render_json(TableResult(("a", "b"), tuple(rows)), []))["rows"][2_500][1] == "back\\slash"
+        assert json.loads(render_json(TableResult(columns=("a", "b"), rows=tuple(rows)), []))["rows"][2_500][1] == "back\\slash"
 
     def test_empty_table(self):
         _assert_writers_match_the_per_cell_path([])
-        assert render_csv(TableResult(("a", "b"), ()), []) == "a,b\n"
-        assert render_json(TableResult(("a", "b"), ()), []) == '{"meta":{},"columns":["a","b"],"rows":[]}\n'
+        assert render_csv(TableResult(columns=("a", "b"), rows=()), []) == "a,b\n"
+        assert render_json(TableResult(columns=("a", "b"), rows=()), []) == '{"meta":{},"columns":["a","b"],"rows":[]}\n'
 
     @pytest.mark.parametrize("config", sorted(path.name for path in CONFIGS.glob("*.cfg")))
     def test_csv_and_json_outputs_hold_the_same_cells(self, config, capsys):
