@@ -34,12 +34,18 @@ form:
   position alone, dropped from ``W``.  The energies are ``w s - mu s^2``.
   The eigenpairs agree with those of ``scipy.linalg.eigh_tridiagonal`` to
   rounding, not bit for bit.  Inside a sector the gauge reduces to ``i^j``
-  (a constant sector phase cancels), so it adds no rounding.  ``dbdsdc`` is taken from scipy's Cython LAPACK
-  table (``scipy.linalg.cython_lapack``), loaded from its file at the first
-  hyperbolic eigensolve and called through ctypes; the top-level ``scipy``
-  package is imported for its library paths, but ``scipy.linalg`` is not,
-  unless the extension is not found where scipy puts it.  An elliptic run
-  loads no scipy.
+  (a constant sector phase cancels), so it adds no rounding.  ``dbdsdc`` is
+  called through ctypes, which releases the GIL for the call, so where the
+  process may run on two CPUs or more one helper thread solves the parity-1
+  sector while the calling thread solves parity 0; the helper is started by
+  the first such solve, and a forked child starts its own.  The routine is
+  taken from the LAPACK that numpy's ``linalg`` extension links, found by
+  name at the first hyperbolic eigensolve, so no scipy is loaded.  Where
+  numpy's LAPACK does not export it by a known name, it is taken from
+  scipy's Cython LAPACK table (``scipy.linalg.cython_lapack``), loaded from
+  its file; the top-level ``scipy`` package is imported for its library
+  paths, but ``scipy.linalg`` is not, unless the extension is not found
+  where scipy puts it.  An elliptic run loads no scipy.
 
 Observables ``x^n`` and ``adag^m a^q`` are applied by banded shifts with the
 ladder elements ``sqrt(hbar k)``; no dense operator is formed.
@@ -74,8 +80,9 @@ closed-form commands start without either.
 The dense literal matrices, assembled from ladder matrices, live in the
 tests as the reference this module is checked against.  Basis sizes above
 ``DEFAULT_DIM_CAP`` are refused: the two hyperbolic sectors' factors take
-``2 dim^2`` bytes (128 MiB at the cap), and the largest sector's solve needs
-``3 (dim/4)^2`` more doubles while it runs (96 MiB at the cap).  Energies that
+``2 dim^2`` bytes (128 MiB at the cap), and the two sectors' solves, which
+run at once, need ``6 (dim/4)^2`` more doubles while they run (192 MiB at the
+cap; one sector's solve, ``3 (dim/4)^2`` doubles, on one CPU).  Energies that
 would leave float64 are refused before any solve (:class:`FloatRangeError`).
 """
 
@@ -204,16 +211,29 @@ def _hyperbolic_sectors(params: SystemParams, dim: int) -> tuple[Sector, ...]:
     s_max = 2.0 * params.hbar * math.sqrt((dim - 2.0) * (dim - 1.0))
     _check_energies(abs(params.omega) * s_max + abs(params.mu) * s_max * s_max, params, dim)
     dbdsdc = _dbdsdc()
-    sectors = []
+    sizes, bidiagonals = [], []
     for parity in (0, 1):
         k = np.arange(parity, dim - 2, 2, dtype=float)
         couplings = params.hbar * np.sqrt((k + 1.0) * (k + 2.0))
-        size = len(k) + 1
-        if size % 2:
+        sizes.append(len(k) + 1)
+        if sizes[-1] % 2:
             # a zero coupling to one more odd position squares B; the zero singular
             # value this adds has that position alone as w, so its row of W is dropped
             couplings = np.append(couplings, 0.0)
-        sigma, even, odd, info = dbdsdc(couplings[0::2], couplings[1::2])
+        bidiagonals.append((couplings[0::2], couplings[1::2]))
+    # The foreign call releases the GIL: where the process may run on two CPUs, the
+    # helper thread solves parity 1 while this thread solves parity 0.
+    if _cpus() > 1:
+        helper = _helper().submit(dbdsdc, *bidiagonals[1])
+        try:
+            first = dbdsdc(*bidiagonals[0])
+        finally:  # waited for even beside a failed solve, so that none outlives this call
+            second = helper.result()
+        solved = (first, second)
+    else:
+        solved = [dbdsdc(*bidiagonal) for bidiagonal in bidiagonals]
+    sectors = []
+    for parity, size, (sigma, even, odd, info) in zip((0, 1), sizes, solved):
         if info != 0:
             raise ConvergenceError(
                 f"LAPACK dbdsdc failed on the parity-{parity} sector at dim {dim}: info {info}"
@@ -228,24 +248,94 @@ def _hyperbolic_sectors(params: SystemParams, dim: int) -> tuple[Sector, ...]:
     return tuple(sectors)
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@lru_cache(maxsize=1)
+def _helper():
+    """The one worker thread that solves a second sector beside the calling thread."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(1)
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child inherits the executor but not its thread, so it starts its own
+    os.register_at_fork(after_in_child=_helper.cache_clear)
+
+# numpy's LAPACK names dbdsdc with the 64-bit-integer suffix of its OpenBLAS build
+# (and, from numpy 2, the scipy_ prefix of the scipy-openblas wheels)
+_NUMPY_DBDSDC = ("scipy_dbdsdc_64_", "dbdsdc_64_")
+
+
 @lru_cache(maxsize=1)
 def _dbdsdc():
     """LAPACK ``dbdsdc`` on a lower bidiagonal ``B``: ``(d, e) -> (sigma, U, W, info)``.
 
     ``d`` is the diagonal and ``e`` the subdiagonal of ``B = U diag(sigma) W^T``
     (divide and conquer, ``COMPQ = 'I'``); ``sigma`` is descending.  The
-    routine is taken from scipy's Cython LAPACK table
-    (``scipy.linalg.cython_lapack.__pyx_capi__``) and called through ctypes.
-    Importing ``scipy`` loads none of its subpackages but sets up the paths to
-    its bundled libraries; the extension module is then run from its file, so
-    the ``scipy.linalg`` package is not imported.  (CPython still registers
-    the extension under its own name, and a later ``import scipy.linalg``
-    reuses it.)  Where the extension is not found, it is imported from
+    routine is called through ctypes, which releases the GIL for the call.  It
+    is taken from the LAPACK that numpy's own ``linalg`` extension links, by
+    name (:data:`_NUMPY_DBDSDC`, 64-bit integers), so that no second LAPACK
+    and BLAS is loaded.  Where neither name resolves (a DLL handle on Windows
+    does not search the DLL's dependencies; macOS arm64 wheels link
+    Accelerate), it is taken from scipy's Cython LAPACK table, see
+    :func:`_scipy_dbdsdc`.
+    """
+    import ctypes
+
+    import numpy.linalg._umath_linalg as umath_linalg
+
+    library = ctypes.CDLL(umath_linalg.__file__)
+    found = [getattr(library, name) for name in _NUMPY_DBDSDC if hasattr(library, name)]
+    if found:
+        # Fortran passes the lengths of uplo and compq after the arguments
+        address, integer, lengths = ctypes.cast(found[0], ctypes.c_void_p).value, np.int64, 2
+    else:
+        address, integer, lengths = _scipy_dbdsdc(), np.intc, 0
+    # (uplo, compq, n, d, e, u, ldu, vt, ldvt, q, iq, work, iwork, info), all by pointer
+    routine = ctypes.CFUNCTYPE(None, *(ctypes.c_void_p,) * 14, *(ctypes.c_size_t,) * lengths)(address)
+
+    def dbdsdc(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        n = len(d)
+        if n < 1 or len(e) != n - 1:
+            raise ValueError(f"dbdsdc needs n >= 1 and n - 1 subdiagonal entries, got {n} and {len(e)}")
+        sigma = np.array(d, dtype=float)  # overwritten with the singular values
+        sub = np.zeros(n)  # destroyed; one entry more, so that n = 1 passes a buffer
+        sub[:-1] = e
+        u, vt = np.empty((n, n), order="F"), np.empty((n, n), order="F")
+        work, iwork = np.empty(3 * n * n + 4 * n), np.empty(8 * n, dtype=integer)
+        ints = np.array([n, 0], dtype=integer)  # n (also ldu and ldvt), info
+        # q and iq are not referenced for COMPQ = 'I'
+        routine(
+            b"L", b"I", ints.ctypes.data, sigma.ctypes.data, sub.ctypes.data,
+            u.ctypes.data, ints.ctypes.data, vt.ctypes.data, ints.ctypes.data,
+            work.ctypes.data, iwork.ctypes.data, work.ctypes.data, iwork.ctypes.data,
+            ints[1:].ctypes.data, *(1,) * lengths,
+        )
+        return sigma, u, vt.T, int(ints[1])
+
+    return dbdsdc
+
+
+def _scipy_dbdsdc() -> int:
+    """The address of ``dbdsdc`` in scipy's Cython LAPACK table (C ``int`` arguments).
+
+    Read from ``scipy.linalg.cython_lapack.__pyx_capi__``.  Importing ``scipy``
+    loads none of its subpackages but sets up the paths to its bundled
+    libraries; the extension module is then run from its file, so the
+    ``scipy.linalg`` package is not imported.  (CPython still registers the
+    extension under its own name, and a later ``import scipy.linalg`` reuses
+    it.)  Where the extension is not found, it is imported from
     ``scipy.linalg``.
     """
     import ctypes
 
-    import scipy  # here, not at module level: elliptic runs never need it
+    import scipy
 
     spec = PathFinder.find_spec(
         "scipy.linalg.cython_lapack", [os.path.join(path, "linalg") for path in scipy.__path__]
@@ -257,32 +347,9 @@ def _dbdsdc():
         spec.loader.exec_module(lapack)
     capsule, api = lapack.__pyx_capi__["dbdsdc"], ctypes.pythonapi
     name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))(capsule)
-    address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    return ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", api)
     )(capsule, name)
-    # (uplo, compq, n, d, e, u, ldu, vt, ldvt, q, iq, work, iwork, info), all by pointer
-    routine = ctypes.CFUNCTYPE(None, *(ctypes.c_void_p,) * 14)(address)
-
-    def dbdsdc(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        n = len(d)
-        if n < 1 or len(e) != n - 1:
-            raise ValueError(f"dbdsdc needs n >= 1 and n - 1 subdiagonal entries, got {n} and {len(e)}")
-        sigma = np.array(d, dtype=float)  # overwritten with the singular values
-        sub = np.zeros(n)  # destroyed; one entry more, so that n = 1 passes a buffer
-        sub[:-1] = e
-        u, vt = np.empty((n, n), order="F"), np.empty((n, n), order="F")
-        work, iwork = np.empty(3 * n * n + 4 * n), np.empty(8 * n, dtype=np.intc)
-        ints = np.array([n, 0], dtype=np.intc)  # n (also ldu and ldvt), info
-        # q and iq are not referenced for COMPQ = 'I'
-        routine(
-            b"L", b"I", ints.ctypes.data, sigma.ctypes.data, sub.ctypes.data,
-            u.ctypes.data, ints.ctypes.data, vt.ctypes.data, ints.ctypes.data,
-            work.ctypes.data, iwork.ctypes.data, work.ctypes.data, iwork.ctypes.data,
-            ints[1:].ctypes.data,
-        )
-        return sigma, u, vt.T, int(ints[1])
-
-    return dbdsdc
 
 
 @lru_cache(maxsize=1)

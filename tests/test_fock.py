@@ -3,7 +3,11 @@
 import cmath
 import gc
 import math
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +37,7 @@ from cohevol.fock import DEFAULT_DIM_CAP, DEFAULT_TAIL_TOL, _prepare, _propagate
 
 HYP = make_hyperbolic_params(1.0, 0.1, 0.05)
 ELL = SystemParams(1.0, 0.05, 0.1)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # Dense references, assembled literally from each Hamiltonian's definition.
@@ -462,6 +467,94 @@ class TestTridiagonalSolve:
         assert main(["compare", "--config", str(cfg)]) == EXIT_CONVERGENCE
         err = capsys.readouterr().err
         assert "convergence failure" in err and "dbdsdc" in err
+
+    @staticmethod
+    def serial_sectors(params, dim):
+        """Each sector's ``(rates, even, odd)`` from two serial calls of ``_dbdsdc()``."""
+        dbdsdc, sectors = fock._dbdsdc(), []
+        for parity in (0, 1):
+            k = np.arange(parity, dim - 2, 2, dtype=float)
+            couplings = params.hbar * np.sqrt((k + 1.0) * (k + 2.0))
+            size = len(k) + 1
+            if size % 2:
+                couplings = np.append(couplings, 0.0)
+            sigma, even, odd, info = dbdsdc(couplings[0::2], couplings[1::2])
+            assert info == 0
+            s = np.concatenate((-sigma, sigma))
+            sectors.append((-1j * (params.omega * s - params.mu * s * s), even, odd[: size // 2]))
+        return sectors
+
+    @pytest.mark.parametrize("cpus", (1, 2))
+    @pytest.mark.parametrize("dim", (5, 6, 64, 1024))
+    def test_sectors_bit_equal_two_serial_solves(self, dim, cpus, monkeypatch):
+        monkeypatch.setattr(fock, "_cpus", lambda: cpus)
+        built = fock._hyperbolic_sectors(HYP, dim)
+        for sector, (rates, even, odd) in zip(built, self.serial_sectors(HYP, dim)):
+            assert np.array_equal(sector.rates, rates)
+            assert np.array_equal(sector.even, even)
+            assert np.array_equal(sector.odd, odd)
+
+    @pytest.mark.parametrize("cpus", (1, 2, 3))
+    def test_helper_solves_parity_1_only_on_two_cpus_or_more(self, cpus, monkeypatch):
+        submitted, helper = [], fock._helper()
+
+        class Recorder:
+            def submit(self, function, d, e):
+                submitted.append(d[0])
+                return helper.submit(function, d, e)
+
+        monkeypatch.setattr(fock, "_cpus", lambda: cpus)
+        monkeypatch.setattr(fock, "_helper", Recorder)
+        fock._hyperbolic_sectors(HYP, 64)
+        # the parity-1 bidiagonal starts with hbar sqrt(2 * 3)
+        assert submitted == ([HYP.hbar * math.sqrt(6.0)] if cpus >= 2 else [])
+
+    def test_cpus_counts_the_affinity_mask(self):
+        if hasattr(os, "sched_getaffinity"):
+            assert fock._cpus() == len(os.sched_getaffinity(0))
+        else:
+            assert fock._cpus() == (os.cpu_count() or 1)
+
+    @pytest.mark.parametrize("cpus", (1, 2))
+    def test_parity_1_failure_names_its_sector(self, cpus, monkeypatch):
+        dbdsdc = fock._dbdsdc()
+
+        def odd_fails(d, e):
+            sigma, even, odd, info = dbdsdc(d, e)
+            return sigma, even, odd, 2 if d[0] == HYP.hbar * math.sqrt(6.0) else info
+
+        fock._model_bases.cache_clear()
+        monkeypatch.setattr(fock, "_cpus", lambda: cpus)
+        monkeypatch.setattr(fock, "_dbdsdc", lambda: odd_fails)
+        try:
+            with pytest.raises(ConvergenceError, match="dbdsdc failed on the parity-1 sector at dim 64: info 2"):
+                oracle_average("hyperbolic", HYP, 0.5 + 0.3j, 1, 0.5)
+        finally:
+            fock._model_bases.cache_clear()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_solves_after_a_solve_in_the_parent(self):
+        # the parent's helper thread does not exist in a forked child; a child
+        # that waited on it would hang until the alarm killed it
+        code = (
+            "import os, signal, warnings\n"
+            "warnings.simplefilter('ignore', DeprecationWarning)  # fork beside the idle helper\n"
+            "import cohevol.fock as fock\n"
+            "from cohevol import SystemParams\n"
+            "fock._cpus = lambda: 2\n"
+            "fock._hyperbolic_sectors(SystemParams(1.0, 0.1, 0.1), 1024)\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    signal.alarm(10)\n"
+            "    fock._hyperbolic_sectors(SystemParams(1.0, 0.2, 0.1), 1024)\n"
+            "    os._exit(0)\n"
+            "print(os.waitpid(pid, 0)[1])\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0"]  # the child's wait status: exit 0, no signal
 
 
 def _per_point_state(rep, v, t):

@@ -1,11 +1,11 @@
 """Which commands load numpy, scipy and costly stdlib modules, checked in fresh interpreters.
 
-Only the truncated-basis oracle (``cohevol.fock``) needs numpy and scipy, so
-importing the package and running the closed-form commands must load
-neither; an elliptic oracle run needs numpy only, and the first hyperbolic
-eigensolve loads scipy's Cython LAPACK extension but not the ``scipy.linalg``
-package (numpy itself loads ``ctypes``, through which the extension is
-called).  No command needs ``dataclasses`` (with ``inspect``), ``typing`` or
+Only the truncated-basis oracle (``cohevol.fock``) needs numpy, so importing
+the package and running the closed-form commands must load neither numpy
+nor scipy; an elliptic oracle run needs numpy only, and so does the first
+hyperbolic eigensolve where numpy's own LAPACK exports ``dbdsdc`` (called
+through ``ctypes``, which numpy itself loads).  Elsewhere that eigensolve
+loads scipy's Cython LAPACK extension but not the ``scipy.linalg`` package.  No command needs ``dataclasses`` (with ``inspect``), ``typing`` or
 ``fractions`` (with ``decimal``): a closed-form run in an interpreter started
 with ``-S``, where ``site`` preloads nothing, loads none of them, and an
 oracle run loads no ``dataclasses`` (numpy itself loads ``inspect`` and
@@ -95,31 +95,61 @@ def test_elliptic_oracle_loads_numpy_only(tmp_path):
     assert _loaded_after(runs, tmp_path) == ["numpy"]
 
 
-def test_compare_loads_both(tmp_path):
-    runs = [["compare", "--config", str(CONFIGS / "compare.cfg")]]
-    assert _loaded_after(runs, tmp_path) == ["numpy", "scipy", "scipy.linalg.cython_lapack"]
+def _numpy_exports_dbdsdc() -> bool:
+    import ctypes
+
+    import numpy.linalg._umath_linalg as umath_linalg
+    from cohevol.fock import _NUMPY_DBDSDC
+
+    library = ctypes.CDLL(umath_linalg.__file__)
+    return any(hasattr(library, name) for name in _NUMPY_DBDSDC)
 
 
-def test_compare_without_the_lapack_extension_goes_through_scipy_linalg(tmp_path):
-    # where scipy's Cython LAPACK extension is not found, the eigensolve falls
-    # back to scipy.linalg and writes the same bytes; the extension is hidden
-    # only from lookups made before scipy.linalg is imported, so that scipy.linalg
-    # itself still finds it
+def test_compare_loads_numpy_only_where_its_lapack_has_dbdsdc(tmp_path):
     runs = [["compare", "--config", str(CONFIGS / "compare.cfg")]]
-    hidden = (
-        "import sys\n"
-        "from importlib.machinery import PathFinder\n"
-        "find_spec = PathFinder.find_spec\n"
-        "PathFinder.find_spec = classmethod(lambda cls, name, path=None, target=None: None\n"
-        "    if name == 'scipy.linalg.cython_lapack' and 'scipy.linalg' not in sys.modules\n"
-        "    else find_spec(name, path, target))\n"
-    )
-    fallback = _run_child(hidden + _CHILD, str(tmp_path / "fallback.txt"), json.dumps(runs))
+    expected = ["numpy"] if _numpy_exports_dbdsdc() else ["numpy", "scipy", "scipy.linalg.cython_lapack"]
+    assert _loaded_after(runs, tmp_path) == expected
+
+
+# hides dbdsdc in numpy's LAPACK from the child's ctypes lookups
+_HIDE_NUMPY_DBDSDC = (
+    "import ctypes\n"
+    "lookup = ctypes.CDLL.__getattr__\n"
+    "def hidden(self, name):\n"
+    "    if 'dbdsdc' in name:\n"
+    "        raise AttributeError(name)\n"
+    "    return lookup(self, name)\n"
+    "ctypes.CDLL.__getattr__ = hidden\n"
+)
+# and scipy's Cython LAPACK extension from lookups made before scipy.linalg is
+# imported, so that scipy.linalg itself still finds it
+_HIDE_CYTHON_LAPACK = (
+    "import sys\n"
+    "from importlib.machinery import PathFinder\n"
+    "find_spec = PathFinder.find_spec\n"
+    "PathFinder.find_spec = classmethod(lambda cls, name, path=None, target=None: None\n"
+    "    if name == 'scipy.linalg.cython_lapack' and 'scipy.linalg' not in sys.modules\n"
+    "    else find_spec(name, path, target))\n"
+)
+
+
+def _fallback_loads(hide: str, tmp_path) -> list:
+    """The heavy modules a ``compare`` loads with ``hide`` run first; its output bytes are the default's."""
+    runs = [["compare", "--config", str(CONFIGS / "compare.cfg")]]
+    fallback = _run_child(hide + _CHILD, str(tmp_path / "fallback.txt"), json.dumps(runs))
     result = json.loads(fallback.strip().splitlines()[-1])
     assert result["codes"] == [0]
-    assert [name for name in result["loaded"] if name in HEAVY] == list(HEAVY)
-    assert _loaded_after(runs, tmp_path) == ["numpy", "scipy", "scipy.linalg.cython_lapack"]
+    _child_result(runs, tmp_path)
     assert (tmp_path / "fallback.txt").read_bytes() == (tmp_path / "out.txt").read_bytes()
+    return [name for name in result["loaded"] if name in HEAVY]
+
+
+def test_compare_without_numpys_dbdsdc_goes_through_scipys_cython_lapack(tmp_path):
+    assert _fallback_loads(_HIDE_NUMPY_DBDSDC, tmp_path) == ["numpy", "scipy", "scipy.linalg.cython_lapack"]
+
+
+def test_compare_without_either_lapack_table_goes_through_scipy_linalg(tmp_path):
+    assert _fallback_loads(_HIDE_NUMPY_DBDSDC + _HIDE_CYTHON_LAPACK, tmp_path) == list(HEAVY)
 
 
 def test_oracle_names_resolve_on_first_use():
