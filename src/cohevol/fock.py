@@ -23,16 +23,19 @@ form:
   ``B`` (rows the even positions, columns the odd ones) of about half the
   sector's size.  So its eigenvalues are ``s = -+sigma`` and its
   eigenvectors ``(u, -+w) / sqrt 2`` for the singular triplets
-  ``B w = sigma u`` (Golub & Kahan 1965).  Each sector's ``B`` is factored
-  once per representation by LAPACK ``dbdsdc`` (divide and conquer; Gu &
-  Eisenstat 1995), which forms only ``sigma`` and the two half-size factors
-  ``U`` and ``W``; the sector's full eigenvector matrix is never formed.  A
-  sector of odd size (``dim`` not a multiple of 4) has one more even
-  position than odd ones; a zero coupling to one more odd position makes
-  ``B`` square and gives it a zero singular value, whose ``u`` is the
-  sector's zero mode (on its even positions) and whose ``w`` is that added
-  position alone, dropped from ``W``.  The energies are ``w s - mu s^2``.
-  The eigenpairs agree with those of ``scipy.linalg.eigh_tridiagonal`` to
+  ``B w = sigma u`` (Golub & Kahan 1965).  Every coupling carries one
+  factor ``hbar``, so ``S = hbar S_1`` with a model-free ``S_1``: the
+  eigenvectors depend on ``dim`` alone, and the model enters only through the
+  energies.  Each sector's ``B`` of ``S_1`` is factored once per basis size,
+  for every model, by LAPACK ``dbdsdc`` (divide and conquer; Gu & Eisenstat
+  1995), which forms only ``sigma_1`` and the two half-size factors ``U`` and
+  ``W``; the sector's full eigenvector matrix is never formed.  A sector of
+  odd size (``dim`` not a multiple of 4) has one more even position than odd
+  ones; a zero coupling to one more odd position makes ``B`` square and gives
+  it a zero singular value, whose ``u`` is the sector's zero mode (on its
+  even positions) and whose ``w`` is that added position alone, dropped from
+  ``W``.  Each model forms only its energies ``w s - mu s^2`` at
+  ``s = hbar (-+sigma_1)``.  The eigenpairs agree with those of ``scipy.linalg.eigh_tridiagonal`` to
   rounding, not bit for bit.  Inside a sector the gauge reduces to ``i^j``
   (a constant sector phase cancels), so it adds no rounding.  ``dbdsdc`` is
   called through ctypes, which releases the GIL for the call, so where the
@@ -51,12 +54,13 @@ Observables ``x^n`` and ``adag^m a^q`` are applied by banded shifts with the
 ladder elements ``sqrt(hbar k)``; no dense operator is formed.
 
 What does not depend on ``t`` is built once and kept on the representation:
-its eigensystem, whose sectors carry their phase rates ``-1j E``, its ladder,
-and one prepared state, that of the last ``alpha`` asked for: the coherent
-vector with its tail-test verdict, its norm ``|psi_0|`` and its coefficients
-``V^T g^* psi_0`` in each sector's eigenbasis (hyperbolic: ``U^T`` and
-``W^T`` applied to the even and odd entries).  Asking for another ``alpha``
-replaces it.  Each time point then computes only the phases
+its eigensystem, whose sectors carry their phase rates ``-1j E`` (a
+hyperbolic sector refers to the shared factors of ``S_1``, not to a copy),
+its ladder, and one prepared state, that of the last ``alpha`` asked for:
+the coherent vector with its tail-test verdict, its norm ``|psi_0|`` and its
+coefficients ``V^T g^* psi_0`` in each sector's eigenbasis (hyperbolic:
+``U^T`` and ``W^T`` applied to the even and odd entries).  Asking for another
+``alpha`` replaces it.  Each time point then computes only the phases
 ``exp(-1j E * (t / hbar))``, their product with the coefficients
 (hyperbolic: ``g V (phases * coefficients)``, as one product with ``U`` and
 one with ``W``), the unitarity check against ``|psi_0|`` and the
@@ -64,13 +68,17 @@ observable.
 
 The process keeps the representations of one model, the ``(kind, omega, mu,
 hbar)`` that :func:`build_hamiltonian` was last asked for, one per basis
-size.  For a doubling ladder up to the cap their factors take about
-171 MiB, ``4/3`` of the cap's own 128 MiB.  They live until another model is
-asked for, which releases them all, so a finished job's bases do not stay
-alive beside the next job's eigensolve.  Alternating between two models
-rebuilds each one every time, and alternating between two ``alpha`` on one
-model prepares each state every time.  This state is shared by the whole
-process: use the oracle from one thread at a time.
+size; asking for another model releases them all.  The factors of ``S_1``
+live apart from them, for the whole process, for at most 8 basis sizes (the
+least recently used goes first): the doubling ladder from
+``DEFAULT_START_DIM`` to the cap, whose factors take about 171 MiB, ``4/3``
+of the cap's own 128 MiB.  That is all a run driven by a config keeps; a
+library caller that asks for other sizes can hold up to 8 of them (1 GiB
+near the cap).  Alternating between two models re-forms each one's energies
+and prepared states every time but solves no basis size twice, and
+alternating between two ``alpha`` on one model prepares each state every
+time.  This state is shared by the whole process: use the oracle from one
+thread at a time.
 
 numpy loads with this module, and no other module of the package imports
 numpy or scipy.  The package imports this module when one of its oracle
@@ -210,11 +218,29 @@ def _hyperbolic_sectors(params: SystemParams, dim: int) -> tuple[Sector, ...]:
     # The couplings grow with k, so no row sum of S, and no |s|, exceeds twice the last.
     s_max = 2.0 * params.hbar * math.sqrt((dim - 2.0) * (dim - 1.0))
     _check_energies(abs(params.omega) * s_max + abs(params.mu) * s_max * s_max, params, dim)
+    sectors = []
+    for parity, (sigma, even, odd, gauge) in enumerate(_sector_factors(dim)):
+        s = params.hbar * np.concatenate((-sigma, sigma))
+        energies = params.omega * s - params.mu * s * s
+        sectors.append(Sector(
+            index=slice(parity, None, 2), rates=_frozen(-1j * energies), even=even, odd=odd, gauge=gauge,
+        ))
+    return tuple(sectors)
+
+
+@lru_cache(maxsize=(DEFAULT_DIM_CAP // DEFAULT_START_DIM).bit_length())  # the doubling ladder's sizes
+def _sector_factors(dim: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]:
+    """``(sigma, U, W, gauge)`` of each parity sector of ``S / hbar``, frozen.
+
+    Every coupling of ``S`` is ``hbar`` times that of ``S / hbar``, so its
+    eigenvalues are ``hbar (-+sigma)`` and its eigenvectors are those of
+    ``S / hbar``: they depend on ``dim`` alone and are shared by every model.
+    """
     dbdsdc = _dbdsdc()
     sizes, bidiagonals = [], []
     for parity in (0, 1):
         k = np.arange(parity, dim - 2, 2, dtype=float)
-        couplings = params.hbar * np.sqrt((k + 1.0) * (k + 2.0))
+        couplings = np.sqrt((k + 1.0) * (k + 2.0))
         sizes.append(len(k) + 1)
         if sizes[-1] % 2:
             # a zero coupling to one more odd position squares B; the zero singular
@@ -232,20 +258,15 @@ def _hyperbolic_sectors(params: SystemParams, dim: int) -> tuple[Sector, ...]:
         solved = (first, second)
     else:
         solved = [dbdsdc(*bidiagonal) for bidiagonal in bidiagonals]
-    sectors = []
+    factors = []
     for parity, size, (sigma, even, odd, info) in zip((0, 1), sizes, solved):
         if info != 0:
             raise ConvergenceError(
                 f"LAPACK dbdsdc failed on the parity-{parity} sector at dim {dim}: info {info}"
             )
-        s = np.concatenate((-sigma, sigma))
-        energies = params.omega * s - params.mu * s * s
         gauge = _I_POWERS[np.arange(size) % 4]
-        sectors.append(Sector(
-            index=slice(parity, None, 2), rates=_frozen(-1j * energies), even=_frozen(even),
-            odd=_frozen(odd[: size // 2]), gauge=_frozen(gauge),
-        ))
-    return tuple(sectors)
+        factors.append(tuple(_frozen(array) for array in (sigma, even, odd[: size // 2], gauge)))
+    return tuple(factors)
 
 
 def _cpus() -> int:

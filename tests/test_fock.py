@@ -33,9 +33,10 @@ from cohevol import (
 )
 from cohevol.cli import EXIT_CONVERGENCE, main
 import cohevol.fock as fock
-from cohevol.fock import DEFAULT_DIM_CAP, DEFAULT_TAIL_TOL, _prepare, _propagate
+from cohevol.fock import DEFAULT_DIM_CAP, DEFAULT_START_DIM, DEFAULT_TAIL_TOL, _prepare, _propagate
 
 HYP = make_hyperbolic_params(1.0, 0.1, 0.05)
+OTHER_HYP = make_hyperbolic_params(0.7, -0.2, 0.03)
 ELL = SystemParams(1.0, 0.05, 0.1)
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -446,13 +447,19 @@ class TestTridiagonalSolve:
         if size % 2:  # the zero mode leaves nothing on the odd positions
             assert np.abs(sector.odd[:, -1]).max() <= 4.0 * size * np.finfo(float).eps
 
+    @staticmethod
+    def clear_caches():
+        # no representation or solved factors left over from earlier tests
+        fock._model_bases.cache_clear()
+        fock._sector_factors.cache_clear()
+
     @pytest.fixture
     def failing(self, monkeypatch):
         # fresh representations whose eigensolve reports a LAPACK failure
-        fock._model_bases.cache_clear()
+        self.clear_caches()
         monkeypatch.setattr(fock, "_dbdsdc", lambda: lambda d, e: (d, None, None, 1))
         yield
-        fock._model_bases.cache_clear()
+        self.clear_caches()
 
     def test_failure_raises_convergence_error(self, failing):
         with pytest.raises(ConvergenceError, match="dbdsdc failed on the parity-0 sector at dim 64: info 1"):
@@ -470,23 +477,24 @@ class TestTridiagonalSolve:
 
     @staticmethod
     def serial_sectors(params, dim):
-        """Each sector's ``(rates, even, odd)`` from two serial calls of ``_dbdsdc()``."""
+        """Each sector's ``(rates, even, odd)`` from two serial ``hbar``-free calls of ``_dbdsdc()``."""
         dbdsdc, sectors = fock._dbdsdc(), []
         for parity in (0, 1):
             k = np.arange(parity, dim - 2, 2, dtype=float)
-            couplings = params.hbar * np.sqrt((k + 1.0) * (k + 2.0))
+            couplings = np.sqrt((k + 1.0) * (k + 2.0))
             size = len(k) + 1
             if size % 2:
                 couplings = np.append(couplings, 0.0)
             sigma, even, odd, info = dbdsdc(couplings[0::2], couplings[1::2])
             assert info == 0
-            s = np.concatenate((-sigma, sigma))
+            s = params.hbar * np.concatenate((-sigma, sigma))
             sectors.append((-1j * (params.omega * s - params.mu * s * s), even, odd[: size // 2]))
         return sectors
 
     @pytest.mark.parametrize("cpus", (1, 2))
     @pytest.mark.parametrize("dim", (5, 6, 64, 1024))
     def test_sectors_bit_equal_two_serial_solves(self, dim, cpus, monkeypatch):
+        self.clear_caches()
         monkeypatch.setattr(fock, "_cpus", lambda: cpus)
         built = fock._hyperbolic_sectors(HYP, dim)
         for sector, (rates, even, odd) in zip(built, self.serial_sectors(HYP, dim)):
@@ -503,11 +511,12 @@ class TestTridiagonalSolve:
                 submitted.append(d[0])
                 return helper.submit(function, d, e)
 
+        self.clear_caches()
         monkeypatch.setattr(fock, "_cpus", lambda: cpus)
         monkeypatch.setattr(fock, "_helper", Recorder)
         fock._hyperbolic_sectors(HYP, 64)
-        # the parity-1 bidiagonal starts with hbar sqrt(2 * 3)
-        assert submitted == ([HYP.hbar * math.sqrt(6.0)] if cpus >= 2 else [])
+        # the parity-1 bidiagonal of S / hbar starts with sqrt(2 * 3)
+        assert submitted == ([math.sqrt(6.0)] if cpus >= 2 else [])
 
     def test_cpus_counts_the_affinity_mask(self):
         if hasattr(os, "sched_getaffinity"):
@@ -521,16 +530,75 @@ class TestTridiagonalSolve:
 
         def odd_fails(d, e):
             sigma, even, odd, info = dbdsdc(d, e)
-            return sigma, even, odd, 2 if d[0] == HYP.hbar * math.sqrt(6.0) else info
+            return sigma, even, odd, 2 if d[0] == math.sqrt(6.0) else info
 
-        fock._model_bases.cache_clear()
+        self.clear_caches()
         monkeypatch.setattr(fock, "_cpus", lambda: cpus)
         monkeypatch.setattr(fock, "_dbdsdc", lambda: odd_fails)
         try:
             with pytest.raises(ConvergenceError, match="dbdsdc failed on the parity-1 sector at dim 64: info 2"):
                 oracle_average("hyperbolic", HYP, 0.5 + 0.3j, 1, 0.5)
         finally:
-            fock._model_bases.cache_clear()
+            self.clear_caches()
+
+    def test_models_at_one_dim_share_the_factors(self):
+        first = fock._hyperbolic_sectors(HYP, 64)
+        second = fock._hyperbolic_sectors(OTHER_HYP, 64)
+        for one, other in zip(first, second):
+            assert one.even is other.even and one.odd is other.odd and one.gauge is other.gauge
+            assert not np.array_equal(one.rates, other.rates)
+
+    def test_each_sector_is_solved_once_per_dim_across_models(self, monkeypatch):
+        dbdsdc, solved = fock._dbdsdc(), []
+
+        def counted(d, e):
+            solved.append(len(d))
+            return dbdsdc(d, e)
+
+        self.clear_caches()
+        monkeypatch.setattr(fock, "_dbdsdc", lambda: counted)
+        try:
+            for params in (HYP, OTHER_HYP, HYP, make_hyperbolic_params(1.3, 0.05, 0.2)):
+                for dim in (64, 128):
+                    build_hamiltonian("hyperbolic", params, dim).eigensystem()
+            assert sorted(solved) == [16, 16, 32, 32]  # each parity's bidiagonal, once per dim
+            fock._sector_factors.cache_clear()
+            build_hamiltonian("hyperbolic", OTHER_HYP, 64).eigensystem()
+            assert sorted(solved) == [16, 16, 16, 16, 32, 32]
+        finally:
+            self.clear_caches()
+
+    def test_values_do_not_depend_on_the_model_solved_before(self):
+        times = (0.0, 0.4, 0.8)
+
+        def values(params, alpha):
+            return [oracle_average("hyperbolic", params, alpha, 2, t) for t in times]
+
+        self.clear_caches()
+        first = values(HYP, 0.5 + 0.3j)
+        self.clear_caches()
+        values(OTHER_HYP, 0.6 - 0.2j)
+        solves = fock._sector_factors.cache_info().misses
+        after = values(HYP, 0.5 + 0.3j)
+        assert fock._sector_factors.cache_info().misses == solves  # every factor came from the other model
+        assert after == first
+
+    def test_a_ladder_to_the_cap_keeps_at_most_8_sizes(self, monkeypatch):
+        # a stand-in solve, so that no large basis is factored
+        monkeypatch.setattr(fock, "_dbdsdc", lambda: lambda d, e: (np.array(d), np.empty((0, 0)), np.empty((0, 0)), 0))
+        ladder = [DEFAULT_START_DIM << j for j in range(8)]
+        assert ladder[-1] == DEFAULT_DIM_CAP
+        self.clear_caches()
+        try:
+            for dim in ladder + ladder:
+                fock._hyperbolic_sectors(HYP, dim)
+            info = fock._sector_factors.cache_info()
+            assert (info.misses, info.hits, info.currsize) == (8, 8, 8)  # the second ladder solved nothing
+            for dim in (5, 6, 30, 100):
+                fock._hyperbolic_sectors(HYP, dim)
+            assert fock._sector_factors.cache_info().currsize == 8
+        finally:
+            self.clear_caches()
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_solves_after_a_solve_in_the_parent(self):
@@ -546,8 +614,9 @@ class TestTridiagonalSolve:
             "pid = os.fork()\n"
             "if pid == 0:\n"
             "    signal.alarm(10)\n"
+            "    fock._sector_factors.cache_clear()  # so that the child solves, not reuses\n"
             "    fock._hyperbolic_sectors(SystemParams(1.0, 0.2, 0.1), 1024)\n"
-            "    os._exit(0)\n"
+            "    os._exit(0 if fock._sector_factors.cache_info().misses == 1 else 3)\n"
             "print(os.waitpid(pid, 0)[1])\n"
         )
         env = dict(os.environ)
