@@ -69,12 +69,18 @@ observable.
 The process keeps the representations of one model, the ``(kind, omega, mu,
 hbar)`` that :func:`build_hamiltonian` was last asked for, one per basis
 size; asking for another model releases them all.  The factors of ``S_1``
-live apart from them, for the whole process, for at most 8 basis sizes (the
-least recently used goes first): the doubling ladder from
-``DEFAULT_START_DIM`` to the cap, whose factors take about 171 MiB, ``4/3``
-of the cap's own 128 MiB.  That is all a run driven by a config keeps; a
-library caller that asks for other sizes can hold up to 8 of them (1 GiB
-near the cap).  Alternating between two models re-forms each one's energies
+live apart from them, in a cache of 8 basis sizes (the least recently used
+goes first) that nothing public releases, so they stay until the process
+ends.  A representation of the current model still refers to the factors of
+its size after the cache drops them, so the factors alive are those of the
+8 cached sizes plus the current model's.  A run driven by a config asks only
+for sizes on the doubling ladder from ``DEFAULT_START_DIM`` to the cap, 8 of
+them, whose factors take about 171 MiB, ``4/3`` of the cap's own 128 MiB:
+the same bound as when they were released with their model, now held after
+its last model too.  A library caller that asks for sizes off the ladder can
+hold 8 of them beside its current model's (1 GiB near the cap, and more).
+That retention is the cost of solving no basis size twice in a process.
+Alternating between two models re-forms each one's energies
 and prepared states every time but solves no basis size twice, and
 alternating between two ``alpha`` on one model prepares each state every
 time.  This state is shared by the whole process: use the oracle from one
