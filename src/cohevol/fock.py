@@ -39,9 +39,9 @@ form:
   rounding, not bit for bit.  Inside a sector the gauge reduces to ``i^j``
   (a constant sector phase cancels), so it adds no rounding.  ``dbdsdc`` is
   called through ctypes, which releases the GIL for the call, so where the
-  process may run on two CPUs or more one helper thread solves the parity-1
-  sector while the calling thread solves parity 0; the helper is started by
-  the first such solve, and a forked child starts its own.  The routine is
+  process may run on two CPUs or more a helper thread solves the parity-1
+  sector while the calling thread solves parity 0; the helper is joined when
+  the solve ends, so no thread outlives it.  The routine is
   taken from the LAPACK that numpy's ``linalg`` extension links, found by
   name at the first hyperbolic eigensolve, so no scipy is loaded.  Where
   numpy's LAPACK does not export it by a known name, it is taken from
@@ -66,22 +66,16 @@ coefficients ``V^T g^* psi_0`` in each sector's eigenbasis (hyperbolic:
 one with ``W``), the unitarity check against ``|psi_0|`` and the
 observable.
 
-The process keeps the representations of one model, the ``(kind, omega, mu,
-hbar)`` that :func:`build_hamiltonian` was last asked for, one per basis
-size; asking for another model releases them all.  The factors of ``S_1``
-live apart from them, in a cache of 8 basis sizes (the least recently used
-goes first) that nothing public releases, so they stay until the process
-ends.  A representation of the current model still refers to the factors of
-its size after the cache drops them, so the factors alive are those of the
-8 cached sizes plus the current model's.  A run driven by a config asks only
-for sizes on the doubling ladder from ``DEFAULT_START_DIM`` to the cap, 8 of
-them, whose factors take about 171 MiB, ``4/3`` of the cap's own 128 MiB:
-the same bound as when they were released with their model, now held after
-its last model too.  A library caller that asks for sizes off the ladder can
-hold 8 of them beside its current model's (1 GiB near the cap, and more).
-That retention is the cost of solving no basis size twice in a process.
-Alternating between two models re-forms each one's energies
-and prepared states every time but solves no basis size twice, and
+The process keeps two caches, each of 8 entries (the doubling ladder's
+basis sizes, :data:`_LADDER`) with the least recently used going first: the
+representations, keyed by ``(kind, omega, mu, hbar, dim)``, and the factors
+of ``S_1``, keyed by ``dim``.  A cached representation refers to the factors
+of its size after their cache drops them, so the factors alive are those of
+16 basis sizes at most.  A run driven by a config asks only for the ladder's
+8 sizes, so it holds theirs, about 171 MiB, ``4/3`` of the cap's own 128 MiB.
+Nothing public releases either cache.  A representation that leaves its
+cache is built again when asked for, re-forming its energies and prepared
+state, but no basis size is solved twice while its factors are cached; and
 alternating between two ``alpha`` on one model prepares each state every
 time.  This state is shared by the whole process: use the oracle from one
 thread at a time.
@@ -108,6 +102,7 @@ import math
 import os
 import struct
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from functools import cached_property, lru_cache
 from importlib.machinery import PathFinder
 
@@ -129,6 +124,8 @@ DEFAULT_START_DIM = 64
 _UNITARITY_TOL = 1e-10
 _I_POWERS = np.array([1, 1j, -1, -1j])
 _TAIL_BLOCK = 64
+# the size of both caches: the doubling ladder's basis sizes, DEFAULT_START_DIM to the cap
+_LADDER = (DEFAULT_DIM_CAP // DEFAULT_START_DIM).bit_length()
 
 
 class Sector(Record):
@@ -234,7 +231,7 @@ def _hyperbolic_sectors(params: SystemParams, dim: int) -> tuple[Sector, ...]:
     return tuple(sectors)
 
 
-@lru_cache(maxsize=(DEFAULT_DIM_CAP // DEFAULT_START_DIM).bit_length())  # the doubling ladder's sizes
+@lru_cache(maxsize=_LADDER)
 def _sector_factors(dim: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]:
     """``(sigma, U, W, gauge)`` of each parity sector of ``S / hbar``, frozen.
 
@@ -253,15 +250,13 @@ def _sector_factors(dim: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray,
             # value this adds has that position alone as w, so its row of W is dropped
             couplings = np.append(couplings, 0.0)
         bidiagonals.append((couplings[0::2], couplings[1::2]))
-    # The foreign call releases the GIL: where the process may run on two CPUs, the
-    # helper thread solves parity 1 while this thread solves parity 0.
+    # The foreign call releases the GIL: where the process may run on two CPUs, a
+    # helper thread solves parity 1 while this thread solves parity 0.  Leaving the
+    # block joins it, also beside a failed solve, so no thread outlives this call.
     if _cpus() > 1:
-        helper = _helper().submit(dbdsdc, *bidiagonals[1])
-        try:
-            first = dbdsdc(*bidiagonals[0])
-        finally:  # waited for even beside a failed solve, so that none outlives this call
-            second = helper.result()
-        solved = (first, second)
+        with ThreadPoolExecutor(1) as helper:
+            second = helper.submit(dbdsdc, *bidiagonals[1])
+            solved = (dbdsdc(*bidiagonals[0]), second.result())
     else:
         solved = [dbdsdc(*bidiagonal) for bidiagonal in bidiagonals]
     factors = []
@@ -281,18 +276,6 @@ def _cpus() -> int:
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
-
-@lru_cache(maxsize=1)
-def _helper():
-    """The one worker thread that solves a second sector beside the calling thread."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(1)
-
-
-if hasattr(os, "register_at_fork"):
-    # a forked child inherits the executor but not its thread, so it starts its own
-    os.register_at_fork(after_in_child=_helper.cache_clear)
 
 # numpy's LAPACK names dbdsdc with the 64-bit-integer suffix of its OpenBLAS build
 # (and, from numpy 2, the scipy_ prefix of the scipy-openblas wheels)
@@ -379,21 +362,18 @@ def _scipy_dbdsdc() -> int:
     )(capsule, name)
 
 
-@lru_cache(maxsize=1)
-def _model_bases(kind: str, omega: float, mu: float, hbar: float) -> dict[int, FockRepresentation]:
-    # the representations of the last model asked for, by basis size; asking
-    # for another model drops them all
+@lru_cache(maxsize=_LADDER)
+def _representation(kind: str, omega: float, mu: float, hbar: float, dim: int) -> FockRepresentation:
     if kind not in ("elliptic", "hyperbolic"):
         raise DomainError(f"unknown Hamiltonian kind {kind!r}")
-    return {}
+    return FockRepresentation(kind=kind, params=SystemParams(omega, mu, hbar), dim=dim)
 
 
 def build_hamiltonian(kind: str, params: SystemParams, dim: int) -> FockRepresentation:
     """Representation of the chosen model on a ``dim``-state basis.
 
-    The representations of the most recent ``(kind, params)`` are kept, one per
-    basis size, so the spectral data of one basis size is reused by every later
-    time point; asking for another model releases them.
+    The 8 most recently used ``(kind, params, dim)`` representations are kept,
+    so the spectral data of one basis size is reused by every later time point.
 
     Raises
     ------
@@ -405,11 +385,7 @@ def build_hamiltonian(kind: str, params: SystemParams, dim: int) -> FockRepresen
         raise DimensionError(f"degree-4 couplings need dim >= 5, got {dim}")
     if dim > DEFAULT_DIM_CAP:
         raise DimensionError(f"basis size {dim} exceeds the cap {DEFAULT_DIM_CAP}")
-    omega, mu, hbar, dim = params.omega, params.mu, params.hbar, int(dim)
-    bases = _model_bases(kind, omega, mu, hbar)
-    if dim not in bases:
-        bases[dim] = FockRepresentation(kind=kind, params=SystemParams(omega, mu, hbar), dim=dim)
-    return bases[dim]
+    return _representation(kind, params.omega, params.mu, params.hbar, int(dim))
 
 
 class CoherentVector(Record):

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import weakref
 from pathlib import Path
 
@@ -450,7 +451,7 @@ class TestTridiagonalSolve:
     @staticmethod
     def clear_caches():
         # no representation or solved factors left over from earlier tests
-        fock._model_bases.cache_clear()
+        fock._representation.cache_clear()
         fock._sector_factors.cache_clear()
 
     @pytest.fixture
@@ -504,16 +505,16 @@ class TestTridiagonalSolve:
 
     @pytest.mark.parametrize("cpus", (1, 2, 3))
     def test_helper_solves_parity_1_only_on_two_cpus_or_more(self, cpus, monkeypatch):
-        submitted, helper = [], fock._helper()
+        submitted = []
 
-        class Recorder:
+        class Recorder(fock.ThreadPoolExecutor):
             def submit(self, function, d, e):
                 submitted.append(d[0])
-                return helper.submit(function, d, e)
+                return super().submit(function, d, e)
 
         self.clear_caches()
         monkeypatch.setattr(fock, "_cpus", lambda: cpus)
-        monkeypatch.setattr(fock, "_helper", Recorder)
+        monkeypatch.setattr(fock, "ThreadPoolExecutor", Recorder)
         fock._hyperbolic_sectors(HYP, 64)
         # the parity-1 bidiagonal of S / hbar starts with sqrt(2 * 3)
         assert submitted == ([math.sqrt(6.0)] if cpus >= 2 else [])
@@ -562,6 +563,8 @@ class TestTridiagonalSolve:
                 for dim in (64, 128):
                     build_hamiltonian("hyperbolic", params, dim).eigensystem()
             assert sorted(solved) == [16, 16, 32, 32]  # each parity's bidiagonal, once per dim
+            # OTHER_HYP's dim-64 representation is still cached, and holds its factors
+            fock._representation.cache_clear()
             fock._sector_factors.cache_clear()
             build_hamiltonian("hyperbolic", OTHER_HYP, 64).eigensystem()
             assert sorted(solved) == [16, 16, 16, 16, 32, 32]
@@ -583,9 +586,13 @@ class TestTridiagonalSolve:
         assert fock._sector_factors.cache_info().misses == solves  # every factor came from the other model
         assert after == first
 
-    def test_a_ladder_to_the_cap_keeps_at_most_8_sizes(self, monkeypatch):
-        # a stand-in solve, so that no large basis is factored
+    @staticmethod
+    def stand_in_solve(monkeypatch):
+        # no basis is factored: sigma is the diagonal, U and W are empty
         monkeypatch.setattr(fock, "_dbdsdc", lambda: lambda d, e: (np.array(d), np.empty((0, 0)), np.empty((0, 0)), 0))
+
+    def test_a_ladder_to_the_cap_keeps_at_most_8_sizes(self, monkeypatch):
+        self.stand_in_solve(monkeypatch)
         ladder = [DEFAULT_START_DIM << j for j in range(8)]
         assert ladder[-1] == DEFAULT_DIM_CAP
         self.clear_caches()
@@ -600,13 +607,52 @@ class TestTridiagonalSolve:
         finally:
             self.clear_caches()
 
+    def test_retained_factors_are_bounded(self, monkeypatch):
+        # each representation refers to the factors of its size, which hold the
+        # sectors' gauges; a cache of 8 of each keeps those of 16 sizes at most
+        self.stand_in_solve(monkeypatch)
+        self.clear_caches()
+        dims, gauges = range(100, 120), []  # off the doubling ladder
+        try:
+            for dim in dims:
+                sectors = build_hamiltonian("hyperbolic", HYP, dim).eigensystem()
+                gauges.append([weakref.ref(sector.gauge) for sector in sectors])
+            del sectors
+            gc.collect()
+            alive = [dim for dim, refs in zip(dims, gauges) if any(ref() is not None for ref in refs)]
+            assert len(alive) <= 16, alive
+        finally:
+            self.clear_caches()
+
+    def test_no_thread_outlives_a_solve(self, monkeypatch):
+        dbdsdc, solvers = fock._dbdsdc(), []
+
+        def recorded(d, e):
+            solvers.append(threading.current_thread())
+            return dbdsdc(d, e)
+
+        self.clear_caches()
+        monkeypatch.setattr(fock, "_cpus", lambda: 2)
+        monkeypatch.setattr(fock, "_dbdsdc", lambda: recorded)
+        before = threading.active_count()
+        try:
+            fock._hyperbolic_sectors(HYP, 64)
+            assert fock._sector_factors.cache_info().misses == 1
+            assert threading.active_count() == before
+            # parity 1 ran on a helper, which was joined when the solve ended
+            assert len(solvers) == 2 and threading.current_thread() in solvers
+            assert [thread.is_alive() for thread in solvers if thread is not threading.current_thread()] == [False]
+        finally:
+            self.clear_caches()
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_solves_after_a_solve_in_the_parent(self):
-        # the parent's helper thread does not exist in a forked child; a child
-        # that waited on it would hang until the alarm killed it
+        # no helper thread is left after the parent's solve, so the fork raises no
+        # DeprecationWarning (Python 3.12+ warns of a fork beside a live thread) and
+        # the child's solve starts its own helper; a child that hung would be
+        # killed by the alarm
         code = (
-            "import os, signal, warnings\n"
-            "warnings.simplefilter('ignore', DeprecationWarning)  # fork beside the idle helper\n"
+            "import os, signal\n"
             "import cohevol.fock as fock\n"
             "from cohevol import SystemParams\n"
             "fock._cpus = lambda: 2\n"
@@ -621,7 +667,10 @@ class TestTridiagonalSolve:
         )
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        done = subprocess.run(
+            [sys.executable, "-W", "error::DeprecationWarning", "-c", code],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["0"]  # the child's wait status: exit 0, no signal
 
@@ -710,7 +759,7 @@ class TestPerPointPath:
     @pytest.fixture
     def corrupted_norm(self, monkeypatch):
         # every state prepared from here on carries a norm off by 1e-9
-        fock._model_bases.cache_clear()
+        fock._representation.cache_clear()
         prepare = fock._prepare
 
         def corrupted(rep, v):
@@ -719,7 +768,7 @@ class TestPerPointPath:
 
         monkeypatch.setattr(fock, "_prepare", corrupted)
         yield
-        fock._model_bases.cache_clear()  # drop the corrupted states
+        fock._representation.cache_clear()  # drop the corrupted states
 
     @pytest.mark.parametrize("kind,params,obs", (("elliptic", ELL, (2, 1)), ("hyperbolic", HYP, 1)))
     def test_corrupted_norm_raises(self, corrupted_norm, kind, params, obs):
@@ -762,7 +811,7 @@ class TestStateReuse:
     def coherent_builds(self, monkeypatch):
         # fresh representations; counts only the oracle's builds (the
         # reference calls the unpatched function imported above)
-        fock._model_bases.cache_clear()
+        fock._representation.cache_clear()
         builds = []
         coherent = fock.coherent_vector
 
@@ -793,7 +842,7 @@ class TestStateReuse:
         run(alternating)
         # one model and one alpha after the other, as every command and bench
         # job runs: each state is built once
-        fock._model_bases.cache_clear()
+        fock._representation.cache_clear()
         coherent_builds.clear()
         run(sorted(alternating, key=lambda point: point[:2]))
         assert len(coherent_builds) == len(set(coherent_builds))
@@ -801,14 +850,25 @@ class TestStateReuse:
             coherent_vector(2.0, 0.1, 64, tail_tol=DEFAULT_TAIL_TOL)
         assert coherent_builds.count((2.0, 0.1, 64)) == 1
 
-    def test_another_model_releases_the_bases(self):
-        # every basis size of the last model asked for is kept, and asking for
-        # another model releases them all
-        bases = [weakref.ref(build_hamiltonian("elliptic", ELL, dim)) for dim in (64, 128)]
-        assert all(build_hamiltonian("elliptic", ELL, dim) is ref() for dim, ref in zip((64, 128), bases))
-        build_hamiltonian("elliptic", SystemParams(1.0, 0.05, 0.2), 64)
+    def test_the_last_8_representations_are_kept(self):
+        # one LRU of 8 (model, dim) representations, whatever their models: the
+        # least recently used goes when a 9th is asked for
+        other = SystemParams(1.0, 0.05, 0.2)
+        fock._representation.cache_clear()
+        first = weakref.ref(build_hamiltonian("elliptic", ELL, 64))
+        second = weakref.ref(build_hamiltonian("elliptic", ELL, 128))
+        build_hamiltonian("elliptic", other, 64)
         gc.collect()
-        assert [ref() for ref in bases] == [None, None]
+        # model A's representation survives a model-B build, as the same object
+        assert second() is not None and build_hamiltonian("elliptic", ELL, 128) is second()
+        for dim in range(100, 105):  # the 8th distinct (model, dim)
+            build_hamiltonian("elliptic", other, dim)
+        gc.collect()
+        assert first() is not None
+        build_hamiltonian("elliptic", other, 105)  # the 9th
+        gc.collect()
+        assert first() is None
+        assert second() is not None and build_hamiltonian("elliptic", ELL, 128) is second()
 
     def test_one_state_per_basis(self, coherent_builds):
         # each basis keeps the state of the last alpha only: alternating two

@@ -1352,7 +1352,7 @@ class TestEvaluateOnce:
     @pytest.fixture
     def oracle_calls(self, monkeypatch):
         # fresh representations, so that states built by earlier tests do not hide builds
-        fock._model_bases.cache_clear()
+        fock._representation.cache_clear()
         calls = {"coherent": [], "expectation": []}
         coherent = fock.coherent_vector
         propagate, monomial = fock.propagate_expectation, fock.monomial_expectation
